@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping
 
 from .errors import (
@@ -97,19 +96,13 @@ class WFn:
 Word = WIdentity | WPath | WElem | WPair | WInj1 | WInj2 | WTuple | WFn
 
 
-def _show_elem(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    return str(x)
-
-
 def word_str(w: Word) -> str:
     if isinstance(w, WIdentity):
         return f"id_{w.obj.name}"
     if isinstance(w, WPath):
         return ";".join(w.gens)
     if isinstance(w, WElem):
-        return _show_elem(w.value)
+        return str(w.value)
     if isinstance(w, WPair):
         return f"({w.src.name},{w.tgt.name})"
     if isinstance(w, WInj1):

@@ -4,8 +4,9 @@ Programs are do-blocks of `x <- t;` binds over instance primitives and
 pure expressions.  Grade inference composes the primitives' morphisms,
 so a program typechecks exactly when its effect trace is a path in the
 instance's index category.  Evaluation elaborates each bind as
-tensorial strength on the environment, functor map of the continuation,
-then multiplication, and always produces the inferred index.
+tensorial strength on the variables the continuation reads, functor map
+of the continuation, then multiplication, and always produces the
+inferred index.
 """
 
 from __future__ import annotations
@@ -358,12 +359,14 @@ def parse_program(text: str) -> Program:
 
 
 def _parse_int_range(ts: TokenStream) -> tuple[int, int]:
-    ts.expect("int")
+    start = ts.expect("int")
     ts.expect("[")
     lo = int(ts.next("integer").text)
     ts.expect("..")
     hi = int(ts.next("integer").text)
     ts.expect("]")
+    if hi < lo:
+        raise ParseError(f"empty range int[{lo}..{hi}]", start.line, start.col)
     return lo, hi
 
 
@@ -422,11 +425,10 @@ def pretty_program(p: Program) -> str:
     if p.store is not None:
         lines.append(f"store int[{p.store[0]}..{p.store[1]}]")
     lines.append("")
-    body = p.body if isinstance(p.body, TLet) else p.body
-    if isinstance(body, TLet):
-        lines.append(_term_text(body, 0))
+    if isinstance(p.body, TLet):
+        lines.append(_term_text(p.body, 0))
     else:
-        lines.append("do {\n  " + _inline_term(body, 1) + "\n}")
+        lines.append("do {\n  " + _inline_term(p.body, 1) + "\n}")
     return "\n".join(lines) + "\n"
 
 
@@ -448,27 +450,58 @@ def shape_of_pexpr(e: PExpr, env: Mapping[str, Shape]) -> Shape:
     return ("pair", shape_of_pexpr(e.fst, env), shape_of_pexpr(e.snd, env))
 
 
+def _pexpr_vars(e: PExpr) -> frozenset[str]:
+    if isinstance(e, PVar):
+        return frozenset((e.name,))
+    if isinstance(e, PArith):
+        return _pexpr_vars(e.lhs) | _pexpr_vars(e.rhs)
+    if isinstance(e, PPairE):
+        return _pexpr_vars(e.fst) | _pexpr_vars(e.snd)
+    return frozenset()
+
+
+@dataclass(frozen=True)
+class _LetInfo:
+    """What inference fixes about a bind for evaluation."""
+
+    cont: Morphism              # the continuation's (the body's) grade
+    carried: tuple[str, ...]    # the body's free variables, bound variable excepted
+    reads_var: bool             # whether the body reads the bound variable
+
+
+LetTable = dict[tuple[int, ObjectId], _LetInfo]
+
+
 def infer_grade(bundle: InstanceBundle, start: ObjectId, term: Term,
                 env: Mapping[str, Shape] | None = None) -> GradedType:
+    return _infer(bundle, start, term, env or {})[0]
+
+
+def _infer(bundle: InstanceBundle, start: ObjectId, term: Term,
+           env: Mapping[str, Shape]) -> tuple[GradedType, LetTable]:
+    """Grade inference.  Also records, for every let it visits, keyed by
+    (id of the let, object the let starts at), what `eval_term` needs."""
     prims = prims_for(bundle)
     cat = bundle.monad.index_cat
-    env = dict(env or {})
+    lets: LetTable = {}
 
-    def go(t: Term, obj: ObjectId, env: dict) -> GradedType:
+    def go(t: Term, obj: ObjectId, env: dict) -> tuple[GradedType, frozenset[str]]:
+        """The graded type of t at obj, and the free variables of t."""
         if isinstance(t, TVar):
             if t.name not in env:
                 raise GradeMismatch(f"{t.pos}: unbound variable {t.name!r}")
-            return GradedType(cat.identity(obj), env[t.name])
+            return GradedType(cat.identity(obj), env[t.name]), frozenset((t.name,))
         if isinstance(t, TLit):
-            return GradedType(cat.identity(obj), shape_of_value(t.value))
+            return GradedType(cat.identity(obj), shape_of_value(t.value)), frozenset()
         if isinstance(t, TPure):
-            return GradedType(cat.identity(obj), shape_of_pexpr(t.expr, env))
+            return (GradedType(cat.identity(obj), shape_of_pexpr(t.expr, env)),
+                    _pexpr_vars(t.expr))
         if isinstance(t, TPrim):
             if t.name == "spawn":
                 if prims.spawn is None:
                     raise UnknownPrim(f"{t.pos}: instance has no spawn")
                 free = ObjectId("free")
-                body = go(t.body, free, env)
+                body, fv = go(t.body, free, env)
                 if not (body.index.src == free and body.index.tgt == free):
                     raise SpawnGradeError(
                         f"{t.pos}: spawn body has grade ({body.index}), "
@@ -476,7 +509,7 @@ def infer_grade(bundle: InstanceBundle, start: ObjectId, term: Term,
                 if obj != free:
                     raise GradeMismatch(f"{t.pos}: spawn used at {obj.name}, "
                                         "only available at free")
-                return GradedType(cat.identity(free), "unit")
+                return GradedType(cat.identity(free), "unit"), fv
             try:
                 spec = prims.lookup(t.name)
             except UnknownPrim:
@@ -494,24 +527,26 @@ def infer_grade(bundle: InstanceBundle, start: ObjectId, term: Term,
                 raise GradeMismatch(
                     f"{t.pos}: primitive {t.name} starts at {spec.src.name}, "
                     f"but the program is at {obj.name}")
-            idx = _prim_index(bundle, t.name, spec)
-            return GradedType(idx, spec.result_shape)
+            return (GradedType(_prim_index(spec), spec.result_shape),
+                    frozenset().union(*map(_pexpr_vars, t.args)))
         if isinstance(t, TLet):
-            first = go(t.bound, obj, env)
+            first, fv1 = go(t.bound, obj, env)
             env2 = dict(env)
             env2[t.var] = first.shape
-            rest = go(t.body, first.index.tgt, env2)
-            return GradedType(cat.compose(rest.index, first.index), rest.shape)
+            rest, fv2 = go(t.body, first.index.tgt, env2)
+            carried = fv2 - {t.var}
+            lets[(id(t), obj)] = _LetInfo(rest.index, tuple(sorted(carried)), t.var in fv2)
+            return GradedType(cat.compose(rest.index, first.index), rest.shape), fv1 | carried
         raise GradeMismatch(f"cannot infer a grade for {t!r}")
 
-    result = go(term, start, env)
+    result, _ = go(term, start, dict(env))
     if result.index.src != start:
         raise GradeMismatch(
             f"program grade starts at {result.index.src.name}, not {start.name}")
-    return result
+    return result, lets
 
 
-def _prim_index(bundle: InstanceBundle, name: str, spec: PrimSpec) -> Morphism:
+def _prim_index(spec: PrimSpec) -> Morphism:
     # primitive computations carry their morphism; build one cheaply
     comp = spec.make([_dummy_value(s) for s in spec.arg_shapes])
     return comp.index
@@ -557,39 +592,21 @@ def eval_pexpr(e: PExpr, env: Mapping[str, Value]) -> Value:
     return vpair(eval_pexpr(e.fst, env), eval_pexpr(e.snd, env))
 
 
-def _encode_env(env: Mapping[str, Value]) -> Value:
-    return vseq(vpair(vstr(k), env[k]) for k in sorted(env))
-
-
-def _decode_env(v: Value) -> dict[str, Value]:
-    out = {}
-    for pr in v.items:
-        out[pr.fst.s] = pr.snd
-    return out
-
-
 def eval_term(bundle: InstanceBundle, term: Term, env: Mapping[str, Value],
               start: ObjectId) -> GradedComputation:
-    """Evaluate; the resulting index always equals the inferred one."""
+    """Evaluate; the resulting index always equals the inferred one.
+
+    Grades come from one inference pass.  A let's continuation is
+    computed once per (let, object, values of the body's free variables)
+    for the whole evaluation: those values are all the body can read, so
+    strength carries only them."""
     T = bundle.monad
     prims = prims_for(bundle)
-    static_memo: dict = {}
+    inferred, lets = _infer(bundle, start, term,
+                            {k: shape_of_value(v) for k, v in env.items()})
+    memo: dict[tuple, Value] = {}
 
-    def _shape_sig(shapes: dict) -> tuple:
-        return tuple(sorted((k, str(s)) for k, s in shapes.items()))
-
-    def _static_index(t: TLet, obj: ObjectId, env: dict[str, Value]) -> Morphism:
-        shapes = {k: shape_of_value(v) for k, v in env.items()}
-        key = (id(t), obj, _shape_sig(shapes))
-        if key not in static_memo:
-            bound_gt = infer_grade(bundle, obj, t.bound, shapes)
-            shapes2 = dict(shapes)
-            shapes2[t.var] = bound_gt.shape
-            static_memo[key] = infer_grade(
-                bundle, bound_gt.index.tgt, t.body, shapes2).index
-        return static_memo[key]
-
-    def go(t: Term, obj: ObjectId, env: dict[str, Value]) -> GradedComputation:
+    def go(t: Term, obj: ObjectId, env: Mapping[str, Value]) -> GradedComputation:
         if isinstance(t, TVar):
             return unit(T, obj, env[t.name])
         if isinstance(t, TLit):
@@ -606,33 +623,27 @@ def eval_term(bundle: InstanceBundle, term: Term, env: Mapping[str, Value],
         if isinstance(t, TLet):
             c1 = go(t.bound, obj, env)
             f = c1.index
-            g_static = _static_index(t, obj, env)
-            carried = strength(T, f, _encode_env(env), c1)
-            seen: list[Morphism] = []
-            cont_memo: dict[Value, Value] = {}
+            site = (id(t), obj)
+            info = lets[site]
+            carried = strength(T, f, vseq(env[v] for v in info.carried), c1)
 
             def cont(pr: Value) -> Value:
-                # pure in (env, value); payloads repeat the same pair often
-                if pr in cont_memo:
-                    return cont_memo[pr]
-                env2 = _decode_env(pr.fst)
-                env2[t.var] = pr.snd
-                out = go(t.body, f.tgt, env2)
-                seen.append(out.index)
-                cont_memo[pr] = out.payload
-                return out.payload
+                key = (site, pr if info.reads_var else pr.fst)
+                out = memo.get(key)
+                if out is None:
+                    env2 = dict(zip(info.carried, pr.fst.items))
+                    env2[t.var] = pr.snd
+                    c = go(t.body, f.tgt, env2)
+                    if c.index != info.cont:
+                        raise InconsistentContinuationIndex(
+                            f"{t.pos}: continuation at ({c.index}), inferred ({info.cont})")
+                    out = memo[key] = c.payload
+                return out
 
-            payload2 = fmap(T, f, cont, carried.payload)
-            for idx in seen:
-                if idx != g_static:
-                    raise InconsistentContinuationIndex(
-                        f"{t.pos}: continuation at ({idx}), inferred ({g_static})")
-            return mult(T, f, g_static, payload2)
+            return mult(T, f, info.cont, fmap(T, f, cont, carried.payload))
         raise MalformedPayload(f"cannot evaluate {t!r}")
 
-    result = go(term, start, dict(env))
-    inferred = infer_grade(bundle, start, term,
-                           {k: shape_of_value(v) for k, v in env.items()})
+    result = go(term, start, env)
     if result.index != inferred.index:
         raise InconsistentContinuationIndex(
             f"evaluation produced ({result.index}), inference ({inferred.index})")

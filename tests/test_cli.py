@@ -93,6 +93,16 @@ def test_run_parse_error_exit_3(tmp_path, capsys):
     assert "parse error" in out
 
 
+def test_run_empty_store_range_exit_3(tmp_path, capsys):
+    gp = tmp_path / "empty.gp"
+    gp.write_text(LOCK_GP.replace("int[0..7]", "int[5..1]"))
+    code = main(["run", str(gp)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "parse error: 4:7: empty range int[5..1]\n"
+    assert "Traceback" not in captured.err
+
+
 def test_run_missing_file_exit_2(capsys):
     code, _ = run_cli(capsys, "run", "nowhere.gp")
     assert code == 2

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cgm.ahlcheck import (
     DRand,
@@ -24,13 +25,16 @@ from cgm.errors import (
 from cgm.formulas import FCmp, EVar, EInt, TRUE, VarDecl
 from cgm.indexcat import ObjectId
 from cgm.instances import InstanceBundle, ahl_instance, concst_instance
+from cgm import metalang
 from cgm.metalang import (
     TLet,
     TPrim,
     TPure,
+    TVar,
     PVar,
     PArith,
     PLit,
+    PPairE,
     eval_term,
     infer_grade,
     infer_program,
@@ -40,7 +44,7 @@ from cgm.metalang import (
     strength,
 )
 from cgm.rng import Rng
-from cgm.values import vint, vpair, vseq
+from cgm.values import unit as vunit, vint, vpair, vseq
 
 LOCK_PROGRAM = """
 instance concst
@@ -57,7 +61,11 @@ do {
 
 
 def lock_bundle(n=64):
-    return InstanceBundle("concst", concst_instance(tuple(vint(i) for i in range(n))))
+    return lock_bundle_over(range(n))
+
+
+def lock_bundle_over(stores):
+    return InstanceBundle("concst", concst_instance(tuple(vint(i) for i in stores)))
 
 
 FREE = ObjectId("free")
@@ -288,6 +296,153 @@ def _random_valid_program(rng: Rng, depth: int = 5):
     for var, bound_term in reversed(stmts):
         term = TLet(var, bound_term, term)
     return term
+
+
+def test_eval_work_is_linear_in_binds(monkeypatch):
+    """k x `x <- get; put(x + 1)` over int[0..7]: each bind adds a constant
+    number of multiplications instead of multiplying them by |S|."""
+    calls = [0]
+    real_mult = metalang.mult
+
+    def counting_mult(*args):
+        calls[0] += 1
+        return real_mult(*args)
+
+    monkeypatch.setattr(metalang, "mult", counting_mult)
+    bundle = lock_bundle(8)
+
+    def mults(k):
+        stmts = ["lock"] + ["x <- get", "put(x + 1)"] * k + ["unlock"]
+        p = parse_program("instance concst\nstart free\ndo { " + "; ".join(stmts) + " }")
+        calls[0] = 0
+        c = eval_term(bundle, p.body, {}, FREE)
+        assert c.payload.get(vint(0)).snd == vint(k)
+        return calls[0]
+
+    assert mults(4) <= 2 * mults(2) + 2
+
+
+def test_eval_let_node_shared_between_objects():
+    shared = TLet("_", TPure(PLit(vint(1))), TPure(PLit(vint(2))))
+    term = TLet("_", shared, TLet("_", TPrim("lock"), TLet("_", shared, TPrim("unlock"))))
+    bundle = lock_bundle(4)
+    c = eval_term(bundle, term, {}, FREE)
+    assert c.index == infer_grade(bundle, FREE, term).index
+    assert c.payload.get(vint(3)) == vpair(vunit, vint(3))
+
+
+# Differential test: random lock programs against a store-passing interpreter.
+
+_NAMES = ("x", "y", "z", "_")
+
+
+@st.composite
+def _int_expr(draw, ints):
+    def atom():
+        if ints and draw(st.booleans()):
+            return PVar(draw(st.sampled_from(sorted(ints))))
+        return PLit(vint(draw(st.integers(0, 7))))
+    e = atom()
+    if draw(st.booleans()):
+        e = PArith(draw(st.sampled_from("+-*")), e, atom())
+    return e
+
+
+@st.composite
+def _value_expr(draw, ints, pairs):
+    """An int or pair expression; pairs may nest a pair-valued variable."""
+    kind = draw(st.sampled_from(["int", "pair", "pairvar"] if pairs else ["int", "pair"]))
+    if kind == "int":
+        return draw(_int_expr(ints))
+    fst = PVar(draw(st.sampled_from(sorted(pairs)))) if kind == "pairvar" else \
+        draw(_int_expr(ints))
+    return PPairE(fst, draw(_int_expr(ints)))
+
+
+@st.composite
+def _lock_chain(draw, ints=frozenset(), pairs=frozenset(), spawn_depth=1):
+    """A statement chain from `free` back to `free`: lock / get / put /
+    unlock, `pure`, and `spawn` at free, binding shadowed, unused and
+    pair-valued variables."""
+    stmts = []
+    critical = False
+    for _ in range(draw(st.integers(0, 6))):
+        options = ["pure", "unlock", "get", "put"] if critical else ["pure", "lock"]
+        if not critical and spawn_depth:
+            options.append("spawn")
+        op = draw(st.sampled_from(options))
+        if op == "pure":
+            bound = TPure(draw(_value_expr(ints, pairs)))
+        elif op == "put":
+            bound = TPrim("put", (draw(_int_expr(ints)),))
+        elif op == "spawn":
+            bound = TPrim("spawn", (), draw(_lock_chain(ints, pairs, spawn_depth - 1)))
+        else:
+            bound = TPrim(op)
+            critical = op != "unlock"
+        var = draw(st.sampled_from(_NAMES))
+        if var != "_":
+            is_pair = isinstance(bound, TPure) and isinstance(bound.expr, PPairE)
+            is_int = bound == TPrim("get") or (isinstance(bound, TPure) and not is_pair)
+            ints = ints | {var} if is_int else ints - {var}
+            pairs = pairs | {var} if is_pair else pairs - {var}
+        stmts.append((var, bound))
+    if critical:
+        term = TPrim("unlock")
+    elif (ints or pairs) and draw(st.booleans()):
+        term = TVar(draw(st.sampled_from(sorted(ints | pairs))))
+    else:
+        term = TPure(draw(_value_expr(ints, pairs)))
+    for var, bound in reversed(stmts):
+        term = TLet(var, bound, term)
+    return term
+
+
+def _direct_run(t, env, store, domain):
+    """Store-passing interpreter: (result, final store), or None when the
+    store leaves the domain before a later statement."""
+    def ev(e):
+        if isinstance(e, PLit):
+            return e.value
+        if isinstance(e, PVar):
+            return env[e.name]
+        if isinstance(e, PPairE):
+            return vpair(ev(e.fst), ev(e.snd))
+        a, b = ev(e.lhs).n, ev(e.rhs).n
+        return vint({"+": a + b, "-": a - b, "*": a * b}[e.op])
+
+    if isinstance(t, TLet):
+        first = _direct_run(t.bound, env, store, domain)
+        if first is None or first[1] not in domain:
+            return None
+        return _direct_run(t.body, {**env, t.var: first[0]}, first[1], domain)
+    if isinstance(t, TVar):
+        return env[t.name], store
+    if isinstance(t, TPure):
+        return ev(t.expr), store
+    if t.name == "spawn":
+        inner = _direct_run(t.body, env, store, domain)
+        return None if inner is None else (vunit, inner[1])
+    if t.name == "get":
+        return vint(store), store
+    if t.name == "put":
+        return vunit, ev(t.args[0]).n
+    return vunit, store  # lock, unlock
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(term=_lock_chain(), lo=st.integers(-2, 4), size=st.integers(1, 6))
+def test_eval_matches_store_passing_interpreter(term, lo, size):
+    domain = range(lo, lo + size)
+    bundle = lock_bundle_over(domain)
+    comp = eval_term(bundle, term, {}, FREE)
+    assert comp.index == infer_grade(bundle, FREE, term).index
+    for s0 in domain:
+        expected = _direct_run(term, {}, s0, domain)
+        if expected is None:
+            assert not comp.payload.has(vint(s0))
+        else:
+            assert comp.payload.get(vint(s0)) == vpair(expected[0], vint(expected[1]))
 
 
 # --- strength ---

@@ -23,6 +23,7 @@ from .formulas import (
     formula_text,
     parse_arith,
     parse_formula,
+    parse_int_range,
     subst_formula,
     tokenize,
     valid_implication,
@@ -214,7 +215,10 @@ def _parse_fraction(ts: TokenStream) -> Fraction:
         raise ParseError(f"expected a rational, found {t.text!r}", t.line, t.col)
     num = int(t.text)
     if ts.eat("/"):
-        den = int(ts.next("denominator").text)
+        at = ts.peek()
+        den = ts.next_int()
+        if den == 0:
+            raise ParseError("zero denominator", at.line, at.col)
         return Fraction(num, den)
     return Fraction(num)
 
@@ -239,8 +243,8 @@ def _parse_derivation(ts: TokenStream) -> Derivation:
         return DAssign(var, expr, parse_formula(ts))
     if t.text == "rand":
         var = ts.next("variable").text
-        lo = int(ts.next("lower bound").text)
-        hi = int(ts.next("upper bound").text)
+        lo = ts.next_int()
+        hi = ts.next_int()
         ts.expect(":")
         beta = _parse_fraction(ts)
         ts.expect(":")
@@ -285,12 +289,7 @@ def parse_ahl_file(text: str) -> AhlFile:
         ts.next()
         name = ts.next("variable name").text
         ts.expect(":")
-        ts.expect("int")
-        ts.expect("[")
-        lo = int(ts.next("integer").text)
-        ts.expect("..")
-        hi = int(ts.next("integer").text)
-        ts.expect("]")
+        lo, hi = parse_int_range(ts)
         decls.append(VarDecl(name, lo, hi))
     if not decls:
         raise ParseError("derivation file declares no variables", 1, 1)

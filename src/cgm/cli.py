@@ -75,6 +75,9 @@ def cmd_laws(args) -> int:
         except ParseError as exc:
             _emit(f"parse error: {exc}")
             return 3
+        except CgmError as exc:
+            _emit(f"error: {exc}")
+            return 2
         if name != "identity":
             _emit("error: --category only applies to the identity instance")
             return 2

@@ -10,7 +10,7 @@ structural equality; there is no numeric tolerance anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 from .errors import (
     CgmError,
@@ -291,6 +291,11 @@ def _nested3(T: CatGradedMonad, f: Morphism, g: Morphism, h: Morphism, rng: Rng)
     return T.map_fn(f, mk_mid, outer)
 
 
+# One coherence diagram: its name, the pool of index tuples it is
+# instantiated at, and body(datum, rng) -> (indices, input, lhs, rhs).
+Law = tuple[str, Sequence, Callable]
+
+
 class Runner:
     """Collects per-law instantiation counts and failures."""
 
@@ -329,7 +334,7 @@ class Runner:
         return LawReport(tuple(self.counts), tuple(self.failures))
 
 
-def _monad_laws(T: CatGradedMonad, r: Runner) -> None:
+def _monad_laws(T: CatGradedMonad) -> Iterator[Law]:
     cat = T.index_cat
     pool = index_pool(T)
     pairs = _composable_pairs(pool)
@@ -339,13 +344,13 @@ def _monad_laws(T: CatGradedMonad, r: Runner) -> None:
         p = _sample_payload(T, f, rng)
         return (f,), p, vbool(T.validator(f, p)), vbool(True)
 
-    r.law("payload.validity", pool, payload_validity)
+    yield "payload.validity", pool, payload_validity
 
     def functor_identity(f: Morphism, rng: Rng):
         p = _sample_payload(T, f, rng)
         return (f,), p, T.map_fn(f, lambda v: v, p), p
 
-    r.law("functor.identity", pool, functor_identity)
+    yield "functor.identity", pool, functor_identity
 
     def functor_composition(datum, rng: Rng):
         f, i = datum
@@ -356,7 +361,7 @@ def _monad_laws(T: CatGradedMonad, r: Runner) -> None:
         rhs = T.map_fn(f, fn2, T.map_fn(f, fn1, p))
         return (f,), p, lhs, rhs
 
-    r.law("functor.composition", [(f, i) for i, f in enumerate(pool)], functor_composition)
+    yield "functor.composition", [(f, i) for i, f in enumerate(pool)], functor_composition
 
     def unit_left(f: Morphism, rng: Rng):
         # wrap outside with the unit at src(f), then flatten
@@ -366,7 +371,7 @@ def _monad_laws(T: CatGradedMonad, r: Runner) -> None:
         lhs = T.mult_fn(ids, f, wrapped)
         return (f,), p, lhs, p
 
-    r.law("unit.left", pool, unit_left)
+    yield "unit.left", pool, unit_left
 
     def unit_right(f: Morphism, rng: Rng):
         # wrap each carried value with the unit at tgt(f), then flatten
@@ -376,7 +381,7 @@ def _monad_laws(T: CatGradedMonad, r: Runner) -> None:
         lhs = T.mult_fn(f, idt, wrapped)
         return (f,), p, lhs, p
 
-    r.law("unit.right", pool, unit_right)
+    yield "unit.right", pool, unit_right
 
     def assoc(datum, rng: Rng):
         f, g, h = datum
@@ -387,7 +392,7 @@ def _monad_laws(T: CatGradedMonad, r: Runner) -> None:
         rhs = T.mult_fn(f, hg, T.map_fn(f, lambda q: T.mult_fn(g, h, q), p3))
         return (f, g, h), p3, lhs, rhs
 
-    r.law("assoc", triples, assoc)
+    yield "assoc", triples, assoc
 
     def unit_natural(datum, rng: Rng):
         f, i = datum
@@ -397,7 +402,7 @@ def _monad_laws(T: CatGradedMonad, r: Runner) -> None:
         rhs = T.unit_fn(f.src, fn(a))
         return (f,), a, lhs, rhs
 
-    r.law("naturality.unit", [(f, i) for i, f in enumerate(pool)], unit_natural)
+    yield "naturality.unit", [(f, i) for i, f in enumerate(pool)], unit_natural
 
     def mult_natural(datum, rng: Rng):
         (f, g), i = datum
@@ -408,7 +413,7 @@ def _monad_laws(T: CatGradedMonad, r: Runner) -> None:
         rhs = T.mult_fn(f, g, T.map_fn(f, lambda q: T.map_fn(g, fn, q), p2))
         return (f, g), p2, lhs, rhs
 
-    r.law("naturality.mult", [(fg, i) for i, fg in enumerate(pairs)], mult_natural)
+    yield "naturality.mult", [(fg, i) for i, fg in enumerate(pairs)], mult_natural
 
     def bind_left_unit(g: Morphism, rng: Rng):
         a = T.element_sampler(rng)
@@ -422,7 +427,7 @@ def _monad_laws(T: CatGradedMonad, r: Runner) -> None:
         rhs = k(a)
         return (g,), a, lhs.payload, rhs.payload
 
-    r.law("bind.left_unit", pool, bind_left_unit)
+    yield "bind.left_unit", pool, bind_left_unit
 
     def bind_right_unit(f: Morphism, rng: Rng):
         p = _sample_payload(T, f, rng)
@@ -431,7 +436,7 @@ def _monad_laws(T: CatGradedMonad, r: Runner) -> None:
         lhs = bind(T, c, lambda a: unit(T, f.tgt, a), cont_index=idt)
         return (f,), p, lhs.payload, p
 
-    r.law("bind.right_unit", pool, bind_right_unit)
+    yield "bind.right_unit", pool, bind_right_unit
 
     def bind_assoc(datum, rng: Rng):
         f, g, h = datum
@@ -451,10 +456,10 @@ def _monad_laws(T: CatGradedMonad, r: Runner) -> None:
         rhs = bind(T, c, lambda x: bind(T, k1(x), k2, cont_index=h), cont_index=hg)
         return (f, g, h), p, lhs.payload, rhs.payload
 
-    r.law("bind.assoc", triples, bind_assoc)
+    yield "bind.assoc", triples, bind_assoc
 
 
-def _approx_laws(T2: TwoCatGradedMonad, r: Runner) -> None:
+def _approx_laws(T2: TwoCatGradedMonad) -> Iterator[Law]:
     T = T2.base
     cat = T.index_cat
     pool = index_pool(T)
@@ -468,7 +473,7 @@ def _approx_laws(T2: TwoCatGradedMonad, r: Runner) -> None:
         p = _sample_payload(T, f, rng)
         return (f,), p, T2.approx_fn(f, f, p), p
 
-    r.law("approx.identity", pool, approx_identity)
+    yield "approx.identity", pool, approx_identity
 
     def approx_vertical(datum, rng: Rng):
         f, g, h = datum
@@ -477,7 +482,7 @@ def _approx_laws(T2: TwoCatGradedMonad, r: Runner) -> None:
         rhs = T2.approx_fn(f, h, p)
         return (f, g, h), p, lhs, rhs
 
-    r.law("approx.vertical", chains, approx_vertical)
+    yield "approx.vertical", chains, approx_vertical
 
     def approx_unit(f: Morphism, rng: Rng):
         a = T.element_sampler(rng)
@@ -485,7 +490,7 @@ def _approx_laws(T2: TwoCatGradedMonad, r: Runner) -> None:
         u = T.unit_fn(f.src, a)
         return (ids,), a, T2.approx_fn(ids, ids, u), u
 
-    r.law("approx.unit", pool, approx_unit)
+    yield "approx.unit", pool, approx_unit
 
     def approx_horizontal(datum, rng: Rng):
         (f, f2), (g, g2) = datum
@@ -497,10 +502,10 @@ def _approx_laws(T2: TwoCatGradedMonad, r: Runner) -> None:
         rhs = T2.approx_fn(gf, g2f2, T.mult_fn(f, g, p2))
         return (f, f2, g, g2), p2, lhs, rhs
 
-    r.law("approx.horizontal", squares, approx_horizontal)
+    yield "approx.horizontal", squares, approx_horizontal
 
 
-def _genunit_laws(G: GeneralisedUnit, r: Runner) -> None:
+def _genunit_laws(G: GeneralisedUnit) -> Iterator[Law]:
     T = G.monad
     cat = T.index_cat
     pool = [m for m in index_pool(T) if G.sub.contains(m)]
@@ -515,14 +520,14 @@ def _genunit_laws(G: GeneralisedUnit, r: Runner) -> None:
         rhs = G.geneta_fn(gf, a)
         return (f, g), a, lhs, rhs
 
-    r.law("genunit.compose", pairs, gen_compose)
+    yield "genunit.compose", pairs, gen_compose
 
     def gen_identity(f: Morphism, rng: Rng):
         a = T.element_sampler(rng)
         idf = cat.identity_at_src(f)
         return (idf,), a, G.geneta_fn(idf, a), T.unit_fn(f.src, a)
 
-    r.law("genunit.identity", pool, gen_identity)
+    yield "genunit.identity", pool, gen_identity
 
     def gen_natural(datum, rng: Rng):
         f, i = datum
@@ -532,10 +537,10 @@ def _genunit_laws(G: GeneralisedUnit, r: Runner) -> None:
         rhs = G.geneta_fn(f, fn(a))
         return (f,), a, lhs, rhs
 
-    r.law("genunit.naturality", [(f, i) for i, f in enumerate(pool)], gen_natural)
+    yield "genunit.naturality", [(f, i) for i, f in enumerate(pool)], gen_natural
 
 
-def _hom_laws(H: Homomorphism, r: Runner) -> None:
+def _hom_laws(H: Homomorphism) -> Iterator[Law]:
     T, S = H.source, H.target
     pool = index_pool(T)
     pairs = _composable_pairs(pool)
@@ -547,7 +552,7 @@ def _hom_laws(H: Homomorphism, r: Runner) -> None:
         rhs = S.unit_fn(f.src, a)
         return (idx,), a, lhs, rhs
 
-    r.law("hom.unit", pool, hom_unit)
+    yield "hom.unit", pool, hom_unit
 
     def hom_mult(datum, rng: Rng):
         f, g = datum
@@ -557,21 +562,37 @@ def _hom_laws(H: Homomorphism, r: Runner) -> None:
         rhs = S.mult_fn(f, g, H.gamma_fn(f, T.map_fn(f, lambda q: H.gamma_fn(g, q), p2)))
         return (f, g), p2, lhs, rhs
 
-    r.law("hom.mult", pairs, hom_mult)
+    yield "hom.mult", pairs, hom_mult
+
+
+def _laws(subject) -> Iterator[Law]:
+    if isinstance(subject, CatGradedMonad):
+        yield from _monad_laws(subject)
+    elif isinstance(subject, TwoCatGradedMonad):
+        yield from _monad_laws(subject.base)
+        yield from _approx_laws(subject)
+    elif isinstance(subject, GeneralisedUnit):
+        yield from _genunit_laws(subject)
+    elif isinstance(subject, Homomorphism):
+        yield from _hom_laws(subject)
+    else:
+        raise TypeError(f"cannot check laws of {type(subject).__name__}")
 
 
 def check_laws(subject, samples: int = 200, seed: int = 0) -> LawReport:
     """Instantiate every applicable coherence diagram on sampled data."""
     r = Runner(samples, seed)
-    if isinstance(subject, CatGradedMonad):
-        _monad_laws(subject, r)
-    elif isinstance(subject, TwoCatGradedMonad):
-        _monad_laws(subject.base, r)
-        _approx_laws(subject, r)
-    elif isinstance(subject, GeneralisedUnit):
-        _genunit_laws(subject, r)
-    elif isinstance(subject, Homomorphism):
-        _hom_laws(subject, r)
-    else:
-        raise TypeError(f"cannot check laws of {type(subject).__name__}")
+    for name, data, body in _laws(subject):
+        r.law(name, data, body)
     return r.report()
+
+
+def run_laws_as(r: Runner, subject, names: Collection[str], prefix: str) -> None:
+    """Run the named diagrams of `subject`, each reported as prefix + name.
+
+    A structure that embeds into a category-graded one checks its own laws
+    this way: each of its diagrams is the embedding's diagram of that name.
+    """
+    for name, data, body in _laws(subject):
+        if name in names:
+            r.law(prefix + name, data, body)

@@ -197,6 +197,7 @@ def valid_implication(decls: Iterable[VarDecl], pre: Formula, post: Formula) -> 
 _TOKEN_CHARS = {"(": "(", ")": ")", ",": ","}
 _TWO = ("==", "!=", "<=", ">=", "&&", "||", "<-", "<~", "->", "..", "=>", ":=")
 _ONE = "+-*/<>!(){};:=[],~"
+_DIGITS = "0123456789"
 
 
 @dataclass
@@ -231,9 +232,9 @@ def tokenize(text: str) -> list[Token]:
             i += 2
             col += 2
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             toks.append(Token("int", text[i:j], line, col))
             col += j - i
@@ -272,6 +273,12 @@ class TokenStream:
         self.pos += 1
         return t
 
+    def next_int(self) -> int:
+        t = self.next("an integer")
+        if t.kind != "int":
+            raise ParseError(f"expected an integer, found {t.text!r}", t.line, t.col)
+        return int(t.text)
+
     def expect(self, text: str) -> Token:
         t = self.next(repr(text))
         if t.text != text:
@@ -287,6 +294,19 @@ class TokenStream:
             self.pos += 1
             return True
         return False
+
+
+def parse_int_range(ts: TokenStream) -> tuple[int, int]:
+    """`int[lo..hi]` with lo <= hi."""
+    start = ts.expect("int")
+    ts.expect("[")
+    lo = ts.next_int()
+    ts.expect("..")
+    hi = ts.next_int()
+    ts.expect("]")
+    if hi < lo:
+        raise ParseError(f"empty range int[{lo}..{hi}]", start.line, start.col)
+    return lo, hi
 
 
 def _parse_atom_expr(ts: TokenStream) -> Expr:

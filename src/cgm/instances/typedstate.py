@@ -24,7 +24,7 @@ from ..indexcat import (
     whole_category,
 )
 from ..rng import Rng
-from ..translations import ParameterisedMonad
+from ..translations import ParameterisedMonad, param_over, pure_lift
 from ..values import Value, VPair, VTable, table, unit as vunit, vint, vpair
 
 
@@ -149,24 +149,11 @@ def constructive_param(P: ParameterisedMonad,
     if objs is None or set(objs) != set(P.objects()):
         raise DomainMismatch("index category must share the family's objects")
 
-    T = CatGradedMonad(
-        name=f"{P.name}-constructive",
-        index_cat=cat,
-        unit_fn=lambda obj, a: P.eta_fn(obj, a),
-        mult_fn=lambda f, g, nested: P.mu_fn(f.src, f.tgt, g.tgt, nested),
-        map_fn=lambda f, fn, p: P.value_map_fn(f.src, f.tgt, fn, p),
-        validator=lambda f, p: P.validator(f.src, f.tgt, p),
-        sampler=None if P.sampler is None else (lambda f, rng: P.sampler(f.src, f.tgt, rng)),
-        element_sampler=P.element_sampler,
-        index_samples=cat.morphisms(),
-    )
+    T = param_over(P, cat, f"{P.name}-constructive")
 
     def geneta(m: Morphism, a: Value) -> Value:
         if not P.index_cat.contains(m):
             raise NotInSubcategory(f"({m}) has no interpretation in {P.name}")
-        if isinstance(m.word, WIdentity) or P.discrete:
-            return P.eta_fn(m.src, a)
-        return P.morph_map_fn(P.index_cat.identity(m.src), m, lambda v: v,
-                              P.eta_fn(m.src, a))
+        return pure_lift(P, m, a)
 
     return T, GeneralisedUnit(T, whole_category(cat), geneta)

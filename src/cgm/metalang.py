@@ -23,7 +23,7 @@ from .errors import (
     SpawnGradeError,
     UnknownPrim,
 )
-from .formulas import TokenStream, VarDecl, tokenize
+from .formulas import TokenStream, VarDecl, parse_int_range, tokenize
 from .indexcat import Morphism, ObjectId
 from .instances import InstanceBundle, LockPrims
 from .values import (
@@ -341,11 +341,11 @@ def parse_program(text: str) -> Program:
             ts.next()
             name = ts.next("variable name").text
             ts.expect(":")
-            lo, hi = _parse_int_range(ts)
+            lo, hi = parse_int_range(ts)
             var_decls.append(VarDecl(name, lo, hi))
         elif t.text == "store":
             ts.next()
-            store = _parse_int_range(ts)
+            store = parse_int_range(ts)
         else:
             break
     if instance is None:
@@ -356,18 +356,6 @@ def parse_program(text: str) -> Program:
     if t is not None:
         raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
     return Program(instance, start, tuple(var_decls), store, body)
-
-
-def _parse_int_range(ts: TokenStream) -> tuple[int, int]:
-    start = ts.expect("int")
-    ts.expect("[")
-    lo = int(ts.next("integer").text)
-    ts.expect("..")
-    hi = int(ts.next("integer").text)
-    ts.expect("]")
-    if hi < lo:
-        raise ParseError(f"empty range int[{lo}..{hi}]", start.line, start.col)
-    return lo, hi
 
 
 # --- pretty printing ---

@@ -19,6 +19,10 @@ from .core import (
     LawReport,
     Runner,
     TwoCatGradedMonad,
+    _FN_POOL,
+    _nested2,
+    _sample_payload,
+    run_laws_as,
 )
 from .errors import (
     DinaturalityFailure,
@@ -48,7 +52,7 @@ from .indexcat import (
     whole_category,
 )
 from .rng import Rng, derive_seed
-from .values import Value, VTable, table, vint, vpair, vstr, vtag
+from .values import Value, VTable, table, vint, vstr
 
 
 # --- source structures ---
@@ -113,227 +117,92 @@ class ParameterisedMonad:
         return objs
 
 
-_FN_POOL: tuple[tuple[str, Callable[[Value], Value]], ...] = (
-    ("tag", lambda v: vtag("t", v)),
-    ("pair1", lambda v: vpair(v, vint(1))),
-    ("const7", lambda v: vint(7)),
-)
-
-
 # --- law suites for the source structures ---
+#
+# Each source structure's unit and associativity laws are the diagrams of
+# the same name of its category-graded embedding, reported under the source
+# prefix (m, g, p).
+
+_UNIT_ASSOC = ("unit.left", "unit.right", "assoc")
+_APPROX = ("approx.identity", "approx.vertical", "approx.horizontal")
+
 
 def check_plain_laws(M: PlainMonad, samples: int = 200, seed: int = 0) -> LawReport:
     r = Runner(samples, seed)
-
-    def sample(rng: Rng) -> Value:
-        if M.sampler is None:
-            raise SamplerUnavailable(f"{M.name} has no sampler")
-        return M.sampler(rng)
-
-    def unit_left(_, rng: Rng):
-        p = sample(rng)
-        return (), p, M.join_fn(M.unit_fn(p)), p
-
-    r.law("munit.left", [None], unit_left)
-
-    def unit_right(_, rng: Rng):
-        p = sample(rng)
-        return (), p, M.join_fn(M.map_fn(M.unit_fn, p)), p
-
-    r.law("munit.right", [None], unit_right)
-
-    def assoc(_, rng: Rng):
-        outer = sample(rng.fork(0))
-        mid = sample(rng.fork(1))
-        inner = sample(rng.fork(2))
-        p3 = M.map_fn(lambda a: M.map_fn(
-            lambda b: M.map_fn(lambda c: vpair(vpair(a, b), c), inner), mid), outer)
-        lhs = M.join_fn(M.join_fn(p3))
-        rhs = M.join_fn(M.map_fn(M.join_fn, p3))
-        return (), p3, lhs, rhs
-
-    r.law("massoc", [None], assoc)
+    run_laws_as(r, monad_to_catgraded(M), _UNIT_ASSOC, "m")
     return r.report()
 
 
 def check_graded_laws(G: GradedMonad, samples: int = 200, seed: int = 0) -> LawReport:
     r = Runner(samples, seed)
-    elems = list(dict.fromkeys((G.unit_elem, *G.sample)))
-    pairs = [(m, n) for m in elems for n in elems]
-    triples = [(m, n, p) for m in elems for n in elems for p in elems]
-
-    def sample(m, rng: Rng) -> Value:
-        if G.sampler is None:
-            raise SamplerUnavailable(f"{G.name} has no sampler")
-        return G.sampler(m, rng)
-
-    def nested2(m, n, rng: Rng) -> Value:
-        outer = sample(m, rng.fork(0))
-        base = sample(n, rng.fork(1))
-        return G.map_fn(m, lambda a: G.map_fn(n, lambda b: vpair(a, b), base), outer)
-
-    def unit_left(m, rng: Rng):
-        p = sample(m, rng)
-        return (), p, G.mult_fn(G.unit_elem, m, G.unit_fn(p)), p
-
-    r.law("gunit.left", elems, unit_left)
-
-    def unit_right(m, rng: Rng):
-        p = sample(m, rng)
-        lhs = G.mult_fn(m, G.unit_elem, G.map_fn(m, G.unit_fn, p))
-        return (), p, lhs, p
-
-    r.law("gunit.right", elems, unit_right)
-
-    def assoc(datum, rng: Rng):
-        m, n, p = datum
-        outer = sample(m, rng.fork(0))
-        mid = sample(n, rng.fork(1))
-        inner = sample(p, rng.fork(2))
-        p3 = G.map_fn(m, lambda a: G.map_fn(
-            n, lambda b: G.map_fn(p, lambda c: vpair(vpair(a, b), c), inner), mid), outer)
-        lhs = G.mult_fn(G.op(m, n), p, G.mult_fn(m, n, p3))
-        rhs = G.mult_fn(m, G.op(n, p), G.map_fn(m, lambda q: G.mult_fn(n, p, q), p3))
-        return (), p3, lhs, rhs
-
-    r.law("gassoc", triples, assoc)
-
-    if G.leq is not None and G.approx_fn is not None:
-        cells = [(m, n) for m in elems for n in elems if m == n or G.leq(m, n)]
-
-        def approx_identity(m, rng: Rng):
-            p = sample(m, rng)
-            return (), p, G.approx_fn(m, m, p), p
-
-        r.law("gapprox.identity", elems, approx_identity)
-
-        chains = [(m, n, p) for m, n in cells for p in elems if n == p or G.leq(n, p)]
-
-        def approx_vertical(datum, rng: Rng):
-            m, n, p = datum
-            q = sample(m, rng)
-            lhs = G.approx_fn(n, p, G.approx_fn(m, n, q))
-            return (), q, lhs, G.approx_fn(m, p, q)
-
-        r.law("gapprox.vertical", chains, approx_vertical)
-
-        squares = [(mc, nc) for mc in cells for nc in cells]
-
-        def approx_horizontal(datum, rng: Rng):
-            (m, m2), (n, n2) = datum
-            p2 = nested2(m, n, rng)
-            inner = G.map_fn(m, lambda q: G.approx_fn(n, n2, q), p2)
-            lhs = G.mult_fn(m2, n2, G.approx_fn(m, m2, inner))
-            rhs = G.approx_fn(G.op(m, n), G.op(m2, n2), G.mult_fn(m, n, p2))
-            return (), p2, lhs, rhs
-
-        r.law("gapprox.horizontal", squares, approx_horizontal)
-
+    ordered = G.leq is not None and G.approx_fn is not None
+    T = pograded_to_2catgraded(G) if ordered else graded_to_catgraded(G)
+    run_laws_as(r, T, _UNIT_ASSOC + _APPROX, "g")
     return r.report()
 
 
 def check_param_laws(P: ParameterisedMonad, samples: int = 200, seed: int = 0) -> LawReport:
     r = Runner(samples, seed)
     objs = P.objects()
-    obj_pairs = [(i, j) for i in objs for j in objs]
-    obj_triples = [(i, j, k) for i in objs for j in objs for k in objs]
-    obj_quads = [(i, j, k, l) for i in objs for j in objs for k in objs for l in objs]
+    pairs = IndiscreteCategory(objs)
+    T = param_over(P, pairs, P.name)
+    run_laws_as(r, T, _UNIT_ASSOC, "p")
+    if P.discrete:
+        return r.report()
 
-    def sample(i, j, rng: Rng) -> Value:
-        if P.sampler is None:
-            raise SamplerUnavailable(f"{P.name} has no sampler")
-        return P.sampler(i, j, rng)
+    # the dinaturality and bifunctor diagrams have no category-graded
+    # counterpart; a payload at (I, J) is T's payload at the pair I -> J
+    cat = P.index_cat
+    morphs = cat.morphisms()
+    square1 = [(i, g, k) for i in objs for g in morphs for k in objs]
 
-    def nested2(i, j, k, rng: Rng) -> Value:
-        outer = sample(i, j, rng.fork(0))
-        base = sample(j, k, rng.fork(1))
-        return P.value_map_fn(
-            i, j, lambda a: P.value_map_fn(j, k, lambda b: vpair(a, b), base), outer)
+    def dinat_mu(datum, rng: Rng):
+        i, g, k = datum
+        j, j2 = g.src, g.tgt
+        # source of the square: an outer payload at P(i, j) whose carried
+        # values are inner payloads at P(j2, k)
+        nested = _nested2(T, pairs.pair(i, j), pairs.pair(j2, k), rng)
+        idi = cat.identity(i)
+        idk = cat.identity(k)
+        lhs = P.mu_fn(i, j2, k, P.morph_map_fn(idi, g, lambda v: v, nested))
+        rhs = P.mu_fn(i, j, k, P.value_map_fn(
+            i, j, lambda q: P.morph_map_fn(g, idk, lambda v: v, q), nested))
+        return (g,), nested, lhs, rhs
 
-    def unit_left(datum, rng: Rng):
+    r.law("pdinat.mu", square1, dinat_mu)
+
+    def dinat_unit(g: Morphism, rng: Rng):
+        a = P.element_sampler(rng)
+        i, j = g.src, g.tgt
+        lhs = P.morph_map_fn(cat.identity(i), g, lambda v: v, P.eta_fn(i, a))
+        rhs = P.morph_map_fn(g, cat.identity(j), lambda v: v, P.eta_fn(j, a))
+        return (g,), a, lhs, rhs
+
+    r.law("pdinat.unit", morphs, dinat_unit)
+
+    def bifunctor_identity(datum, rng: Rng):
         i, j = datum
-        p = sample(i, j, rng)
-        return (), p, P.mu_fn(i, i, j, P.eta_fn(i, p)), p
-
-    r.law("punit.left", obj_pairs, unit_left)
-
-    def unit_right(datum, rng: Rng):
-        i, j = datum
-        p = sample(i, j, rng)
-        lhs = P.mu_fn(i, j, j, P.value_map_fn(i, j, lambda a: P.eta_fn(j, a), p))
+        p = _sample_payload(T, pairs.pair(i, j), rng)
+        lhs = P.morph_map_fn(cat.identity(i), cat.identity(j), lambda v: v, p)
         return (), p, lhs, p
 
-    r.law("punit.right", obj_pairs, unit_right)
+    r.law("pbifunctor.identity", [(i, j) for i in objs for j in objs], bifunctor_identity)
 
-    def assoc(datum, rng: Rng):
-        i, j, k, l = datum
-        outer = sample(i, j, rng.fork(0))
-        mid = sample(j, k, rng.fork(1))
-        inner = sample(k, l, rng.fork(2))
-        p3 = P.value_map_fn(i, j, lambda a: P.value_map_fn(
-            j, k, lambda b: P.value_map_fn(k, l, lambda c: vpair(vpair(a, b), c), inner),
-            mid), outer)
-        lhs = P.mu_fn(i, k, l, P.mu_fn(i, j, k, p3))
-        rhs = P.mu_fn(i, j, l, P.value_map_fn(i, j, lambda q: P.mu_fn(j, k, l, q), p3))
-        return (), p3, lhs, rhs
+    comp_pairs = [(f, f2, g, g2)
+                  for f in morphs for f2 in morphs if f.tgt == f2.src
+                  for g in morphs for g2 in morphs if g.tgt == g2.src]
 
-    r.law("passoc", obj_quads, assoc)
+    def bifunctor_compose(datum, rng: Rng):
+        f, f2, g, g2 = datum
+        _, h = _FN_POOL[0]
+        _, h2 = _FN_POOL[1]
+        p = _sample_payload(T, pairs.pair(f2.tgt, g.src), rng)
+        lhs = P.morph_map_fn(cat.compose(f2, f), cat.compose(g2, g),
+                             lambda v: h2(h(v)), p)
+        rhs = P.morph_map_fn(f, g2, h2, P.morph_map_fn(f2, g, h, p))
+        return (f, f2, g, g2), p, lhs, rhs
 
-    if not P.discrete:
-        cat = P.index_cat
-        morphs = cat.morphisms()
-        square1 = [(i, g, k) for i in objs for g in morphs for k in objs]
-
-        def dinat_mu(datum, rng: Rng):
-            i, g, k = datum
-            j, j2 = g.src, g.tgt
-            # source of the square: an outer payload at P(i, j) whose carried
-            # values are inner payloads at P(j2, k)
-            outer = sample(i, j, rng.fork(0))
-            base = sample(j2, k, rng.fork(1))
-            nested = P.value_map_fn(
-                i, j, lambda a: P.value_map_fn(j2, k, lambda b: vpair(a, b), base), outer)
-            idi = cat.identity(i)
-            idk = cat.identity(k)
-            lhs = P.mu_fn(i, j2, k, P.morph_map_fn(idi, g, lambda v: v, nested))
-            rhs = P.mu_fn(i, j, k, P.value_map_fn(
-                i, j, lambda q: P.morph_map_fn(g, idk, lambda v: v, q), nested))
-            return (g,), nested, lhs, rhs
-
-        r.law("pdinat.mu", square1, dinat_mu)
-
-        def dinat_unit(g: Morphism, rng: Rng):
-            a = P.element_sampler(rng)
-            i, j = g.src, g.tgt
-            lhs = P.morph_map_fn(cat.identity(i), g, lambda v: v, P.eta_fn(i, a))
-            rhs = P.morph_map_fn(g, cat.identity(j), lambda v: v, P.eta_fn(j, a))
-            return (g,), a, lhs, rhs
-
-        r.law("pdinat.unit", morphs, dinat_unit)
-
-        def bifunctor_identity(datum, rng: Rng):
-            i, j = datum
-            p = sample(i, j, rng)
-            lhs = P.morph_map_fn(cat.identity(i), cat.identity(j), lambda v: v, p)
-            return (), p, lhs, p
-
-        r.law("pbifunctor.identity", obj_pairs, bifunctor_identity)
-
-        comp_pairs = [(f, f2, g, g2)
-                      for f in morphs for f2 in morphs if f.tgt == f2.src
-                      for g in morphs for g2 in morphs if g.tgt == g2.src]
-
-        def bifunctor_compose(datum, rng: Rng):
-            f, f2, g, g2 = datum
-            _, h = _FN_POOL[0]
-            _, h2 = _FN_POOL[1]
-            p = sample(f2.tgt, g.src, rng)
-            lhs = P.morph_map_fn(cat.compose(f2, f), cat.compose(g2, g),
-                                 lambda v: h2(h(v)), p)
-            rhs = P.morph_map_fn(f, g2, h2, P.morph_map_fn(f2, g, h, p))
-            return (f, f2, g, g2), p, lhs, rhs
-
-        r.law("pbifunctor.compose", comp_pairs, bifunctor_compose)
+    r.law("pbifunctor.compose", comp_pairs, bifunctor_compose)
 
     return r.report()
 
@@ -382,13 +251,11 @@ def pograded_to_2catgraded(G: GradedMonad) -> TwoCatGradedMonad:
     )
 
 
-def discrete_param_to_catgraded(P: ParameterisedMonad) -> CatGradedMonad:
-    """Discrete doubly indexed family, graded by the indiscrete category."""
-    if not P.discrete:
-        raise NotDiscrete(f"{P.name} has a non-degenerate morphism mapping")
-    cat = IndiscreteCategory(P.objects())
+def param_over(P: ParameterisedMonad, cat: IndexCategory, name: str) -> CatGradedMonad:
+    """Grade a doubly indexed family by `cat`: a payload at f : I -> J is a
+    P(I, J) payload, so only the endpoints of each morphism matter."""
     return CatGradedMonad(
-        name=f"{P.name}-pairs",
+        name=name,
         index_cat=cat,
         unit_fn=lambda obj, a: P.eta_fn(obj, a),
         mult_fn=lambda f, g, nested: P.mu_fn(f.src, f.tgt, g.tgt, nested),
@@ -397,6 +264,20 @@ def discrete_param_to_catgraded(P: ParameterisedMonad) -> CatGradedMonad:
         sampler=None if P.sampler is None else (lambda f, rng: P.sampler(f.src, f.tgt, rng)),
         element_sampler=P.element_sampler,
     )
+
+
+def pure_lift(P: ParameterisedMonad, f: Morphism, a: Value) -> Value:
+    """The unit at src(f) post-weakened along f : I -> J into P(I, J)."""
+    if isinstance(f.word, WIdentity) or P.discrete:
+        return P.eta_fn(f.src, a)
+    return P.morph_map_fn(P.index_cat.identity(f.src), f, lambda v: v, P.eta_fn(f.src, a))
+
+
+def discrete_param_to_catgraded(P: ParameterisedMonad) -> CatGradedMonad:
+    """Discrete doubly indexed family, graded by the indiscrete category."""
+    if not P.discrete:
+        raise NotDiscrete(f"{P.name} has a non-degenerate morphism mapping")
+    return param_over(P, IndiscreteCategory(P.objects()), f"{P.name}-pairs")
 
 
 def catgraded_to_discrete_param(T: CatGradedMonad) -> ParameterisedMonad:
@@ -424,9 +305,7 @@ def _element_pool(P: ParameterisedMonad, seed: int = 0, n: int = 5) -> list[Valu
     return [P.element_sampler(rng) for _ in range(n)]
 
 
-def param_to_catgraded_genunit(
-        P: ParameterisedMonad,
-        check_agreement: bool = True) -> tuple[CatGradedMonad, GeneralisedUnit]:
+def param_to_catgraded_genunit(P: ParameterisedMonad) -> tuple[CatGradedMonad, GeneralisedUnit]:
     """Grade by the pair completion; pure liftings come from the morphism mapping.
 
     The lifting at an inner morphism f : I -> J has two candidate
@@ -436,45 +315,26 @@ def param_to_catgraded_genunit(
     """
     inner = P.index_cat
     comp = pair_completion(inner)
-
-    T = CatGradedMonad(
-        name=f"{P.name}^pc",
-        index_cat=comp,
-        unit_fn=lambda obj, a: P.eta_fn(obj, a),
-        mult_fn=lambda f, g, nested: P.mu_fn(f.src, f.tgt, g.tgt, nested),
-        map_fn=lambda f, fn, p: P.value_map_fn(f.src, f.tgt, fn, p),
-        validator=lambda f, p: P.validator(f.src, f.tgt, p),
-        sampler=None if P.sampler is None else (lambda f, rng: P.sampler(f.src, f.tgt, rng)),
-        element_sampler=P.element_sampler,
-        index_samples=comp.morphisms(),
-    )
+    T = param_over(P, comp, f"{P.name}^pc")
 
     def geneta(m: Morphism, a: Value) -> Value:
         if not isinstance(m.word, WInj1):
             raise NotInSubcategory(f"({m}) is not an inner morphism")
-        f = m.word.inner
-        if isinstance(f.word, WIdentity) or P.discrete:
-            return P.eta_fn(f.src, a)
-        return P.morph_map_fn(inner.identity(f.src), f, lambda v: v, P.eta_fn(f.src, a))
+        return pure_lift(P, m.word.inner, a)
 
-    def geneta_alt(m: Morphism, a: Value) -> Value:
-        f = m.word.inner
-        if isinstance(f.word, WIdentity) or P.discrete:
-            return P.eta_fn(f.src, a)
-        return P.morph_map_fn(f, inner.identity(f.tgt), lambda v: v, P.eta_fn(f.tgt, a))
-
-    sub = WideSubcategory(comp, lambda m: isinstance(m.word, WInj1))
-
-    if check_agreement and not P.discrete:
+    if not P.discrete:
         pool = _element_pool(P)
         for f in inner.morphisms():
-            m = comp.inj1(f)
+            if isinstance(f.word, WIdentity):
+                continue
             for a in pool:
-                if geneta(m, a) != geneta_alt(m, a):
+                alt = P.morph_map_fn(f, inner.identity(f.tgt), lambda v: v, P.eta_fn(f.tgt, a))
+                if pure_lift(P, f, a) != alt:
                     raise DinaturalityFailure(
                         f"the two pure-lifting definitions disagree at ({f}) "
                         f"on {a.show()}; the source structure is not dinatural")
 
+    sub = WideSubcategory(comp, lambda m: isinstance(m.word, WInj1))
     return T, GeneralisedUnit(T, sub, geneta)
 
 
@@ -526,9 +386,8 @@ def roundtrip_param(P: ParameterisedMonad, samples: int = 50, seed: int = 0) -> 
     r = Runner(samples, seed)
     objs = P.objects()
     cat = P.index_cat
-
-    def sample(i, j, rng):
-        return P.sampler(i, j, rng)
+    pairs = IndiscreteCategory(objs)
+    S = param_over(P, pairs, P.name)
 
     def cmp_eta(i: ObjectId, rng: Rng):
         a = P.element_sampler(rng)
@@ -540,10 +399,7 @@ def roundtrip_param(P: ParameterisedMonad, samples: int = 50, seed: int = 0) -> 
 
     def cmp_mu(datum, rng: Rng):
         i, j, k = datum
-        outer = sample(i, j, rng.fork(0))
-        base = sample(j, k, rng.fork(1))
-        nested = P.value_map_fn(
-            i, j, lambda a: P.value_map_fn(j, k, lambda b: vpair(a, b), base), outer)
+        nested = _nested2(S, pairs.pair(i, j), pairs.pair(j, k), rng)
         return (), nested, P.mu_fn(i, j, k, nested), Q.mu_fn(i, j, k, nested)
 
     r.law("roundtrip.mu", triples, cmp_mu)
@@ -553,7 +409,7 @@ def roundtrip_param(P: ParameterisedMonad, samples: int = 50, seed: int = 0) -> 
     def cmp_value_map(datum, rng: Rng):
         i, j = datum
         _, fn = _FN_POOL[0]
-        p = sample(i, j, rng)
+        p = _sample_payload(S, pairs.pair(i, j), rng)
         return (), p, P.value_map_fn(i, j, fn, p), Q.value_map_fn(i, j, fn, p)
 
     r.law("roundtrip.value_map", obj_pairs, cmp_value_map)
@@ -565,7 +421,7 @@ def roundtrip_param(P: ParameterisedMonad, samples: int = 50, seed: int = 0) -> 
         def cmp_morph_map(datum, rng: Rng):
             f, g = datum
             _, fn = _FN_POOL[rng.randint(0, len(_FN_POOL) - 1)]
-            p = sample(f.tgt, g.src, rng)
+            p = _sample_payload(S, pairs.pair(f.tgt, g.src), rng)
             lhs = P.morph_map_fn(f, g, fn, p)
             rhs = Q.morph_map_fn(f, g, fn, p)
             return (f, g), p, lhs, rhs

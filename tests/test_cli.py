@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import hashlib
+
 import pytest
 
 from cgm.cli import main
@@ -103,6 +105,21 @@ def test_run_empty_store_range_exit_3(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("rng,col,found", [
+    ("int[a..3]", 11, "a"),
+    ("int[-1..3]", 11, "-"),
+    ("int[0..b]", 14, "b"),
+])
+def test_run_store_bound_not_an_integer_exit_3(tmp_path, capsys, rng, col, found):
+    gp = tmp_path / "bad.gp"
+    gp.write_text(LOCK_GP.replace("int[0..7]", rng))
+    code = main(["run", str(gp)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == f"parse error: 4:{col}: expected an integer, found {found!r}\n"
+    assert "Traceback" not in captured.err
+
+
 def test_run_missing_file_exit_2(capsys):
     code, _ = run_cli(capsys, "run", "nowhere.gp")
     assert code == 2
@@ -129,6 +146,61 @@ def test_ahl_parse_error(tmp_path, capsys):
     f.write_text("var x : int[0..9]\nconclude nonsense")
     code, out = run_cli(capsys, "ahl", str(f))
     assert code == 3
+
+
+@pytest.mark.parametrize("old,new,expected", [
+    # integer tokens: a name, a sign, a non-ASCII digit
+    ("var x : int[0..9]", "var x : int[a..9]", "2:13: expected an integer, found 'a'"),
+    ("var x : int[0..9]", "var x : int[-1..9]", "2:13: expected an integer, found '-'"),
+    ("rand x 0 9", "rand x a 9", "8:10: expected an integer, found 'a'"),
+    ("rand x 0 9", "rand x 0 -9", "8:12: expected an integer, found '-'"),
+    ("conclude 1/5", "conclude 1/x", "5:12: expected an integer, found 'x'"),
+    ("var x : int[0..9]", "var x : int[0..\u00b2]", "2:16: unexpected character '\u00b2'"),
+    # degenerate headers
+    ("conclude 1/5", "conclude 1/0", "5:12: zero denominator"),
+    ("var x : int[0..9]", "var x : int[5..1]", "2:9: empty range int[5..1]"),
+])
+def test_ahl_header_parse_errors_exit_3(tmp_path, capsys, old, new, expected):
+    f = tmp_path / "bad.ahl"
+    f.write_text(TWO_SAMPLERS.replace(old, new, 1))
+    code = main(["ahl", str(f)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == f"parse error: {expected}\n"
+    assert "Traceback" not in captured.err
+
+
+def test_ahl_weak_zero_denominator_exit_3(tmp_path, capsys):
+    f = tmp_path / "weak.ahl"
+    f.write_text("var x : int[0..3]\nconclude 1/2 : true => true\n"
+                 "weak 1/0 : true => true { skip : true }\n")
+    code, out = run_cli(capsys, "ahl", str(f))
+    assert code == 3
+    assert out == "parse error: 3:8: zero denominator\n"
+
+
+def test_ahl_empty_var_range_is_not_valid(tmp_path, capsys):
+    # over an empty state space `true => (x == 7)` would hold vacuously
+    f = tmp_path / "empty.ahl"
+    f.write_text("var x : int[5..1]\nconclude 0 : true => (x == 7)\n"
+                 "weak 0 : true => (x == 7) { skip : true }\n")
+    code, out = run_cli(capsys, "ahl", str(f))
+    assert code == 3
+    assert out == "parse error: 1:9: empty range int[5..1]\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("objects a b\ngen f : a -> c\n", "edge f references an undeclared object"),
+    ("kind table\nobjects a\ngen f : a -> a\n", "graph has unbounded paths; cannot tabulate"),
+])
+def test_laws_category_config_error_exit_2(tmp_path, capsys, text, message):
+    cat = tmp_path / "f.cat"
+    cat.write_text(text)
+    code = main(["laws", "identity", "--category", str(cat)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == f"error: {message}\n"
+    assert "Traceback" not in captured.err
 
 
 def test_roundtrip_exit_codes(capsys):
@@ -181,3 +253,30 @@ def test_file_commands_byte_identical(tmp_path, capsys):
         _, out1 = run_cli(capsys, *argv)
         _, out2 = run_cli(capsys, *argv)
         assert out1 == out2
+
+
+# sha256 of stdout, recorded before the law suites of the source structures
+# were rebuilt on the category-graded engine; a change that alters any of
+# these outputs (law names, sampling order, rendering) shows up here
+_GOLDEN = [
+    (("laws", "broken-glist", "--samples", "30", "--seed", "9"), 1,
+     "4dbd6bfed5be199dd5510f517afe3b73507fdc005ef5d37a40905d45e42aa973"),
+    (("laws", "broken-ahl", "--samples", "30", "--seed", "9", "--format", "machine"), 1,
+     "acaee10b8691df813b74ec4ff2717d8967847275c3e64940673e95ebb9605602"),
+    (("laws", "tstate", "--samples", "30", "--seed", "9"), 0,
+     "f58e5815b8aaf451209e582cf120cacf6d08256b614dff583909d2df1b8b82b7"),
+    (("translate", "graded", "catgraded", "glist"), 0,
+     "fda9f71414bc01fd7dc40641578a1ee3019af06c7e1371a85b41ab8036003fb6"),
+    (("translate", "param", "catgraded", "tstate"), 0,
+     "8e5c9665aeb61d5de3f9440452e1ddc04d8b4cea3c01ec28d2389aaff8faf9a8"),
+    (("roundtrip", "--states", "2", "--samples", "15", "--seed", "4"), 0,
+     "6d55fef1ce15e90b7d48192f866c3620221ceacc4c4c545145642b4972a5fa47"),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", _GOLDEN,
+                         ids=[" ".join(a) for a, _, _ in _GOLDEN])
+def test_stdout_matches_recorded_digest(capsys, argv, exit_code, digest):
+    code, out = run_cli(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -96,6 +96,21 @@ def test_translation_maps_law_failures():
     assert check_laws(pograded_to_2catgraded(clean), samples=150).ok()
 
 
+def test_source_law_witnesses_name_the_embedded_index():
+    # a source law is its embedding's diagram, so a witness carries the
+    # embedded index: the grade as a morphism of the one-object category
+    graded = check_graded_laws(graded_list_graded_monad(drop_last=True), samples=30)
+    first = graded.failures[0]
+    assert first.law == "gunit.left"
+    assert [str(m) for m in first.indices] == ["1 : * -> *"]
+    broken = list_monad()
+    join = broken.join_fn
+    broken.join_fn = lambda p: vseq(join(p).items[:-1])
+    plain = check_plain_laws(broken, samples=30)
+    assert {f.law for f in plain.failures} == {"munit.left", "munit.right", "massoc"}
+    assert all(str(m) == "id_* : * -> *" for f in plain.failures for m in f.indices)
+
+
 def test_pograded_approximation():
     two = pograded_to_2catgraded(graded_list_graded_monad())
     cat = two.base.index_cat

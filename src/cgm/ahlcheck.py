@@ -174,26 +174,30 @@ def interpret(inst: AhlMonad, d: Derivation, _memo: dict | None = None) -> Value
     return out
 
 
+def _postorder(d: Derivation) -> list[Derivation]:
+    """The nodes of a derivation, each after its children, left to right."""
+    out, todo = [], [d]
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        if isinstance(node, DSeq):
+            todo += (node.first, node.second)
+        elif isinstance(node, DWeak):
+            todo.append(node.child)
+    return out[::-1]
+
+
 def check_ahl(inst: AhlMonad, d: Derivation,
               claimed: Judgement | None = None) -> AhlVerdict:
     """Structural and semantic verification of one derivation tree."""
     nodes: list[NodeReport] = []
     jmemo: dict = {}
     pmemo: dict = {}
-
-    def walk(node: Derivation) -> tuple[Judgement, Value]:
-        if isinstance(node, DSeq):
-            walk(node.first)
-            walk(node.second)
-        elif isinstance(node, DWeak):
-            walk(node.child)
-        j = conclusion(inst, node, jmemo)
+    for node in _postorder(d):
+        root = conclusion(inst, node, jmemo)
         payload = interpret(inst, node, pmemo)
-        fail = inst.failure_prob(payload, j.pre, j.post)
-        nodes.append(NodeReport(_rule_name(node), j, fail))
-        return j, payload
-
-    root, payload = walk(d)
+        fail = inst.failure_prob(payload, root.pre, root.post)
+        nodes.append(NodeReport(_rule_name(node), root, fail))
     if claimed is not None and (claimed.beta != root.beta
                                 or claimed.pre != root.pre
                                 or claimed.post != root.post):
@@ -230,33 +234,46 @@ def _parse_judgement_tail(ts: TokenStream) -> tuple[Formula, Formula]:
     return pre, post
 
 
-def _parse_derivation(ts: TokenStream) -> Derivation:
+def _parse_var(ts: TokenStream, decls: dict[str, VarDecl]) -> VarDecl:
+    t = ts.next("variable")
+    if t.text not in decls:
+        raise ParseError(f"undeclared variable {t.text!r}", t.line, t.col)
+    return decls[t.text]
+
+
+def _parse_derivation(ts: TokenStream, decls: dict[str, VarDecl]) -> Derivation:
     t = ts.next("rule name")
     if t.text == "skip":
         ts.expect(":")
         return DSkip(parse_formula(ts))
     if t.text == "assign":
-        var = ts.next("variable").text
+        var = _parse_var(ts, decls).name
         ts.expect(":=")
         expr = parse_arith(ts)
         ts.expect(":")
         return DAssign(var, expr, parse_formula(ts))
     if t.text == "rand":
-        var = ts.next("variable").text
+        decl = _parse_var(ts, decls)
+        at = ts.peek()
         lo = ts.next_int()
         hi = ts.next_int()
+        if hi < lo:
+            raise ParseError(f"empty range {lo}..{hi}", at.line, at.col)
+        if lo < decl.lo or hi > decl.hi:
+            raise ParseError(f"range {lo}..{hi} is not within {decl.name} : "
+                             f"int[{decl.lo}..{decl.hi}]", at.line, at.col)
         ts.expect(":")
         beta = _parse_fraction(ts)
         ts.expect(":")
         pre, post = _parse_judgement_tail(ts)
-        return DRand(var, lo, hi, beta, pre, post)
+        return DRand(decl.name, lo, hi, beta, pre, post)
     if t.text == "seq":
         ts.expect("{")
-        parts = [_parse_derivation(ts)]
+        parts = [_parse_derivation(ts, decls)]
         while ts.eat(";"):
             if ts.at("}"):
                 break
-            parts.append(_parse_derivation(ts))
+            parts.append(_parse_derivation(ts, decls))
         ts.expect("}")
         if len(parts) < 2:
             raise ParseError("seq needs at least two derivations", t.line, t.col)
@@ -269,7 +286,7 @@ def _parse_derivation(ts: TokenStream) -> Derivation:
         ts.expect(":")
         pre, post = _parse_judgement_tail(ts)
         ts.expect("{")
-        child = _parse_derivation(ts)
+        child = _parse_derivation(ts, decls)
         ts.expect("}")
         return DWeak(child, beta, pre, post)
     raise ParseError(f"unknown rule {t.text!r}", t.line, t.col)
@@ -297,7 +314,7 @@ def parse_ahl_file(text: str) -> AhlFile:
     beta = _parse_fraction(ts)
     ts.expect(":")
     pre, post = _parse_judgement_tail(ts)
-    deriv = _parse_derivation(ts)
+    deriv = _parse_derivation(ts, {d.name: d for d in decls})
     t = ts.peek()
     if t is not None:
         raise ParseError(f"trailing input {t.text!r}", t.line, t.col)

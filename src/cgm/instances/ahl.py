@@ -80,6 +80,8 @@ class AhlMonad:
             raise InvalidValue("at least one variable must be declared")
         self.states = states(self.decls)
         self.svalues = tuple(state_value(s) for s in self.states)
+        self._sorted_svalues = tuple(sorted(self.svalues, key=sort_key))
+        self._svalue_set = frozenset(self.svalues)
         self._formulas: dict[str, Formula] = {}
         self._over_allocate = over_allocate
 
@@ -182,14 +184,13 @@ class AhlMonad:
         return worst
 
     def _validate(self, f: Morphism, p: Value) -> bool:
-        if not isinstance(p, VTable) or p.keys() != tuple(sorted(
-                self.svalues, key=_svkey)):
+        if not isinstance(p, VTable) or p.keys() != self._sorted_svalues:
             return False
         for _, d in p.entries:
             if not isinstance(d, VDist):
                 return False
             for prv, _w in d.entries:
-                if not isinstance(prv, VPair) or prv.fst not in self.svalues:
+                if not isinstance(prv, VPair) or prv.fst not in self._svalue_set:
                     return False
         try:
             pre, post = self.pre_of(f), self.post_of(f)
@@ -288,10 +289,6 @@ class AhlMonad:
         """Sequential composition of two program payloads."""
         nested = self._map(None, lambda _res: second, first)
         return self._mult(None, None, nested)
-
-
-def _svkey(sv: Value):
-    return sort_key(sv)
 
 
 def ahl_instance(decls: Iterable[VarDecl] | None = None) -> AhlMonad:

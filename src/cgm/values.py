@@ -6,13 +6,17 @@ variant, finite function table, or finite-support probability
 distribution.  All shapes are immutable, hashable, and have decidable
 structural equality; tables and distributions are canonicalized at
 construction so equal contents compare equal.
+
+Table and distribution lookups go through a dict built on the first
+lookup, and a composite value computes its hash and sort key once.  All
+of it is kept on the value object, none at module level.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
 
 from .errors import InvalidValue, MalformedPayload
 
@@ -29,13 +33,21 @@ class Value:
         return self.show()
 
 
-@dataclass(frozen=True)
+class _Composite(Value):
+    """Shapes built from other values.  Two slots start unset and are
+    filled on first use: `_h` holds the hash and `_k` the sort key, so
+    each is computed once per value object."""
+
+    __slots__ = ("_h", "_k")
+
+
+@dataclass(frozen=True, slots=True)
 class VUnit(Value):
     def show(self) -> str:
         return "()"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VInt(Value):
     n: int
 
@@ -43,7 +55,7 @@ class VInt(Value):
         return str(self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VRat(Value):
     q: Fraction
 
@@ -51,7 +63,7 @@ class VRat(Value):
         return str(self.q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VBool(Value):
     b: bool
 
@@ -59,7 +71,7 @@ class VBool(Value):
         return "true" if self.b else "false"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VStr(Value):
     s: str
 
@@ -67,8 +79,8 @@ class VStr(Value):
         return '"' + self.s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-@dataclass(frozen=True)
-class VPair(Value):
+@dataclass(frozen=True, slots=True)
+class VPair(_Composite):
     fst: Value
     snd: Value
 
@@ -76,16 +88,16 @@ class VPair(Value):
         return f"({self.fst.show()}, {self.snd.show()})"
 
 
-@dataclass(frozen=True)
-class VSeq(Value):
+@dataclass(frozen=True, slots=True)
+class VSeq(_Composite):
     items: tuple[Value, ...]
 
     def show(self) -> str:
         return "[" + ", ".join(v.show() for v in self.items) + "]"
 
 
-@dataclass(frozen=True)
-class VTag(Value):
+@dataclass(frozen=True, slots=True)
+class VTag(_Composite):
     tag: str
     value: Value
 
@@ -93,8 +105,22 @@ class VTag(Value):
         return f"#{self.tag}({self.value.show()})"
 
 
-@dataclass(frozen=True)
-class VTable(Value):
+class _Indexed(_Composite):
+    """Shapes with unique entry keys; `_ix` maps key to entry value and
+    is built on the first lookup."""
+
+    __slots__ = ("_ix",)
+
+    def _index(self) -> dict:
+        ix = getattr(self, "_ix", None)
+        if ix is None:
+            ix = dict(self.entries)
+            object.__setattr__(self, "_ix", ix)
+        return ix
+
+
+@dataclass(frozen=True, slots=True)
+class VTable(_Indexed):
     """Finite map; entries sorted by canonical key order, keys unique."""
 
     entries: tuple[tuple[Value, Value], ...]
@@ -107,17 +133,17 @@ class VTable(Value):
         return tuple(k for k, _ in self.entries)
 
     def get(self, key: Value) -> Value:
-        for k, v in self.entries:
-            if k == key:
-                return v
-        raise MalformedPayload(f"table has no entry for {key.show()}")
+        try:
+            return self._index()[key]
+        except KeyError:
+            raise MalformedPayload(f"table has no entry for {key.show()}") from None
 
     def has(self, key: Value) -> bool:
-        return any(k == key for k, _ in self.entries)
+        return key in self._index()
 
 
-@dataclass(frozen=True)
-class VDist(Value):
+@dataclass(frozen=True, slots=True)
+class VDist(_Indexed):
     """Finite-support distribution; positive exact weights summing to 1."""
 
     entries: tuple[tuple[Value, Fraction], ...]
@@ -130,10 +156,10 @@ class VDist(Value):
         return tuple(v for v, _ in self.entries)
 
     def weight(self, v: Value) -> Fraction:
-        for u, w in self.entries:
-            if u == v:
-                return w
-        return Fraction(0)
+        return self._index().get(v, _ZERO)
+
+
+_ZERO = Fraction(0)
 
 
 def _cached_hash(parts):
@@ -141,7 +167,7 @@ def _cached_hash(parts):
     comparisons; memoize the recursive hash on first use."""
 
     def __hash__(self):
-        h = self.__dict__.get("_h")
+        h = getattr(self, "_h", None)
         if h is None:
             h = hash(parts(self))
             object.__setattr__(self, "_h", h)
@@ -187,53 +213,47 @@ def vtag(tag: str, value: Value) -> VTag:
     return VTag(tag, value)
 
 
-_RANKS = {
-    VUnit: 0, VInt: 1, VRat: 2, VBool: 3, VStr: 4,
-    VPair: 5, VSeq: 6, VTag: 7, VTable: 8, VDist: 9,
+# A leaf's key is cheaper to build than a cache miss, so only composite
+# keys are kept on the value.
+_LEAF_KEYS = {
+    VUnit: lambda v: (0,),
+    VInt: lambda v: (1, v.n),
+    VRat: lambda v: (2, v.q),
+    VBool: lambda v: (3, v.b),
+    VStr: lambda v: (4, v.s),
 }
-
-_KEY_CACHE: dict[Value, tuple] = {}
+_COMPOSITE_KEYS = {
+    VPair: lambda v: (5, sort_key(v.fst), sort_key(v.snd)),
+    VSeq: lambda v: (6, tuple(sort_key(x) for x in v.items)),
+    VTag: lambda v: (7, v.tag, sort_key(v.value)),
+    VTable: lambda v: (8, tuple((sort_key(k), sort_key(x)) for k, x in v.entries)),
+    VDist: lambda v: (9, tuple((sort_key(x), w) for x, w in v.entries)),
+}
 
 
 def sort_key(v: Value):
     """Total order over the whole universe, used for canonical sorting."""
-    cached = _KEY_CACHE.get(v)
-    if cached is not None:
-        return cached
-    key = _sort_key(v)
-    if len(_KEY_CACHE) < 1 << 18:
-        _KEY_CACHE[v] = key
+    leaf = _LEAF_KEYS.get(type(v))
+    if leaf is not None:
+        return leaf(v)
+    key = getattr(v, "_k", None)
+    if key is None:
+        composite = _COMPOSITE_KEYS.get(type(v))
+        if composite is None:
+            raise InvalidValue(f"foreign value {v!r}")
+        key = composite(v)
+        object.__setattr__(v, "_k", key)
     return key
 
 
-def _sort_key(v: Value):
-    rank = _RANKS[type(v)]
-    if isinstance(v, VUnit):
-        return (rank,)
-    if isinstance(v, VInt):
-        return (rank, v.n)
-    if isinstance(v, VRat):
-        return (rank, v.q)
-    if isinstance(v, VBool):
-        return (rank, v.b)
-    if isinstance(v, VStr):
-        return (rank, v.s)
-    if isinstance(v, VPair):
-        return (rank, sort_key(v.fst), sort_key(v.snd))
-    if isinstance(v, VSeq):
-        return (rank, tuple(sort_key(x) for x in v.items))
-    if isinstance(v, VTag):
-        return (rank, v.tag, sort_key(v.value))
-    if isinstance(v, VTable):
-        return (rank, tuple((sort_key(k), sort_key(x)) for k, x in v.entries))
-    if isinstance(v, VDist):
-        return (rank, tuple((sort_key(x), w) for x, w in v.entries))
-    raise InvalidValue(f"foreign value {v!r}")
+def _by_key(entry: tuple[Value, object]):
+    return sort_key(entry[0])
 
 
 def table(entries: Mapping[Value, Value] | Iterable[tuple[Value, Value]]) -> VTable:
-    pairs = list(entries.items()) if isinstance(entries, Mapping) else list(entries)
-    pairs.sort(key=lambda kv: sort_key(kv[0]))
+    if isinstance(entries, Mapping):  # keys already distinct
+        return VTable(tuple(sorted(entries.items(), key=_by_key)))
+    pairs = sorted(entries, key=_by_key)
     for (k1, _), (k2, _) in zip(pairs, pairs[1:]):
         if k1 == k2:
             raise InvalidValue(f"duplicate table key {k1.show()}")
@@ -241,20 +261,20 @@ def table(entries: Mapping[Value, Value] | Iterable[tuple[Value, Value]]) -> VTa
 
 
 def dist(entries: Mapping[Value, Fraction] | Iterable[tuple[Value, Fraction]]) -> VDist:
-    pairs = list(entries.items()) if isinstance(entries, Mapping) else list(entries)
+    pairs = entries.items() if isinstance(entries, Mapping) else entries
     acc: dict[Value, Fraction] = {}
     for v, w in pairs:
-        w = Fraction(w)
+        if not isinstance(w, Fraction):
+            w = Fraction(w)
         if w < 0:
             raise InvalidValue("negative distribution weight")
         if w == 0:
             continue
-        acc[v] = acc.get(v, Fraction(0)) + w
+        acc[v] = acc[v] + w if v in acc else w
     total = sum(acc.values(), Fraction(0))
     if total != 1:
         raise InvalidValue(f"distribution weights sum to {total}, not 1")
-    entries_sorted = tuple(sorted(acc.items(), key=lambda kv: sort_key(kv[0])))
-    return VDist(entries_sorted)
+    return VDist(tuple(sorted(acc.items(), key=_by_key)))
 
 
 def point(v: Value) -> VDist:

@@ -189,6 +189,32 @@ def test_ahl_empty_var_range_is_not_valid(tmp_path, capsys):
     assert out == "parse error: 1:9: empty range int[5..1]\n"
 
 
+@pytest.mark.parametrize("old,new,expected", [
+    ("rand x 0 9", "rand x 0 12", "8:10: range 0..12 is not within x : int[0..9]"),
+    ("var x : int[0..9]", "var x : int[2..9]", "8:10: range 0..9 is not within x : int[2..9]"),
+    ("rand x 0 9", "rand z 0 9", "8:8: undeclared variable 'z'"),
+])
+def test_ahl_rand_parse_errors_exit_3(tmp_path, capsys, old, new, expected):
+    f = tmp_path / "bad.ahl"
+    f.write_text(TWO_SAMPLERS.replace(old, new, 1))
+    code, out = run_cli(capsys, "ahl", str(f))
+    assert code == 3
+    assert out == f"parse error: {expected}\n"
+
+
+@pytest.mark.parametrize("rule,expected", [
+    # a malformed rand is a parse error, not a failed verification
+    ("rand x 5 1 : 1/2 : true => true", "3:8: empty range 5..1"),
+    ("assign y := 1 : true", "3:8: undeclared variable 'y'"),
+])
+def test_ahl_malformed_rule_exit_3(tmp_path, capsys, rule, expected):
+    f = tmp_path / "bad.ahl"
+    f.write_text(f"var x : int[0..3]\nconclude 1/2 : true => true\n{rule}\n")
+    code, out = run_cli(capsys, "ahl", str(f))
+    assert code == 3
+    assert out == f"parse error: {expected}\n"
+
+
 @pytest.mark.parametrize("text,message", [
     ("objects a b\ngen f : a -> c\n", "edge f references an undeclared object"),
     ("kind table\nobjects a\ngen f : a -> a\n", "graph has unbounded paths; cannot tabulate"),
@@ -253,6 +279,49 @@ def test_file_commands_byte_identical(tmp_path, capsys):
         _, out1 = run_cli(capsys, *argv)
         _, out2 = run_cli(capsys, *argv)
         assert out1 == out2
+
+
+WEAK_TWO_SAMPLERS = """
+var x : int[0..9]
+var y : int[0..9]
+
+conclude 1/4 : true => (x != 0)
+
+weak 1/4 : true => (x != 0) {
+  seq {
+    rand x 0 9 : 1/10 : true => (x != 0);
+    rand y 0 9 : 1/10 : (x != 0) => (x != 0) && (y != 0)
+  }
+}
+"""
+
+
+def test_ahl_warm_recheck_byte_identical(tmp_path, capsys):
+    # the same program checked plain and under weak, twice over in one
+    # process: a re-check must not depend on what earlier checks left behind
+    plain = tmp_path / "plain.ahl"
+    plain.write_text(TWO_SAMPLERS)
+    weak = tmp_path / "weak.ahl"
+    weak.write_text(WEAK_TWO_SAMPLERS)
+    first = [run_cli(capsys, "ahl", str(p)) for p in (plain, weak)]
+    second = [run_cli(capsys, "ahl", str(p)) for p in (plain, weak)]
+    assert second == first
+    (code_plain, out_plain), (code_weak, out_weak) = first
+    assert code_plain == 0 and "failure 19/100" in out_plain
+    assert code_weak == 0
+    assert out_weak.endswith(
+        "node weak: beta 1/4, pre true, post (x != 0), failure 1/10\n"
+        "conclusion: |-1/4 : true => (x != 0)\nverdict: valid\n")
+
+
+def test_ahl_skip_over_ten_thousand_states(tmp_path, capsys):
+    f = tmp_path / "skip.ahl"
+    f.write_text("".join(f"var x{i} : int[0..9]\n" for i in range(4))
+                 + "conclude 0 : (x3 != 5) => (x3 != 5)\nskip : (x3 != 5)\n")
+    code, out = run_cli(capsys, "ahl", str(f))
+    assert code == 0
+    assert out == ("node skip: beta 0, pre (x3 != 5), post (x3 != 5), failure 0\n"
+                   "conclusion: |-0 : (x3 != 5) => (x3 != 5)\nverdict: valid\n")
 
 
 # sha256 of stdout, recorded before the law suites of the source structures

@@ -1,5 +1,6 @@
 """Value universe: canonicalization, equality, distribution arithmetic."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cgm.errors import InvalidValue, MalformedPayload
 from cgm.values import (
+    Value,
     VSeq,
     dist,
     dist_bind,
@@ -134,3 +136,49 @@ def test_show_is_canonical():
 def test_seq_identity():
     s = vseq([vint(1), vint(2)])
     assert isinstance(s, VSeq) and s.items == (vint(1), vint(2))
+
+
+def tables(keys):
+    return st.dictionaries(keys, leaves(), max_size=6).map(table)
+
+
+def dists(keys):
+    return st.dictionaries(keys, st.integers(0, 4), min_size=1, max_size=6).filter(
+        lambda ws: sum(ws.values()) > 0).map(
+        lambda ws: dist({v: Fraction(w, sum(ws.values())) for v, w in ws.items()}))
+
+
+def clone(x):
+    """A structurally equal copy that shares no Value object with `x`."""
+    if isinstance(x, Value):
+        return dataclasses.replace(
+            x, **{f.name: clone(getattr(x, f.name)) for f in dataclasses.fields(x)})
+    if isinstance(x, tuple):
+        return tuple(clone(y) for y in x)
+    return x
+
+
+def _probes(entries, extra):
+    keys = [k for k, _ in entries]
+    return keys + [clone(k) for k in keys] + extra
+
+
+@settings(max_examples=80, derandomize=True)
+@given(tables(st.one_of(values(), tables(leaves()))), st.lists(values(), max_size=4))
+def test_table_lookups_agree_with_linear_scan(t, extra):
+    for key in _probes(t.entries, extra):
+        hits = [v for k, v in t.entries if k == key]
+        assert t.has(key) == bool(hits)
+        if hits:
+            assert t.get(key) is hits[0]
+        else:
+            with pytest.raises(MalformedPayload):
+                t.get(key)
+
+
+@settings(max_examples=80, derandomize=True)
+@given(dists(st.one_of(values(), tables(leaves()))), st.lists(values(), max_size=4))
+def test_dist_weight_agrees_with_linear_scan(d, extra):
+    for key in _probes(d.entries, extra):
+        hits = [w for u, w in d.entries if u == key]
+        assert d.weight(key) == (hits[0] if hits else 0)

@@ -9,6 +9,13 @@
 Exit codes: 0 success/valid, 1 law-or-verification failure,
 2 type/grade/config error, 3 parse error.  Identical inputs and seeds
 produce byte-identical output.
+
+Commands raise their errors; `main` alone turns one into a single
+stdout line and an exit code, through the first row of `_ERRORS` that
+matches it: `parse error: ...` (3), `grade error: ...` (2) or
+`error: ...` (2).  The exception is a derivation that parses but fails
+to check: that is a failed verification, so `ahl` prints
+`<ErrorClass>: ...` and `verdict: invalid` and exits 1.
 """
 
 from __future__ import annotations
@@ -16,25 +23,25 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .ahlcheck import check_ahl_file
+from .ahlcheck import check_ahl, parse_ahl_file
 from .catfile import parse_cat_file
 from .core import LawReport, check_laws
 from .errors import (
     CgmError,
     CompositionMismatch,
+    ConfigError,
     GradeMismatch,
     ParseError,
-    RangeError,
     SpawnGradeError,
     UnknownPrim,
 )
 from .instances import (
+    AhlMonad,
     InstanceBundle,
     build_instance,
     concst_instance,
     graded_list_graded_monad,
     identity_instance,
-    instance_names,
     list_monad,
     typed_state_param,
 )
@@ -48,11 +55,19 @@ from .translations import (
     pograded_to_2catgraded,
     roundtrip_param,
 )
-from .values import vint
+from .values import VTable, vint
 
 
 def _emit(text: str) -> None:
     sys.stdout.write(text + "\n")
+
+
+def _read(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}")
 
 
 def _report_exit(report: LawReport, fmt: str) -> int:
@@ -63,32 +78,14 @@ def _report_exit(report: LawReport, fmt: str) -> int:
 def cmd_laws(args) -> int:
     name = args.instance
     if args.samples < 1:
-        _emit("error: --samples must be at least 1")
-        return 2
+        raise ConfigError("--samples must be at least 1")
     if args.category is not None:
-        try:
-            with open(args.category, "r", encoding="utf-8") as fh:
-                cat = parse_cat_file(fh.read())
-        except OSError as exc:
-            _emit(f"error: {exc}")
-            return 2
-        except ParseError as exc:
-            _emit(f"parse error: {exc}")
-            return 3
-        except CgmError as exc:
-            _emit(f"error: {exc}")
-            return 2
+        cat = parse_cat_file(_read(args.category))
         if name != "identity":
-            _emit("error: --category only applies to the identity instance")
-            return 2
+            raise ConfigError("--category only applies to the identity instance")
         bundle = InstanceBundle("identity", identity_instance(cat))
     else:
-        try:
-            bundle = build_instance(name)
-        except KeyError:
-            _emit(f"error: unknown instance {name!r}; "
-                  f"known: {', '.join(instance_names())}")
-            return 2
+        bundle = build_instance(name)
     _emit(f"instance: {name}")
     _emit(f"samples: {args.samples}")
     _emit(f"seed: {args.seed}")
@@ -97,65 +94,36 @@ def cmd_laws(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        _emit(f"error: {exc}")
-        return 2
-    try:
-        program = parse_program(text)
-    except ParseError as exc:
-        _emit(f"parse error: {exc}")
-        return 3
-    try:
-        if program.instance == "concst" and program.store is not None:
-            lo, hi = program.store
-            bundle = InstanceBundle(
-                "concst", concst_instance(tuple(vint(n) for n in range(lo, hi + 1))))
-        else:
-            bundle = build_instance(program.instance)
-    except KeyError:
-        _emit(f"error: unknown instance {program.instance!r}")
-        return 2
-    try:
-        start = start_object(bundle, program)
-        gt = infer_program(bundle, program)
-    except (GradeMismatch, UnknownPrim, SpawnGradeError, CompositionMismatch) as exc:
-        _emit(f"grade error: {exc}")
-        return 2
-    _emit(f"grade: {gt.index}")
-    try:
-        result = eval_term(bundle, program.body, {}, start)
-    except RangeError as exc:
-        _emit(f"runtime error: {exc}")
-        return 2
-    if args.store is not None:
-        payload = result.payload
-        key = vint(args.store)
-        if not payload.has(key):
-            _emit(f"store {args.store}: undefined (branch left the store domain)")
-            return 2
-        step = payload.get(key)
-        _emit(f"store {args.store}: result {step.fst.show()}, final {step.snd.show()}")
+    program = parse_program(_read(args.path))
+    if program.instance == "concst" and program.store is not None:
+        lo, hi = program.store
+        bundle = InstanceBundle(
+            "concst", concst_instance(tuple(vint(n) for n in range(lo, hi + 1))))
     else:
-        _emit(f"result: {result.payload.show()}")
+        bundle = build_instance(program.instance)
+    start = start_object(bundle, program)
+    _emit(f"grade: {infer_program(bundle, program).index}")
+    payload = eval_term(bundle, program.body, {}, start).payload
+    if args.store is None:
+        _emit(f"result: {payload.show()}")
+        return 0
+    if not isinstance(payload, VTable):
+        raise ConfigError(f"--store needs a store-passing instance; "
+                          f"the result of {program.instance} is not a table")
+    key = vint(args.store)
+    if not payload.has(key):
+        _emit(f"store {args.store}: undefined (branch left the store domain)")
+        return 2
+    step = payload.get(key)
+    _emit(f"store {args.store}: result {step.fst.show()}, final {step.snd.show()}")
     return 0
 
 
 def cmd_ahl(args) -> int:
+    f = parse_ahl_file(_read(args.path))
     try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        _emit(f"error: {exc}")
-        return 2
-    try:
-        verdict = check_ahl_file(text)
-    except ParseError as exc:
-        _emit(f"parse error: {exc}")
-        return 3
-    except CgmError as exc:
+        verdict = check_ahl(AhlMonad(f.decls), f.derivation, claimed=f.claimed)
+    except CgmError as exc:  # the derivation parses but does not check: not verified
         _emit(f"{type(exc).__name__}: {exc}")
         _emit("verdict: invalid")
         return 1
@@ -166,8 +134,7 @@ def cmd_ahl(args) -> int:
 def cmd_roundtrip(args) -> int:
     n = args.states
     if not 1 <= n <= 3:
-        _emit(f"error: --states must be between 1 and 3, got {n}")
-        return 2
+        raise ConfigError(f"--states must be between 1 and 3, got {n}")
     P = typed_state_param({"A": n, "B": max(1, n - 1) if n > 1 else 1})
     report = roundtrip_param(P, samples=args.samples, seed=args.seed)
     _emit(f"states: {n}")
@@ -199,14 +166,12 @@ def cmd_translate(args) -> int:
     key = (args.source, args.target)
     if key not in _TRANSLATIONS:
         known = ", ".join(f"{a}->{b}" for a, b in _TRANSLATIONS)
-        _emit(f"error: unsupported translation {args.source} -> {args.target}; "
-              f"known: {known}")
-        return 2
+        raise ConfigError(f"unsupported translation {args.source} -> {args.target}; "
+                          f"known: {known}")
     expected_instance, runner = _TRANSLATIONS[key]
     if args.instance != expected_instance:
-        _emit(f"error: translation {args.source} -> {args.target} is built in "
-              f"for instance {expected_instance!r}")
-        return 2
+        raise ConfigError(f"translation {args.source} -> {args.target} is built in "
+                          f"for instance {expected_instance!r}")
     _emit(f"translate: {args.source} -> {args.target} ({args.instance})")
     return _report_exit(runner(), args.format)
 
@@ -251,10 +216,22 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (error classes, stdout prefix, exit code); the first matching row wins
+_ERRORS = (
+    ((ParseError,), "parse error", 3),
+    ((GradeMismatch, UnknownPrim, SpawnGradeError, CompositionMismatch), "grade error", 2),
+    ((CgmError, OSError), "error", 2),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
-    code = args.fn(args)
-    return code
+    try:
+        return args.fn(args)
+    except (CgmError, OSError) as exc:
+        prefix, code = next((p, c) for kinds, p, c in _ERRORS if isinstance(exc, kinds))
+        _emit(f"{prefix}: {exc}")
+        return code
 
 
 if __name__ == "__main__":

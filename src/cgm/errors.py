@@ -9,6 +9,10 @@ class InvalidValue(CgmError):
     """A value violates the closed-universe invariants (bad table, bad distribution...)."""
 
 
+class ConfigError(CgmError):
+    """Unknown instance, refused option, or unreadable input file."""
+
+
 # --- index category errors ---
 
 class CompositionMismatch(CgmError):
@@ -119,7 +123,3 @@ class UnknownPrim(CgmError):
 
 class RuleMismatch(CgmError):
     """Derivation node conclusion does not fit its rule schema."""
-
-
-class BoundViolation(CgmError):
-    """Semantic failure probability exceeds the claimed bound."""

@@ -12,6 +12,7 @@ from ..core import (
     TwoCatGradedMonad,
     check_laws,
 )
+from ..errors import ConfigError
 from .ahl import AhlMonad, ahl_instance, broken_ahl_instance, sat_add
 from .lockstate import LockPrims, concst_instance, lock_category, run_table
 from .simple import (
@@ -111,8 +112,6 @@ def instance_names() -> tuple[str, ...]:
 
 
 def build_instance(name: str) -> InstanceBundle:
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise KeyError(f"unknown instance {name!r}; known: {', '.join(_BUILDERS)}")
-    return builder()
+    if name not in _BUILDERS:
+        raise ConfigError(f"unknown instance {name!r}; known: {', '.join(_BUILDERS)}")
+    return _BUILDERS[name]()

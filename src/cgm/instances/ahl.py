@@ -28,7 +28,6 @@ from ..formulas import (
     eval_expr,
     eval_formula,
     formula_text,
-    state_dict,
     state_value,
     states,
     valid_implication,
@@ -172,16 +171,12 @@ class AhlMonad:
 
     def failure_prob(self, payload: Value, pre: Formula, post: Formula) -> Fraction:
         """Exact max over states satisfying pre of Pr[final state violates post]."""
-        worst = Fraction(0)
-        for s, sv in zip(self.states, self.svalues):
-            if not eval_formula(pre, s):
-                continue
-            mass = Fraction(0)
-            for prv, w in payload.get(sv).entries:
-                if not eval_formula(post, state_dict(prv.fst)):
-                    mass += w
-            worst = max(worst, mass)
-        return worst
+        starts = [sv for s, sv in zip(self.states, self.svalues) if eval_formula(pre, s)]
+        if not starts:
+            return Fraction(0)
+        bad = {sv for s, sv in zip(self.states, self.svalues) if not eval_formula(post, s)}
+        return max(sum((w for prv, w in payload.get(sv).entries if prv.fst in bad), Fraction(0))
+                   for sv in starts)
 
     def _validate(self, f: Morphism, p: Value) -> bool:
         if not isinstance(p, VTable) or p.keys() != self._sorted_svalues:

@@ -38,7 +38,6 @@ from .values import (
     vint,
     vpair,
     vseq,
-    vstr,
 )
 
 
@@ -91,12 +90,6 @@ class TVar:
 
 
 @dataclass(frozen=True)
-class TLit:
-    value: Value
-    pos: Pos = field(default=NOPOS, compare=False)
-
-
-@dataclass(frozen=True)
 class TPure:
     expr: PExpr
     pos: Pos = field(default=NOPOS, compare=False)
@@ -118,7 +111,7 @@ class TLet:
     pos: Pos = field(default=NOPOS, compare=False)
 
 
-Term = TVar | TLit | TPure | TPrim | TLet
+Term = TVar | TPure | TPrim | TLet
 
 
 @dataclass(frozen=True)
@@ -174,36 +167,28 @@ class GradedType:
 class PrimSpec:
     arg_shapes: tuple[Shape, ...]
     result_shape: Shape
-    src: ObjectId
-    tgt: ObjectId
+    index: Morphism
     make: Callable[[list[Value]], GradedComputation]
 
 
-class PrimTable:
-    def __init__(self, specs: Mapping[str, PrimSpec], spawn=None):
-        self.specs = dict(specs)
-        self.spawn = spawn  # Callable[[GradedComputation], GradedComputation]
-
-    def lookup(self, name: str) -> PrimSpec:
-        try:
-            return self.specs[name]
-        except KeyError:
-            raise UnknownPrim(f"no primitive named {name!r}")
+Spawn = Callable[[GradedComputation], GradedComputation]
 
 
-def prims_for(bundle: InstanceBundle) -> PrimTable:
-    if bundle.name.startswith("concst"):
-        lp = LockPrims(bundle.monad)
-        free = ObjectId("free")
-        crit = ObjectId("critical")
-        specs = {
-            "lock": PrimSpec((), "unit", free, crit, lambda _a: lp.lock()),
-            "unlock": PrimSpec((), "unit", crit, free, lambda _a: lp.unlock()),
-            "get": PrimSpec((), "int", crit, crit, lambda _a: lp.get()),
-            "put": PrimSpec(("int",), "unit", crit, crit, lambda a: lp.put(a[0])),
-        }
-        return PrimTable(specs, spawn=lp.spawn)
-    return PrimTable({})
+def prims_for(bundle: InstanceBundle) -> tuple[dict[str, PrimSpec], Spawn | None]:
+    """The instance's primitives by name, and its spawn (None without one)."""
+    if not bundle.name.startswith("concst"):
+        return {}, None
+    lp = LockPrims(bundle.monad)
+
+    def spec(name: str, args: tuple[Shape, ...], result: Shape, make) -> PrimSpec:
+        return PrimSpec(args, result, lp.cat.path([name]), make)
+
+    return {
+        "lock": spec("lock", (), "unit", lambda _a: lp.lock()),
+        "unlock": spec("unlock", (), "unit", lambda _a: lp.unlock()),
+        "get": spec("get", (), "int", lambda _a: lp.get()),
+        "put": spec("put", ("int",), "unit", lambda a: lp.put(a[0])),
+    }, lp.spawn
 
 
 # --- parsing ---
@@ -391,8 +376,6 @@ def _term_text(t: Term, indent: int) -> str:
 def _inline_term(t: Term, indent: int) -> str:
     if isinstance(t, TVar):
         return t.name
-    if isinstance(t, TLit):
-        return pexpr_text(PLit(t.value))
     if isinstance(t, TPure):
         return f"pure {pexpr_text(t.expr)}"
     if isinstance(t, TPrim):
@@ -469,7 +452,7 @@ def _infer(bundle: InstanceBundle, start: ObjectId, term: Term,
            env: Mapping[str, Shape]) -> tuple[GradedType, LetTable]:
     """Grade inference.  Also records, for every let it visits, keyed by
     (id of the let, object the let starts at), what `eval_term` needs."""
-    prims = prims_for(bundle)
+    prims, spawn = prims_for(bundle)
     cat = bundle.monad.index_cat
     lets: LetTable = {}
 
@@ -479,14 +462,12 @@ def _infer(bundle: InstanceBundle, start: ObjectId, term: Term,
             if t.name not in env:
                 raise GradeMismatch(f"{t.pos}: unbound variable {t.name!r}")
             return GradedType(cat.identity(obj), env[t.name]), frozenset((t.name,))
-        if isinstance(t, TLit):
-            return GradedType(cat.identity(obj), shape_of_value(t.value)), frozenset()
         if isinstance(t, TPure):
             return (GradedType(cat.identity(obj), shape_of_pexpr(t.expr, env)),
                     _pexpr_vars(t.expr))
         if isinstance(t, TPrim):
             if t.name == "spawn":
-                if prims.spawn is None:
+                if spawn is None:
                     raise UnknownPrim(f"{t.pos}: instance has no spawn")
                 free = ObjectId("free")
                 body, fv = go(t.body, free, env)
@@ -498,9 +479,8 @@ def _infer(bundle: InstanceBundle, start: ObjectId, term: Term,
                     raise GradeMismatch(f"{t.pos}: spawn used at {obj.name}, "
                                         "only available at free")
                 return GradedType(cat.identity(free), "unit"), fv
-            try:
-                spec = prims.lookup(t.name)
-            except UnknownPrim:
+            spec = prims.get(t.name)
+            if spec is None:
                 raise UnknownPrim(f"{t.pos}: no primitive named {t.name!r}")
             if len(t.args) != len(spec.arg_shapes):
                 raise GradeMismatch(
@@ -511,11 +491,11 @@ def _infer(bundle: InstanceBundle, start: ObjectId, term: Term,
                     raise GradeMismatch(
                         f"{t.pos}: {t.name} argument has shape {shape_text(got)}, "
                         f"wants {shape_text(want)}")
-            if spec.src != obj:
+            if spec.index.src != obj:
                 raise GradeMismatch(
-                    f"{t.pos}: primitive {t.name} starts at {spec.src.name}, "
+                    f"{t.pos}: primitive {t.name} starts at {spec.index.src.name}, "
                     f"but the program is at {obj.name}")
-            return (GradedType(_prim_index(spec), spec.result_shape),
+            return (GradedType(spec.index, spec.result_shape),
                     frozenset().union(*map(_pexpr_vars, t.args)))
         if isinstance(t, TLet):
             first, fv1 = go(t.bound, obj, env)
@@ -532,24 +512,6 @@ def _infer(bundle: InstanceBundle, start: ObjectId, term: Term,
         raise GradeMismatch(
             f"program grade starts at {result.index.src.name}, not {start.name}")
     return result, lets
-
-
-def _prim_index(spec: PrimSpec) -> Morphism:
-    # primitive computations carry their morphism; build one cheaply
-    comp = spec.make([_dummy_value(s) for s in spec.arg_shapes])
-    return comp.index
-
-
-def _dummy_value(shape: Shape) -> Value:
-    if shape == "int":
-        return vint(0)
-    if shape == "bool":
-        return vbool(False)
-    if shape == "str":
-        return vstr("")
-    if isinstance(shape, tuple):
-        return vpair(_dummy_value(shape[1]), _dummy_value(shape[2]))
-    return vunit
 
 
 # --- evaluation ---
@@ -589,7 +551,7 @@ def eval_term(bundle: InstanceBundle, term: Term, env: Mapping[str, Value],
     for the whole evaluation: those values are all the body can read, so
     strength carries only them."""
     T = bundle.monad
-    prims = prims_for(bundle)
+    prims, spawn = prims_for(bundle)
     inferred, lets = _infer(bundle, start, term,
                             {k: shape_of_value(v) for k, v in env.items()})
     memo: dict[tuple, Value] = {}
@@ -597,17 +559,13 @@ def eval_term(bundle: InstanceBundle, term: Term, env: Mapping[str, Value],
     def go(t: Term, obj: ObjectId, env: Mapping[str, Value]) -> GradedComputation:
         if isinstance(t, TVar):
             return unit(T, obj, env[t.name])
-        if isinstance(t, TLit):
-            return unit(T, obj, t.value)
         if isinstance(t, TPure):
             return unit(T, obj, eval_pexpr(t.expr, env))
         if isinstance(t, TPrim):
             if t.name == "spawn":
                 body = go(t.body, ObjectId("free"), env)
-                return prims.spawn(body)
-            spec = prims.lookup(t.name)
-            args = [eval_pexpr(a, env) for a in t.args]
-            return spec.make(args)
+                return spawn(body)
+            return prims[t.name].make([eval_pexpr(a, env) for a in t.args])
         if isinstance(t, TLet):
             c1 = go(t.bound, obj, env)
             f = c1.index

@@ -310,6 +310,7 @@ def parse_ahl_file(text: str) -> AhlFile:
         decls.append(VarDecl(name, lo, hi))
     if not decls:
         raise ParseError("derivation file declares no variables", 1, 1)
+    ts.names = {d.name for d in decls}
     ts.expect("conclude")
     beta = _parse_fraction(ts)
     ts.expect(":")

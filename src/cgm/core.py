@@ -257,13 +257,22 @@ def index_pool(T: CatGradedMonad, max_path_len: int = 4) -> tuple[Morphism, ...]
     return T.index_cat.morphisms(max_path_len)
 
 
+def _by_source(pool: Sequence[Morphism]) -> dict[ObjectId, list[Morphism]]:
+    """The pool's morphisms by source, each list in pool order."""
+    out: dict[ObjectId, list[Morphism]] = {}
+    for m in pool:
+        out.setdefault(m.src, []).append(m)
+    return out
+
+
 def _composable_pairs(pool: Sequence[Morphism]) -> list[tuple[Morphism, Morphism]]:
-    return [(f, g) for f in pool for g in pool if f.tgt == g.src]
+    after = _by_source(pool)
+    return [(f, g) for f in pool for g in after.get(f.tgt, ())]
 
 
 def _composable_triples(pool: Sequence[Morphism]) -> list[tuple[Morphism, Morphism, Morphism]]:
-    pairs = _composable_pairs(pool)
-    return [(f, g, h) for f, g in pairs for h in pool if g.tgt == h.src]
+    after = _by_source(pool)
+    return [(f, g, h) for f, g in _composable_pairs(pool) for h in after.get(g.tgt, ())]
 
 
 def _sample_payload(T: CatGradedMonad, f: Morphism, rng: Rng) -> Value:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import ParseError
 from .values import Value, VInt, VStr, VTable, table, vint, vstr
@@ -262,6 +262,7 @@ class TokenStream:
         self.toks = toks
         self.pos = 0
         self.end_line = end_line
+        self.names: Collection[str] | None = None  # declared variables, if checked
 
     def peek(self) -> Token | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -314,6 +315,8 @@ def _parse_atom_expr(ts: TokenStream) -> Expr:
     if t.kind == "int":
         return EInt(int(t.text))
     if t.kind == "name":
+        if ts.names is not None and t.text not in ts.names:
+            raise ParseError(f"undeclared variable {t.text!r}", t.line, t.col)
         return EVar(t.text)
     if t.text == "(":
         e = parse_arith(ts)

@@ -526,21 +526,34 @@ class FuncCategory(IndexCategory):
     """Objects are named finite value sets; arrows are all functions."""
 
     sets: tuple[tuple[ObjectId, tuple[Value, ...]], ...]
+    # per object: (carrier, carrier as a set, identity), built once
+    _by_obj: dict = field(init=False, repr=False, compare=False, hash=False)
 
     kind = "func"
+
+    def __post_init__(self):
+        object.__setattr__(self, "_by_obj", {
+            o: (vs, frozenset(vs), Morphism(o, o, WFn(tuple((v, v) for v in vs))))
+            for o, vs in self.sets})
+
+    def _entry(self, obj: ObjectId):
+        try:
+            return self._by_obj[obj]
+        except KeyError:
+            raise UnknownObject(f"no object named {obj.name}") from None
 
     def object_ids(self):
         return tuple(o for o, _ in self.sets)
 
+    def has_object(self, obj: ObjectId) -> bool:
+        return obj in self._by_obj
+
     def carrier(self, obj: ObjectId) -> tuple[Value, ...]:
-        for o, vs in self.sets:
-            if o == obj:
-                return vs
-        raise UnknownObject(f"no object named {obj.name}")
+        return self._entry(obj)[0]
 
     def fn(self, src: ObjectId, tgt: ObjectId, mapping: Mapping[Value, Value]) -> Morphism:
         dom = self.carrier(src)
-        cod = self.carrier(tgt)
+        cod = self._entry(tgt)[1]
         graph = []
         for v in dom:
             out = mapping[v]
@@ -550,13 +563,13 @@ class FuncCategory(IndexCategory):
         return Morphism(src, tgt, WFn(tuple(graph)))
 
     def identity(self, obj):
-        return self.fn(obj, obj, {v: v for v in self.carrier(obj)})
+        return self._entry(obj)[2]
 
     def contains(self, m):
         if not isinstance(m.word, WFn):
             return False
         try:
-            dom, cod = self.carrier(m.src), self.carrier(m.tgt)
+            dom, cod = self.carrier(m.src), self._entry(m.tgt)[1]
         except UnknownObject:
             return False
         keys = tuple(a for a, _ in m.word.graph)

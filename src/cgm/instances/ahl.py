@@ -12,6 +12,7 @@ final state violates psi is at most beta.  Composition adds the bounds
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 from typing import Iterable
 
@@ -50,7 +51,9 @@ from ..values import (
     VTable,
     dist,
     dist_bind,
-    dist_map,
+    dist_map_snd,
+    once_per_value,
+    ordered_table,
     point,
     sort_key,
     table,
@@ -88,23 +91,25 @@ class AhlMonad:
                                        sample=BETA_SAMPLE, label="prob-sat")
         self.prop_cat = IndiscreteCategory(None)
         self.cat = ProductCategory(self.beta_cat, self.prop_cat)
-        self.two = TwoCategory(self.cat, self._cell)
-
+        # The monad's functions are bound to a shallow copy taken before
+        # the monad exists, so the instance is in no reference cycle.
+        own = copy.copy(self)
+        self.two = TwoCategory(self.cat, own._cell)
         monad = CatGradedMonad(
             name=name,
             index_cat=self.cat,
-            unit_fn=self._unit,
-            mult_fn=self._mult,
-            map_fn=self._map,
-            validator=self._validate,
-            sampler=self._sample,
+            unit_fn=own._unit,
+            mult_fn=own._mult,
+            map_fn=own._map,
+            validator=own._validate,
+            sampler=own._sample,
             index_samples=self._default_samples(),
         )
         self.monad = TwoCatGradedMonad(monad, self.two, lambda _f, _g, p: p)
         self.genunit = GeneralisedUnit(
             monad,
-            WideSubcategory(self.cat, lambda m: self.beta_of(m) == 0),
-            self._geneta,
+            WideSubcategory(self.cat, lambda m: own.beta_of(m) == 0),
+            own._geneta,
         )
 
     # --- index plumbing ---
@@ -147,27 +152,19 @@ class AhlMonad:
     # --- payload semantics ---
 
     def _unit(self, _obj: ObjectId, a: Value) -> Value:
-        return table({sv: point(vpair(sv, a)) for sv in self.svalues})
+        return ordered_table((sv, point(vpair(sv, a))) for sv in self._sorted_svalues)
 
     def _mult(self, _f: Morphism, _g: Morphism, nested: Value) -> Value:
-        out = {}
-        for sv, d in nested.entries:
-            if not isinstance(d, VDist):
-                raise MalformedPayload("state entry must be a distribution")
+        def step(pr: Value) -> VDist:
+            if not isinstance(pr, VPair) or not isinstance(pr.snd, VTable):
+                raise MalformedPayload("carried value must be a state table")
+            return pr.snd.get(pr.fst)
 
-            def step(pr: Value) -> VDist:
-                if not isinstance(pr, VPair) or not isinstance(pr.snd, VTable):
-                    raise MalformedPayload("carried value must be a state table")
-                return pr.snd.get(pr.fst)
-
-            out[sv] = dist_bind(d, step)
-        return table(out)
+        return ordered_table((sv, dist_bind(d, step)) for sv, d in nested.entries)
 
     def _map(self, _f: Morphism, fn, p: Value) -> Value:
-        out = {}
-        for sv, d in p.entries:
-            out[sv] = dist_map(lambda pr: vpair(pr.fst, fn(pr.snd)), d)
-        return table(out)
+        fn = once_per_value(fn)
+        return ordered_table((sv, dist_map_snd(fn, d)) for sv, d in p.entries)
 
     def failure_prob(self, payload: Value, pre: Formula, post: Formula) -> Fraction:
         """Exact max over states satisfying pre of Pr[final state violates post]."""

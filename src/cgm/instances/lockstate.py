@@ -15,7 +15,8 @@ from ..core import CatGradedMonad, GradedComputation
 from ..errors import MalformedPayload, SpawnGradeError
 from ..indexcat import FreeCategory, Morphism, ObjectId, free_category
 from ..rng import Rng
-from ..values import Value, VPair, VTable, table, unit as vunit, vint, vpair
+from ..values import Value, VPair, VTable, once_per_value, ordered_table, sort_key, table
+from ..values import unit as vunit, vint, vpair
 
 FREE = ObjectId("free")
 CRITICAL = ObjectId("critical")
@@ -37,18 +38,18 @@ DEFAULT_STORES = tuple(vint(n) for n in range(8))
 def concst_instance(stores: Iterable[Value] = DEFAULT_STORES,
                     name: str = "concst") -> CatGradedMonad:
     cat = lock_category()
-    domain = tuple(stores)
+    domain = tuple(sorted(set(stores), key=sort_key))  # in table key order
     if not domain:
         raise MalformedPayload("store domain must be nonempty")
 
     def total(entry) -> Value:
-        return table({s: entry(s) for s in domain})
+        return ordered_table((s, entry(s)) for s in domain)
 
     def unit_fn(_obj: ObjectId, a: Value) -> Value:
         return total(lambda s: vpair(a, s))
 
     def mult_fn(_f: Morphism, _g: Morphism, nested: Value) -> Value:
-        out = {}
+        out = []
         for s, step in nested.entries:
             if not isinstance(step, VPair):
                 raise MalformedPayload("state step must be a (result, store) pair")
@@ -56,17 +57,18 @@ def concst_instance(stores: Iterable[Value] = DEFAULT_STORES,
             if not isinstance(inner, VTable):
                 raise MalformedPayload("carried value must be a state table")
             if inner.has(s1):
-                out[s] = inner.get(s1)
+                out.append((s, inner.get(s1)))
             # else: the branch escaped the domain; the composite is partial there
-        return table(out)
+        return ordered_table(out)
 
     def map_fn(_f: Morphism, fn, p: Value) -> Value:
-        out = {}
+        fn = once_per_value(fn)
+        out = []
         for s, step in p.entries:
             if not isinstance(step, VPair):
                 raise MalformedPayload("state step must be a (result, store) pair")
-            out[s] = vpair(fn(step.fst), step.snd)
-        return table(out)
+            out.append((s, vpair(fn(step.fst), step.snd)))
+        return ordered_table(out)
 
     def validator(_f: Morphism, p: Value) -> bool:
         if not isinstance(p, VTable):

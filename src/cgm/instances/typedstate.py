@@ -25,7 +25,8 @@ from ..indexcat import (
 )
 from ..rng import Rng
 from ..translations import ParameterisedMonad, param_over, pure_lift
-from ..values import Value, VPair, VTable, table, unit as vunit, vint, vpair
+from ..values import Value, VPair, VTable, once_per_value, ordered_table, sort_key, table
+from ..values import unit as vunit, vint, vpair
 
 
 def _normalize_sets(state_sets: Mapping[str, int | Iterable[Value]]) -> dict[str, tuple[Value, ...]]:
@@ -36,7 +37,7 @@ def _normalize_sets(state_sets: Mapping[str, int | Iterable[Value]]) -> dict[str
                 raise DomainMismatch("state sets must be nonempty")
             out[name] = tuple(vint(i) for i in range(spec))
         else:
-            vs = tuple(spec)
+            vs = tuple(sorted(set(spec), key=sort_key))  # in table key order
             if not vs:
                 raise DomainMismatch("state sets must be nonempty")
             out[name] = vs
@@ -61,27 +62,28 @@ def typed_state_param(state_sets: Mapping[str, int | Iterable[Value]],
             raise DomainMismatch(f"no state set named {obj.name}")
 
     def eta(i: ObjectId, a: Value) -> Value:
-        return table({s: vpair(a, s) for s in carrier(i)})
+        return ordered_table((s, vpair(a, s)) for s in carrier(i))
 
     def mu(i: ObjectId, j: ObjectId, _k: ObjectId, nested: Value) -> Value:
-        out = {}
+        out = []
         for s, step in nested.entries:
             inner, s1 = step.fst, step.snd
             if not isinstance(inner, VTable):
                 raise MalformedPayload("carried value must be a state table")
-            out[s] = inner.get(s1)
-        return table(out)
+            out.append((s, inner.get(s1)))
+        return ordered_table(out)
 
     def value_map(_i: ObjectId, _j: ObjectId, fn: Callable[[Value], Value], p: Value) -> Value:
-        return table({s: vpair(fn(step.fst), step.snd) for s, step in p.entries})
+        fn = once_per_value(fn)
+        return ordered_table((s, vpair(fn(step.fst), step.snd)) for s, step in p.entries)
 
     def morph_map(f: Morphism, g: Morphism, h: Callable[[Value], Value], p: Value) -> Value:
         # f : I' -> I re-keys the table, g : J -> J' re-targets the state
-        out = {}
+        out = []
         for s in carrier(f.src):
             step = p.get(_apply(f, s))
-            out[s] = vpair(h(step.fst), _apply(g, step.snd))
-        return table(out)
+            out.append((s, vpair(h(step.fst), _apply(g, step.snd))))
+        return ordered_table(out)
 
     def _apply(m: Morphism, v: Value) -> Value:
         if isinstance(m.word, WIdentity):

@@ -318,6 +318,8 @@ def parse_program(text: str) -> Program:
         if t.text == "instance":
             ts.next()
             instance = ts.next("instance name").text
+            while ts.eat("-"):  # registry names may be hyphenated: broken-glist
+                instance += "-" + ts.next("instance name").text
         elif t.text == "start":
             ts.next()
             tok = ts.next("object name")

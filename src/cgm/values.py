@@ -10,10 +10,15 @@ construction so equal contents compare equal.
 Table and distribution lookups go through a dict built on the first
 lookup, and a composite value computes its hash and sort key once.  All
 of it is kept on the value object, none at module level.
+
+`table` and `dist` check what they are given.  The trusted path
+(`ordered_table`, `dist_map`, `dist_map_snd`, `dist_bind`) rebuilds
+from valid values and keeps the canonical form without re-checking it.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -260,37 +265,73 @@ def table(entries: Mapping[Value, Value] | Iterable[tuple[Value, Value]]) -> VTa
     return VTable(tuple(pairs))
 
 
+def _merged(entries: list[tuple[Value, Fraction]]) -> tuple[tuple[Value, Fraction], ...]:
+    """Equal values' weights added, sorted by value; nothing is checked."""
+    if len(entries) == 1:
+        return tuple(entries)
+    acc: dict[Value, Fraction] = {}
+    for v, w in entries:
+        acc[v] = acc[v] + w if v in acc else w
+    return tuple(sorted(acc.items(), key=_by_key))
+
+
 def dist(entries: Mapping[Value, Fraction] | Iterable[tuple[Value, Fraction]]) -> VDist:
     pairs = entries.items() if isinstance(entries, Mapping) else entries
-    acc: dict[Value, Fraction] = {}
+    positive: list[tuple[Value, Fraction]] = []
     for v, w in pairs:
         if not isinstance(w, Fraction):
             w = Fraction(w)
         if w < 0:
             raise InvalidValue("negative distribution weight")
-        if w == 0:
-            continue
-        acc[v] = acc[v] + w if v in acc else w
-    total = sum(acc.values(), Fraction(0))
+        if w:
+            positive.append((v, w))
+    merged = _merged(positive)
+    total = sum((w for _, w in merged), Fraction(0))
     if total != 1:
         raise InvalidValue(f"distribution weights sum to {total}, not 1")
-    return VDist(tuple(sorted(acc.items(), key=_by_key)))
+    return VDist(merged)
 
 
 def point(v: Value) -> VDist:
     return VDist(((v, Fraction(1)),))
 
 
+def ordered_table(entries: Iterable[tuple[Value, Value]]) -> VTable:
+    """Trusted: the keys come unique and in `sort_key` order, e.g. a valid
+    table's keys, an in-order subsequence of them, or keys sorted once."""
+    return VTable(tuple(entries))
+
+
+def _checked(d: Value) -> VDist:
+    if not isinstance(d, VDist):
+        raise MalformedPayload(f"distribution expected, got a {type(d).__name__}")
+    return d
+
+
 def dist_map(fn: Callable[[Value], Value], d: VDist) -> VDist:
-    return dist([(fn(v), w) for v, w in d.entries])
+    return VDist(_merged([(fn(v), w) for v, w in _checked(d).entries]))
+
+
+def dist_map_snd(fn: Callable[[Value], Value], d: VDist) -> VDist:
+    """dist_map of (a, b) -> (a, fn(b)) on a dist of pairs.  Pair keys order
+    by first component first, so only a run sharing one is merged."""
+    out: list[tuple[Value, Fraction]] = []
+    for _, run in itertools.groupby(_checked(d).entries, lambda e: sort_key(e[0].fst)):
+        out += _merged([(vpair(pr.fst, fn(pr.snd)), w) for pr, w in run])
+    return VDist(tuple(out))
 
 
 def dist_bind(d: VDist, k: Callable[[Value], VDist]) -> VDist:
-    out: list[tuple[Value, Fraction]] = []
-    for v, w in d.entries:
-        for u, x in k(v).entries:
-            out.append((u, w * x))
-    return dist(out)
+    ds = _checked(d).entries
+    if len(ds) == 1:  # a point: the bind is k's dist
+        return _checked(k(ds[0][0]))
+    return VDist(_merged([(u, w * x) for v, w in ds for u, x in _checked(k(v)).entries]))
+
+
+def once_per_value(fn: Callable[[Value], Value]) -> Callable[[Value], Value]:
+    """fn, called once per distinct argument (no value is falsy)."""
+    memo: dict[Value, Value] = {}
+    return lambda v: memo.get(v) or memo.setdefault(v, fn(v))
 
 
 def uniform(values: Iterable[Value]) -> VDist:
@@ -299,3 +340,4 @@ def uniform(values: Iterable[Value]) -> VDist:
         raise InvalidValue("uniform over empty support")
     w = Fraction(1, len(vs))
     return dist([(v, w) for v in vs])
+

@@ -210,6 +210,8 @@ def test_ahl_rand_parse_errors_exit_3(tmp_path, capsys, old, new, expected):
     # a malformed rand is a parse error, not a failed verification
     ("rand x 5 1 : 1/2 : true => true", "3:8: empty range 5..1"),
     ("assign y := 1 : true", "3:8: undeclared variable 'y'"),
+    ("assign x := y + 1 : true", "3:13: undeclared variable 'y'"),
+    ("skip : (x == 1) || (z == 1)", "3:21: undeclared variable 'z'"),
 ])
 def test_ahl_malformed_rule_exit_3(tmp_path, capsys, rule, expected):
     f = tmp_path / "bad.ahl"
@@ -386,6 +388,9 @@ _ERROR_CASES = [
     ("not-utf8-run", ("run", "{}"), _LATIN1, 2, _NOT_UTF8),
     ("not-utf8-ahl", ("ahl", "{}"), _LATIN1, 2, _NOT_UTF8),
     ("not-utf8-category", ("laws", "identity", "--category", "{}"), _LATIN1, 2, _NOT_UTF8),
+    ("undeclared-formula-variable", ("ahl", "{}"),
+     "var x : int[0..3]\nconclude 0 : true => (z == 1)\nskip : (z == 1)\n", 3,
+     "parse error: 2:23: undeclared variable 'z'\n"),
 ]
 
 
@@ -405,6 +410,19 @@ def test_error_is_one_line_and_a_documented_code(tmp_path, capsys, argv, content
     assert out == expected.format(path)
 
 
+@pytest.mark.parametrize("name,exit_code,expected", [
+    ("broken-glist", 0, "grade: 1 : * -> *\nresult: [1]\n"),
+    # selected, then refused as `ahl` is: not a parse error at the '-'
+    ("broken-ahl", 2, "grade error: instance has no default start object\n"),
+])
+def test_run_selects_hyphenated_instance(tmp_path, capsys, name, exit_code, expected):
+    gp = tmp_path / "mutant.gp"
+    gp.write_text(f"instance {name}\ndo {{ pure 1 }}\n")
+    code, out = run_cli(capsys, "run", str(gp))
+    assert code == exit_code
+    assert out == expected
+
+
 _PROTOCOL_STATEMENTS = ("lock; x <- get; put(x + 1); unlock", "lock; put(9); unlock",
                         "spawn do { lock; unlock; pure () }", "pure ()", "1")
 _ANY_STATEMENTS = _PROTOCOL_STATEMENTS + ("lock", "unlock", "get", "x <- get",
@@ -417,7 +435,8 @@ def _gp_programs(draw):
     with 1-6 statements drawn from the lock primitives, pure terms,
     unbound names and unknown primitives; and an optional --store.  Half
     the draws are `concst`, half have no `start`, and half use only whole
-    protocol runs, so that programs which run are drawn too."""
+    protocol runs, so that programs which run are drawn too.  The other
+    draws include the hyphenated mutants `broken-glist` and `broken-ahl`."""
     instance = draw(st.just("concst") | st.sampled_from(instance_names() + ("nosuch",)))
     lines = [f"instance {instance}"]
     start = draw(st.none() | st.sampled_from(("free", "critical", "*", "A", "B", "bogus")))

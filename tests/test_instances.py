@@ -1,11 +1,13 @@
 """Built-in instances: lock protocol, typed state, probabilistic triples."""
 
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from cgm.core import GradedComputation, bind, check_laws, fmap, gen_unit, unit
+from cgm.core import GradedComputation, bind, check_laws, fmap, gen_unit, index_pool, unit
 from cgm.errors import (
     CompositionMismatch,
     DomainMismatch,
@@ -27,7 +29,7 @@ from cgm.instances import (
     typed_state_param,
 )
 from cgm.rng import Rng
-from cgm.values import VDist, table, unit as vunit, vint, vpair
+from cgm.values import VDist, dist, table, unit as vunit, vint, vpair, vtag
 
 
 # --- lock protocol ---
@@ -389,3 +391,47 @@ def test_ahl_mult_threads_states():
             final = state_dict(pr.fst)
             assert final["y"] == final["x"]
             assert w == Fraction(1, 4)
+
+
+# --- map_fn calls fn once per distinct carried value ---
+
+def _steps(p):
+    return {step.fst for _, step in p.entries}, lambda fn: table(
+        {s: vpair(fn(step.fst), step.snd) for s, step in p.entries})
+
+
+def _ahl_branches(p):
+    return {pr.snd for _, d in p.entries for pr, _ in d.entries}, lambda fn: table(
+        {sv: dist([(vpair(pr.fst, fn(pr.snd)), w) for pr, w in d.entries])
+         for sv, d in p.entries})
+
+
+@pytest.mark.parametrize("name,carried", [
+    ("concst", _steps), ("tstate", _steps), ("ahl", _ahl_branches)])
+def test_map_fn_calls_fn_once_per_distinct_carried_value(name, carried):
+    T = build_instance(name).monad
+    repeats = 0
+    for i, f in enumerate(index_pool(T)[:16]):
+        p = T.sampler(f, Rng(i))
+        values, per_entry = carried(p)
+        entries = sum(len(d.entries) if name == "ahl" else 1 for _, d in p.entries)
+        for fn in (lambda v: vtag("t", v), lambda v: vint(0)):
+            calls = []
+            out = T.map_fn(f, lambda v, fn=fn: calls.append(v) or fn(v), p)
+            assert len(calls) == len(set(calls)) and set(calls) == values
+            assert out == per_entry(fn)
+        repeats += entries - len(values)
+    assert repeats > 0  # some payload carries one value more than once
+
+
+def test_dropped_ahl_instance_is_freed_without_a_collection():
+    gc.disable()
+    try:
+        inst = ahl_instance()
+        idx = inst.make_index(0, TRUE, TRUE)
+        fmap(inst.monad.base, idx, lambda v: v, unit(inst.monad.base, idx.src, vint(1)).payload)
+        ref = weakref.ref(inst)
+        del inst
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -13,6 +13,9 @@ from cgm.values import (
     dist,
     dist_bind,
     dist_map,
+    dist_map_snd,
+    once_per_value,
+    ordered_table,
     point,
     sort_key,
     table,
@@ -182,3 +185,90 @@ def test_dist_weight_agrees_with_linear_scan(d, extra):
     for key in _probes(d.entries, extra):
         hits = [w for u, w in d.entries if u == key]
         assert d.weight(key) == (hits[0] if hits else 0)
+
+
+# --- the trusted path (functor actions, multiplications) against the checked one ---
+
+_IMAGES = (
+    lambda v: v,                            # identity
+    lambda v: vtag("t", v),                 # injective, changes the order
+    lambda v: vint(len(v.show()) % 3),      # collapses values
+    lambda v: unit,                         # collapses everything
+)
+
+_CONTINUATIONS = (
+    point,                                  # weight 1
+    lambda v: point(unit),                  # weight 1, every branch merges
+    lambda v: uniform([vint(0), vtag("t", v)]),
+    lambda v: dist({vint(0): Fraction(1, 3), vint(len(v.show()) % 2 + 1): Fraction(2, 3)}),
+)
+
+
+def _any_dist():
+    return st.one_of(dists(values()), values().map(point))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(_any_dist(), st.sampled_from(_IMAGES))
+def test_dist_map_equals_checked_dist(d, fn):
+    expected = dist([(fn(v), w) for v, w in d.entries])
+    out = dist_map(fn, d)
+    assert out == expected and hash(out) == hash(expected)
+    assert sort_key(out) == sort_key(expected)
+
+
+def pairs(firsts, seconds):
+    return st.tuples(firsts, seconds).map(lambda ab: vpair(*ab))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.one_of(dists(pairs(leaves(), values())),
+                 # few first components: runs of entries that share one
+                 dists(pairs(st.integers(0, 2).map(vint), leaves()))),
+       st.sampled_from(_IMAGES))
+def test_dist_map_snd_equals_checked_dist(d, fn):
+    expected = dist([(vpair(pr.fst, fn(pr.snd)), w) for pr, w in d.entries])
+    out = dist_map_snd(fn, d)
+    assert out == expected and hash(out) == hash(expected)
+    assert sort_key(out) == sort_key(expected)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(_any_dist(), st.sampled_from(_CONTINUATIONS))
+def test_dist_bind_equals_checked_dist(d, k):
+    expected = dist([(u, w * x) for v, w in d.entries for u, x in k(v).entries])
+    out = dist_bind(d, k)
+    assert out == expected and hash(out) == hash(expected)
+    assert sort_key(out) == sort_key(expected)
+
+
+def test_once_per_value_calls_fn_once_per_distinct_argument():
+    calls = []
+    fn = once_per_value(lambda v: calls.append(v) or vtag("t", v))
+    a = vpair(vint(1), vseq([vint(2)]))
+    outs = [fn(a), fn(clone(a)), fn(vint(1)), fn(a)]
+    assert calls == [a, vint(1)]
+    assert outs[0] is outs[1] is outs[3] and outs[2] == vtag("t", vint(1))
+
+
+def test_trusted_dist_ops_reject_a_table():
+    t = table({vint(0): vint(1)})
+    with pytest.raises(MalformedPayload):
+        dist_map(lambda v: v, t)
+    with pytest.raises(MalformedPayload):
+        dist_map_snd(lambda v: v, t)
+    with pytest.raises(MalformedPayload):
+        dist_bind(uniform([vint(0), vint(1)]), lambda v: t)
+    with pytest.raises(MalformedPayload):
+        dist_bind(point(vint(0)), lambda v: t)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(tables(values()), st.sampled_from(_IMAGES), st.integers(1, 3))
+def test_ordered_table_equals_checked_table(t, fn, stride):
+    pairs = [(k, fn(v)) for k, v in t.entries[::stride]]  # same keys, or an in-order subsequence
+    out = ordered_table(pairs)
+    assert out == table(pairs) and sort_key(out) == sort_key(table(pairs))
+    keys = sorted({k for k, _ in t.entries}, key=sort_key)  # sorted once, then reused
+    assert ordered_table((k, fn(k)) for k in keys) == table({k: fn(k) for k in keys})
+

@@ -84,6 +84,7 @@ class AhlMonad:
         self.svalues = tuple(state_value(s) for s in self.states)
         self._sorted_svalues = tuple(sorted(self.svalues, key=sort_key))
         self._svalue_set = frozenset(self.svalues)
+        self._svalue_of = {tuple(s.values()): sv for s, sv in zip(self.states, self.svalues)}
         self._formulas: dict[str, Formula] = {}
         self._over_allocate = over_allocate
 
@@ -172,8 +173,8 @@ class AhlMonad:
         if not starts:
             return Fraction(0)
         bad = {sv for s, sv in zip(self.states, self.svalues) if not eval_formula(post, s)}
-        return max(sum((w for prv, w in payload.get(sv).entries if prv.fst in bad), Fraction(0))
-                   for sv in starts)
+        return max(Fraction(sum(n for prv, n in d.atoms if prv.fst in bad), d.den)
+                   for d in map(payload.get, starts))
 
     def _validate(self, f: Morphism, p: Value) -> bool:
         if not isinstance(p, VTable) or p.keys() != self._sorted_svalues:
@@ -181,7 +182,7 @@ class AhlMonad:
         for _, d in p.entries:
             if not isinstance(d, VDist):
                 return False
-            for prv, _w in d.entries:
+            for prv, _n in d.atoms:
                 if not isinstance(prv, VPair) or prv.fst not in self._svalue_set:
                     return False
         try:
@@ -253,7 +254,10 @@ class AhlMonad:
         raise RangeError(f"undeclared variable {var!r}")
 
     def skip(self) -> Value:
-        return table({sv: point(vpair(sv, vunit)) for sv in self.svalues})
+        return self._unit(None, vunit)
+
+    def _successor(self, s: dict[str, int], var: str, v: int) -> Value:
+        return self._svalue_of[tuple({**s, var: v}.values())]
 
     def assign(self, var: str, expr: Expr) -> Value:
         decl = self.range_of(var)
@@ -263,7 +267,7 @@ class AhlMonad:
             if not decl.lo <= v <= decl.hi:
                 raise RangeError(
                     f"{var} := {v} leaves the declared range [{decl.lo}..{decl.hi}]")
-            out[sv] = point(vpair(state_value({**s, var: v}), vunit))
+            out[sv] = point(vpair(self._successor(s, var, v), vunit))
         return table(out)
 
     def sample_uniform(self, var: str, lo: int, hi: int) -> Value:
@@ -271,11 +275,9 @@ class AhlMonad:
         if lo > hi or lo < decl.lo or hi > decl.hi:
             raise RangeError(
                 f"uniform({lo},{hi}) is not within [{decl.lo}..{decl.hi}] for {var}")
-        out = {}
-        for s, sv in zip(self.states, self.svalues):
-            out[sv] = uniform([vpair(state_value({**s, var: v}), vunit)
-                               for v in range(lo, hi + 1)])
-        return table(out)
+        return table({sv: uniform([vpair(self._successor(s, var, v), vunit)
+                                   for v in range(lo, hi + 1)])
+                      for s, sv in zip(self.states, self.svalues)})
 
     def seq(self, first: Value, second: Value) -> Value:
         """Sequential composition of two program payloads."""

@@ -41,6 +41,7 @@ def concst_instance(stores: Iterable[Value] = DEFAULT_STORES,
     domain = tuple(sorted(set(stores), key=sort_key))  # in table key order
     if not domain:
         raise MalformedPayload("store domain must be nonempty")
+    position = {s: i for i, s in enumerate(domain)}  # a total table's entry index
 
     def total(entry) -> Value:
         return ordered_table((s, entry(s)) for s in domain)
@@ -56,7 +57,11 @@ def concst_instance(stores: Iterable[Value] = DEFAULT_STORES,
             inner, s1 = step.fst, step.snd
             if not isinstance(inner, VTable):
                 raise MalformedPayload("carried value must be a state table")
-            if inner.has(s1):
+            i = position.get(s1, len(domain))
+            hit = inner.entries[i:i + 1]
+            if hit and hit[0][0] == s1:
+                out.append((s, hit[0][1]))
+            elif inner.has(s1):  # a partial table, or one over other stores
                 out.append((s, inner.get(s1)))
             # else: the branch escaped the domain; the composite is partial there
         return ordered_table(out)

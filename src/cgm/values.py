@@ -14,11 +14,15 @@ of it is kept on the value object, none at module level.
 `table` and `dist` check what they are given.  The trusted path
 (`ordered_table`, `dist_map`, `dist_map_snd`, `dist_bind`) rebuilds
 from valid values and keeps the canonical form without re-checking it.
+A dist keeps int numerators over one denominator in lowest terms: the
+trusted path does int arithmetic per entry and reduces once, and
+`entries`, `weight` and `show()` build `Fraction`s when they are read.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -149,16 +153,22 @@ class VTable(_Indexed):
 
 @dataclass(frozen=True, slots=True)
 class VDist(_Indexed):
-    """Finite-support distribution; positive exact weights summing to 1."""
+    """Finite-support distribution: values in canonical order, positive int
+    numerators over `den` summing to it, in lowest terms (equal dists have equal fields)."""
 
-    entries: tuple[tuple[Value, Fraction], ...]
+    atoms: tuple[tuple[Value, int], ...]
+    den: int
+
+    @property
+    def entries(self) -> tuple[tuple[Value, Fraction], ...]:
+        return tuple((v, Fraction(n, self.den)) for v, n in self.atoms)
 
     def show(self) -> str:
         body = "; ".join(f"{v.show()} @ {w}" for v, w in self.entries)
         return "dist{" + body + "}"
 
     def support(self) -> tuple[Value, ...]:
-        return tuple(v for v, _ in self.entries)
+        return tuple(v for v, _ in self.atoms)
 
     def weight(self, v: Value) -> Fraction:
         return self._index().get(v, _ZERO)
@@ -185,7 +195,7 @@ VPair.__hash__ = _cached_hash(lambda s: ("P", s.fst, s.snd))
 VSeq.__hash__ = _cached_hash(lambda s: ("S", s.items))
 VTag.__hash__ = _cached_hash(lambda s: ("G", s.tag, s.value))
 VTable.__hash__ = _cached_hash(lambda s: ("T", s.entries))
-VDist.__hash__ = _cached_hash(lambda s: ("D", s.entries))
+VDist.__hash__ = _cached_hash(lambda s: ("D", s.atoms, s.den))
 
 unit = VUnit()
 
@@ -265,14 +275,23 @@ def table(entries: Mapping[Value, Value] | Iterable[tuple[Value, Value]]) -> VTa
     return VTable(tuple(pairs))
 
 
-def _merged(entries: list[tuple[Value, Fraction]]) -> tuple[tuple[Value, Fraction], ...]:
-    """Equal values' weights added, sorted by value; nothing is checked."""
+def _merged(entries: list[tuple[Value, int]]) -> tuple[tuple[Value, int], ...]:
+    """Equal values' numerators added, sorted by value; nothing is checked."""
     if len(entries) == 1:
         return tuple(entries)
-    acc: dict[Value, Fraction] = {}
-    for v, w in entries:
-        acc[v] = acc[v] + w if v in acc else w
+    acc: dict[Value, int] = {}
+    for v, n in entries:
+        acc[v] = acc[v] + n if v in acc else n
     return tuple(sorted(acc.items(), key=_by_key))
+
+
+def _lowest(atoms: Iterable[tuple[Value, int]], den: int) -> VDist:
+    """The dist of numerators `atoms` over `den`, reduced to lowest terms."""
+    atoms = tuple(atoms)
+    g = math.gcd(den, *(n for _, n in atoms))
+    if g > 1:
+        return VDist(tuple((v, n // g) for v, n in atoms), den // g)
+    return VDist(atoms, den)
 
 
 def dist(entries: Mapping[Value, Fraction] | Iterable[tuple[Value, Fraction]]) -> VDist:
@@ -285,15 +304,16 @@ def dist(entries: Mapping[Value, Fraction] | Iterable[tuple[Value, Fraction]]) -
             raise InvalidValue("negative distribution weight")
         if w:
             positive.append((v, w))
-    merged = _merged(positive)
-    total = sum((w for _, w in merged), Fraction(0))
-    if total != 1:
-        raise InvalidValue(f"distribution weights sum to {total}, not 1")
-    return VDist(merged)
+    den = math.lcm(*(w.denominator for _, w in positive))
+    merged = _merged([(v, w.numerator * (den // w.denominator)) for v, w in positive])
+    total = sum(n for _, n in merged)
+    if total != den:
+        raise InvalidValue(f"distribution weights sum to {Fraction(total, den)}, not 1")
+    return _lowest(merged, den)
 
 
 def point(v: Value) -> VDist:
-    return VDist(((v, Fraction(1)),))
+    return VDist(((v, 1),), 1)
 
 
 def ordered_table(entries: Iterable[tuple[Value, Value]]) -> VTable:
@@ -309,23 +329,26 @@ def _checked(d: Value) -> VDist:
 
 
 def dist_map(fn: Callable[[Value], Value], d: VDist) -> VDist:
-    return VDist(_merged([(fn(v), w) for v, w in _checked(d).entries]))
+    return _lowest(_merged([(fn(v), n) for v, n in _checked(d).atoms]), d.den)
 
 
 def dist_map_snd(fn: Callable[[Value], Value], d: VDist) -> VDist:
     """dist_map of (a, b) -> (a, fn(b)) on a dist of pairs.  Pair keys order
     by first component first, so only a run sharing one is merged."""
-    out: list[tuple[Value, Fraction]] = []
-    for _, run in itertools.groupby(_checked(d).entries, lambda e: sort_key(e[0].fst)):
-        out += _merged([(vpair(pr.fst, fn(pr.snd)), w) for pr, w in run])
-    return VDist(tuple(out))
+    out: list[tuple[Value, int]] = []
+    for _, run in itertools.groupby(_checked(d).atoms, lambda e: sort_key(e[0].fst)):
+        out += _merged([(vpair(pr.fst, fn(pr.snd)), n) for pr, n in run])
+    return _lowest(out, d.den)
 
 
 def dist_bind(d: VDist, k: Callable[[Value], VDist]) -> VDist:
-    ds = _checked(d).entries
+    ds = _checked(d).atoms
     if len(ds) == 1:  # a point: the bind is k's dist
         return _checked(k(ds[0][0]))
-    return VDist(_merged([(u, w * x) for v, w in ds for u, x in _checked(k(v)).entries]))
+    ks = [_checked(k(v)) for v, _ in ds]
+    den = math.lcm(*(e.den for e in ks))  # each branch is scaled to it
+    scaled = [(e.atoms, n * (den // e.den)) for (_, n), e in zip(ds, ks)]
+    return _lowest(_merged([(u, s * m) for atoms, s in scaled for u, m in atoms]), d.den * den)
 
 
 def once_per_value(fn: Callable[[Value], Value]) -> Callable[[Value], Value]:
@@ -338,6 +361,5 @@ def uniform(values: Iterable[Value]) -> VDist:
     vs = list(values)
     if not vs:
         raise InvalidValue("uniform over empty support")
-    w = Fraction(1, len(vs))
-    return dist([(v, w) for v in vs])
+    return _lowest(_merged([(v, 1) for v in vs]), len(vs))
 

@@ -330,14 +330,53 @@ def test_ahl_skip_over_ten_thousand_states(tmp_path, capsys):
                    "conclusion: |-0 : (x3 != 5) => (x3 != 5)\nverdict: valid\n")
 
 
+COPRIME_SAMPLERS = """
+var x : int[0..2]
+var y : int[0..4]
+var z : int[0..6]
+
+conclude 71/105 : true => (x != 0) && (y != 0) && (z != 0)
+
+seq {
+  rand x 0 2 : 1/3 : true => (x != 0);
+  rand y 0 4 : 1/5 : (x != 0) => (x != 0) && (y != 0);
+  rand z 0 6 : 1/7 : (x != 0) && (y != 0) => (x != 0) && (y != 0) && (z != 0)
+}
+"""
+
+
+def test_ahl_rand_ranges_with_coprime_sizes(tmp_path, capsys):
+    # denominators 3, 5 and 7: each seq node's distributions are put over
+    # the lcm of their continuations' denominators; closed forms
+    # 1 - (2/3)(4/5) = 7/15 and 1 - (2/3)(4/5)(6/7) = 19/35
+    f = tmp_path / "coprime.ahl"
+    f.write_text(COPRIME_SAMPLERS)
+    code, out = run_cli(capsys, "ahl", str(f))
+    assert code == 0
+    xy, xyz = "((x != 0) && (y != 0))", "(((x != 0) && (y != 0)) && (z != 0))"
+    assert out == (
+        "node rand: beta 1/3, pre true, post (x != 0), failure 1/3\n"
+        f"node rand: beta 1/5, pre (x != 0), post {xy}, failure 1/5\n"
+        f"node seq: beta 8/15, pre true, post {xy}, failure 7/15\n"
+        f"node rand: beta 1/7, pre {xy}, post {xyz}, failure 1/7\n"
+        f"node seq: beta 71/105, pre true, post {xyz}, failure 19/35\n"
+        f"conclusion: |-71/105 : true => {xyz}\nverdict: valid\n")
+
+
 # sha256 of stdout, recorded before the law suites of the source structures
-# were rebuilt on the category-graded engine; a change that alters any of
-# these outputs (law names, sampling order, rendering) shows up here
+# were rebuilt on the category-graded engine (the two text-format `ahl`
+# reports: before distributions kept integer numerators); a change that
+# alters any of these outputs (law names, sampling order, rendering) shows
+# up here
 _GOLDEN = [
     (("laws", "broken-glist", "--samples", "30", "--seed", "9"), 1,
      "4dbd6bfed5be199dd5510f517afe3b73507fdc005ef5d37a40905d45e42aa973"),
     (("laws", "broken-ahl", "--samples", "30", "--seed", "9", "--format", "machine"), 1,
      "acaee10b8691df813b74ec4ff2717d8967847275c3e64940673e95ebb9605602"),
+    (("laws", "ahl", "--samples", "30", "--seed", "9"), 0,
+     "ec5f4550952746838c5ec2077cb26c1c61f690fe669b40305814fa25aabe7f92"),
+    (("laws", "broken-ahl", "--samples", "30", "--seed", "9"), 1,
+     "752d1b146eca6f165c8b07ec17b74a47127188971ba6677cfc626aed93fd126a"),
     (("laws", "tstate", "--samples", "30", "--seed", "9"), 0,
      "f58e5815b8aaf451209e582cf120cacf6d08256b614dff583909d2df1b8b82b7"),
     (("translate", "graded", "catgraded", "glist"), 0,

@@ -29,7 +29,7 @@ from cgm.instances import (
     typed_state_param,
 )
 from cgm.rng import Rng
-from cgm.values import VDist, dist, table, unit as vunit, vint, vpair, vtag
+from cgm.values import dist, point, table, unit as vunit, vint, vpair, vtag
 
 
 # --- lock protocol ---
@@ -115,6 +115,23 @@ def test_spawn_grade_restriction():
 def test_concst_laws_clean():
     report = check_laws(concst_instance(), samples=120, seed=3)
     assert report.ok(), report.render_text()
+
+
+def test_concst_mult_reads_each_branch_by_its_store():
+    # carried tables that are total, partial (a branch dropped earlier) or
+    # keyed outside the domain: a branch takes the entry keyed by its
+    # store, and is dropped when there is none
+    T = concst_instance()
+    step = lambda n: vpair(vunit, vint(n))
+    total = table({vint(k): step(10 + k) for k in range(8)})
+    partial = table({vint(k): step(20 + k) for k in (0, 2, 3)})
+    foreign = table({vint(k): step(30 + k) for k in (5, 99)})
+    carried = [(total, 5), (partial, 1), (partial, 2), (partial, 3), (foreign, 99),
+               (foreign, 7), (total, 99), (total, 0)]
+    nested = table({vint(s): vpair(t, vint(n)) for s, (t, n) in enumerate(carried)})
+    assert T.mult_fn(None, None, nested) == table(
+        {vint(0): step(15), vint(2): step(22), vint(3): step(23), vint(4): step(129),
+         vint(7): step(10)})
 
 
 # --- typed state ---
@@ -241,7 +258,7 @@ def test_ahl_unit_is_point_distribution():
     idx = inst.make_index(0, TRUE, TRUE)
     c = unit(inst.monad.base, idx.src, vint(5))
     for sv, d in c.payload.entries:
-        assert d == VDist(((vpair(sv, vint(5)), Fraction(1)),))
+        assert d == point(vpair(sv, vint(5)))
 
 
 def test_ahl_index_composition_saturates():

@@ -1,6 +1,7 @@
 """Value universe: canonicalization, equality, distribution arithmetic."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -272,3 +273,87 @@ def test_ordered_table_equals_checked_table(t, fn, stride):
     keys = sorted({k for k, _ in t.entries}, key=sort_key)  # sorted once, then reused
     assert ordered_table((k, fn(k)) for k in keys) == table({k: fn(k) for k in keys})
 
+
+
+# --- a Fraction-only oracle: plain dicts of Fraction, no cgm.values arithmetic ---
+
+def _oracle(pairs):
+    """value -> summed Fraction weight, zero weights dropped."""
+    acc: dict = {}
+    for v, w in pairs:
+        acc[v] = acc.get(v, Fraction(0)) + Fraction(w)
+    return {v: w for v, w in acc.items() if w}
+
+
+def _assert_is(d, acc):
+    """d has the oracle's entries, text and canonical integer form."""
+    entries = tuple(sorted(acc.items(), key=lambda e: sort_key(e[0])))
+    assert d.entries == entries
+    assert d.show() == "dist{" + "; ".join(f"{v.show()} @ {w}" for v, w in entries) + "}"
+    nums = [n for _, n in d.atoms]
+    assert all(type(n) is int and n > 0 for n in nums + [d.den])
+    assert sum(nums) == d.den and math.gcd(d.den, *nums) == 1
+
+
+def weighted(vals):
+    """(value, weight) lists with repeats and zeros, weights summing to 1."""
+    return st.lists(st.tuples(vals, st.fractions(0, 3, max_denominator=12)),
+                    min_size=1, max_size=6).filter(
+        lambda ps: sum(w for _, w in ps) > 0).map(
+        lambda ps: [(v, w / sum(x for _, x in ps)) for v, w in ps])
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _prime(v):
+    return _PRIMES[len(v.show()) % len(_PRIMES)]
+
+
+# continuations as weighted lists; branches get pairwise coprime denominators
+_WEIGHTED_CONTINUATIONS = (
+    lambda v: [(v, Fraction(1))],
+    lambda v: [(vint(j), Fraction(1, _prime(v))) for j in range(_prime(v))],
+    lambda v: [(unit, Fraction(1, _prime(v) ** 2)), (vtag("t", v), 1 - Fraction(1, _prime(v) ** 2))],
+    lambda v: [(vint(0), Fraction(1, 3)), (v, Fraction(1, 6)), (v, Fraction(1, 2))],
+)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(weighted(values()))
+def test_dist_matches_fraction_oracle(ps):
+    _assert_is(dist(ps), _oracle(ps))
+
+
+@settings(max_examples=60, derandomize=True)
+@given(weighted(values()), st.sampled_from(_IMAGES))
+def test_dist_map_matches_fraction_oracle(ps, fn):
+    _assert_is(dist_map(fn, dist(ps)), _oracle((fn(v), w) for v, w in ps))
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.one_of(weighted(pairs(leaves(), values())),
+                 weighted(pairs(st.integers(0, 2).map(vint), leaves()))),
+       st.sampled_from(_IMAGES))
+def test_dist_map_snd_matches_fraction_oracle(ps, fn):
+    _assert_is(dist_map_snd(fn, dist(ps)), _oracle((vpair(pr.fst, fn(pr.snd)), w) for pr, w in ps))
+
+
+@settings(max_examples=60, derandomize=True)
+@given(weighted(values()), st.sampled_from(_WEIGHTED_CONTINUATIONS))
+def test_dist_bind_matches_fraction_oracle(ps, k):
+    expected = _oracle((u, w * x) for v, w in _oracle(ps).items() for u, x in k(v))
+    _assert_is(dist_bind(dist(ps), lambda v: dist(k(v))), expected)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(weighted(values()))
+def test_equal_dists_have_equal_fields_and_hashes(ps):
+    d = dist(ps)
+    split = [(v, x) for v, w in ps for x in (w / 3, 2 * w / 3)]  # other denominators
+    for other in (dist(ps[::-1]), dist(split), dist_map(lambda v: v, dist(split[::-1])),
+                  dist_bind(d, point), dist_bind(dist(split), lambda v: dist([(v, 1)]))):
+        assert other == d and hash(other) == hash(d)
+        assert (other.atoms, other.den) == (d.atoms, d.den)
+    assert uniform([vint(1), vint(0), vint(1)]) == dist({vint(0): Fraction(1, 3),
+                                                         vint(1): Fraction(2, 3)})

@@ -375,7 +375,7 @@ def _monad_laws(T: CatGradedMonad) -> Iterator[Law]:
     def unit_left(f: Morphism, rng: Rng):
         # wrap outside with the unit at src(f), then flatten
         p = _sample_payload(T, f, rng)
-        ids = cat.identity_at_src(f)
+        ids = cat.identity(f.src)
         wrapped = T.unit_fn(f.src, p)
         lhs = T.mult_fn(ids, f, wrapped)
         return (f,), p, lhs, p
@@ -385,7 +385,7 @@ def _monad_laws(T: CatGradedMonad) -> Iterator[Law]:
     def unit_right(f: Morphism, rng: Rng):
         # wrap each carried value with the unit at tgt(f), then flatten
         p = _sample_payload(T, f, rng)
-        idt = cat.identity_at_tgt(f)
+        idt = cat.identity(f.tgt)
         wrapped = T.map_fn(f, lambda a: T.unit_fn(f.tgt, a), p)
         lhs = T.mult_fn(f, idt, wrapped)
         return (f,), p, lhs, p
@@ -407,7 +407,7 @@ def _monad_laws(T: CatGradedMonad) -> Iterator[Law]:
         f, i = datum
         _, fn = _FN_POOL[i % len(_FN_POOL)]
         a = T.element_sampler(rng)
-        lhs = T.map_fn(cat.identity_at_src(f), fn, T.unit_fn(f.src, a))
+        lhs = T.map_fn(cat.identity(f.src), fn, T.unit_fn(f.src, a))
         rhs = T.unit_fn(f.src, fn(a))
         return (f,), a, lhs, rhs
 
@@ -441,7 +441,7 @@ def _monad_laws(T: CatGradedMonad) -> Iterator[Law]:
     def bind_right_unit(f: Morphism, rng: Rng):
         p = _sample_payload(T, f, rng)
         c = GradedComputation(f, p)
-        idt = cat.identity_at_tgt(f)
+        idt = cat.identity(f.tgt)
         lhs = bind(T, c, lambda a: unit(T, f.tgt, a), cont_index=idt)
         return (f,), p, lhs.payload, p
 
@@ -495,7 +495,7 @@ def _approx_laws(T2: TwoCatGradedMonad) -> Iterator[Law]:
 
     def approx_unit(f: Morphism, rng: Rng):
         a = T.element_sampler(rng)
-        ids = cat.identity_at_src(f)
+        ids = cat.identity(f.src)
         u = T.unit_fn(f.src, a)
         return (ids,), a, T2.approx_fn(ids, ids, u), u
 
@@ -533,7 +533,7 @@ def _genunit_laws(G: GeneralisedUnit) -> Iterator[Law]:
 
     def gen_identity(f: Morphism, rng: Rng):
         a = T.element_sampler(rng)
-        idf = cat.identity_at_src(f)
+        idf = cat.identity(f.src)
         return (idf,), a, G.geneta_fn(idf, a), T.unit_fn(f.src, a)
 
     yield "genunit.identity", pool, gen_identity
@@ -556,7 +556,7 @@ def _hom_laws(H: Homomorphism) -> Iterator[Law]:
 
     def hom_unit(f: Morphism, rng: Rng):
         a = T.element_sampler(rng)
-        idx = T.index_cat.identity_at_src(f)
+        idx = T.index_cat.identity(f.src)
         lhs = H.gamma_fn(idx, T.unit_fn(f.src, a))
         rhs = S.unit_fn(f.src, a)
         return (idx,), a, lhs, rhs

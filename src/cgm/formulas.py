@@ -384,20 +384,3 @@ def parse_formula(ts: TokenStream) -> Formula:
         left = FAnd(left, right) if op == "&&" else FOr(left, right)
     return left
 
-
-def parse_formula_text(text: str) -> Formula:
-    ts = TokenStream(tokenize(text))
-    phi = parse_formula(ts)
-    t = ts.peek()
-    if t is not None:
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    return phi
-
-
-def parse_expr_text(text: str) -> Expr:
-    ts = TokenStream(tokenize(text))
-    e = parse_arith(ts)
-    t = ts.peek()
-    if t is not None:
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    return e

@@ -31,6 +31,8 @@ from .values import Value
 @dataclass(frozen=True)
 class ObjectId:
     name: str
+    # the components of a product object, set only by pair_object
+    pair: tuple[ObjectId, ObjectId] | None = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
         return self.name
@@ -145,7 +147,12 @@ class IndexCategory:
         return objs is None or obj in objs
 
     def identity(self, obj: ObjectId) -> Morphism:
-        raise NotImplementedError
+        """The formal identity; kinds whose identities are other words override this."""
+        _require_object(self, obj)
+        return Morphism(obj, obj, WIdentity(obj))
+
+    def _is_identity(self, m: Morphism) -> bool:
+        return isinstance(m.word, WIdentity) and m.word.obj == m.src == m.tgt and self.has_object(m.src)
 
     def contains(self, m: Morphism) -> bool:
         raise NotImplementedError
@@ -157,14 +164,6 @@ class IndexCategory:
     def morphisms(self, max_path_len: int = 4) -> tuple[Morphism, ...]:
         """Enumerate (a sample of) the morphisms, deterministically sorted."""
         raise NotImplementedError
-
-    # Identities reconstructed from a morphism's endpoints.  Works even for
-    # symbolic object sets, where identity(obj) cannot decode the object.
-    def identity_at_src(self, m: Morphism) -> Morphism:
-        return self.identity(m.src)
-
-    def identity_at_tgt(self, m: Morphism) -> Morphism:
-        return self.identity(m.tgt)
 
     def _check_endpoints(self, g: Morphism, f: Morphism) -> None:
         if not (self.contains(f) and self.contains(g)):
@@ -197,13 +196,9 @@ class FiniteTableCategory(IndexCategory):
     def object_ids(self):
         return self.objects
 
-    def identity(self, obj):
-        _require_object(self, obj)
-        return Morphism(obj, obj, WIdentity(obj))
-
     def contains(self, m):
         if isinstance(m.word, WIdentity):
-            return m.word.obj == m.src == m.tgt and self.has_object(m.src)
+            return self._is_identity(m)
         return m in self.arrows
 
     def compose(self, g, f):
@@ -228,21 +223,23 @@ class FreeCategory(IndexCategory):
 
     objects: tuple[ObjectId, ...]
     edges: tuple[tuple[str, ObjectId, ObjectId], ...]  # (label, src, tgt)
+    # label -> (src, tgt), built once; the first edge with a label wins
+    _by_label: dict = field(init=False, repr=False, compare=False, hash=False)
 
     kind = "free"
+
+    def __post_init__(self):
+        object.__setattr__(self, "_by_label",
+                           {name: (s, t) for name, s, t in reversed(self.edges)})
 
     def object_ids(self):
         return self.objects
 
     def edge(self, label: str) -> tuple[ObjectId, ObjectId]:
-        for name, s, t in self.edges:
-            if name == label:
-                return (s, t)
-        raise ForeignMorphism(f"no generator named {label}")
-
-    def identity(self, obj):
-        _require_object(self, obj)
-        return Morphism(obj, obj, WIdentity(obj))
+        try:
+            return self._by_label[label]
+        except KeyError:
+            raise ForeignMorphism(f"no generator named {label}") from None
 
     def path(self, labels: Iterable[str]) -> Morphism:
         gens = tuple(labels)
@@ -261,13 +258,16 @@ class FreeCategory(IndexCategory):
 
     def contains(self, m):
         if isinstance(m.word, WIdentity):
-            return m.word.obj == m.src == m.tgt and self.has_object(m.src)
+            return self._is_identity(m)
         if not isinstance(m.word, WPath) or not m.word.gens:
             return False
-        try:
-            return self.path(m.word.gens) == m
-        except (ForeignMorphism, CompositionMismatch):
-            return False
+        cur = m.src
+        for name in m.word.gens:
+            st = self._by_label.get(name)
+            if st is None or st[0] != cur:
+                return False
+            cur = st[1]
+        return cur == m.tgt
 
     def compose(self, g, f):
         self._check_endpoints(g, f)
@@ -339,12 +339,8 @@ class DiscreteCategory(IndexCategory):
     def object_ids(self):
         return self.objects
 
-    def identity(self, obj):
-        _require_object(self, obj)
-        return Morphism(obj, obj, WIdentity(obj))
-
     def contains(self, m):
-        return isinstance(m.word, WIdentity) and m.word.obj == m.src == m.tgt and self.has_object(m.src)
+        return self._is_identity(m)
 
     def compose(self, g, f):
         self._check_endpoints(g, f)
@@ -443,30 +439,8 @@ _ESC = str.maketrans({"\\": "\\\\", "|": "\\|", "<": "\\<", ">": "\\>"})
 
 
 def pair_object(a: ObjectId, b: ObjectId) -> ObjectId:
-    return ObjectId(f"<{a.name.translate(_ESC)}|{b.name.translate(_ESC)}>")
-
-
-def split_pair_object(obj: ObjectId) -> tuple[ObjectId, ObjectId]:
-    name = obj.name
-    if not (name.startswith("<") and name.endswith(">")):
-        raise UnknownObject(f"{name} is not a product object")
-    body, parts, cur, i = name[1:-1], [], [], 0
-    while i < len(body):
-        c = body[i]
-        if c == "\\" and i + 1 < len(body):
-            cur.append(body[i + 1])
-            i += 2
-        elif c == "|":
-            parts.append("".join(cur))
-            cur = []
-            i += 1
-        else:
-            cur.append(c)
-            i += 1
-    parts.append("".join(cur))
-    if len(parts) != 2:
-        raise UnknownObject(f"{name} is not a product object")
-    return ObjectId(parts[0]), ObjectId(parts[1])
+    """The product object of a and b: an escaped `<a|b>` name that keeps the pair."""
+    return ObjectId(f"<{a.name.translate(_ESC)}|{b.name.translate(_ESC)}>", (a, b))
 
 
 @dataclass(frozen=True)
@@ -483,26 +457,17 @@ class ProductCategory(IndexCategory):
         return tuple(pair_object(a, b) for a in lo for b in ro)
 
     def has_object(self, obj):
-        try:
-            a, b = split_pair_object(obj)
-        except UnknownObject:
-            return False
-        return self.left.has_object(a) and self.right.has_object(b)
+        return (obj.pair is not None
+                and self.left.has_object(obj.pair[0]) and self.right.has_object(obj.pair[1]))
 
     def tuple_morphism(self, l: Morphism, r: Morphism) -> Morphism:
         return Morphism(pair_object(l.src, r.src), pair_object(l.tgt, r.tgt), WTuple(l, r))
 
     def identity(self, obj):
-        a, b = split_pair_object(obj)
+        if obj.pair is None:
+            raise UnknownObject(f"{obj.name} is not a product object")
+        a, b = obj.pair
         return self.tuple_morphism(self.left.identity(a), self.right.identity(b))
-
-    def identity_at_src(self, m):
-        return self.tuple_morphism(self.left.identity_at_src(m.word.left),
-                                   self.right.identity_at_src(m.word.right))
-
-    def identity_at_tgt(self, m):
-        return self.tuple_morphism(self.left.identity_at_tgt(m.word.left),
-                                   self.right.identity_at_tgt(m.word.right))
 
     def contains(self, m):
         return (isinstance(m.word, WTuple)
@@ -577,8 +542,8 @@ class FuncCategory(IndexCategory):
 
     def compose(self, g, f):
         self._check_endpoints(g, f)
-        graph = tuple((a, g.word.apply(b)) for a, b in f.word.graph)
-        return Morphism(f.src, g.tgt, WFn(graph))
+        after = dict(g.word.graph)  # _check_endpoints: every value of f is a key
+        return Morphism(f.src, g.tgt, WFn(tuple((a, after[b]) for a, b in f.word.graph)))
 
     def morphisms(self, max_path_len: int = 4):
         out = []

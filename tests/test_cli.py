@@ -3,12 +3,15 @@
 import contextlib
 import hashlib
 import io
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cgm.cli import main
 from cgm.instances import instance_names
+
+REPO = Path(__file__).resolve().parent.parent
 
 LOCK_GP = """
 instance concst
@@ -365,9 +368,10 @@ def test_ahl_rand_ranges_with_coprime_sizes(tmp_path, capsys):
 
 # sha256 of stdout, recorded before the law suites of the source structures
 # were rebuilt on the category-graded engine (the two text-format `ahl`
-# reports: before distributions kept integer numerators); a change that
-# alters any of these outputs (law names, sampling order, rendering) shows
-# up here
+# reports: before distributions kept integer numerators; the `concst` and
+# `lock.cat` reports: before product objects kept their component pair); a
+# change that alters any of these outputs (law names, sampling order,
+# rendering) shows up here; paths are relative to the repository root
 _GOLDEN = [
     (("laws", "broken-glist", "--samples", "30", "--seed", "9"), 1,
      "4dbd6bfed5be199dd5510f517afe3b73507fdc005ef5d37a40905d45e42aa973"),
@@ -379,6 +383,10 @@ _GOLDEN = [
      "752d1b146eca6f165c8b07ec17b74a47127188971ba6677cfc626aed93fd126a"),
     (("laws", "tstate", "--samples", "30", "--seed", "9"), 0,
      "f58e5815b8aaf451209e582cf120cacf6d08256b614dff583909d2df1b8b82b7"),
+    (("laws", "concst", "--samples", "30", "--seed", "9"), 0,
+     "6adf2a52b591c77ab9f79d0bd18f534b2d4a96b4bf0c78e1395af6466078f76c"),
+    (("laws", "identity", "--category", "programs/lock.cat", "--samples", "30", "--seed", "9"), 0,
+     "00cdcfecb5de64457b31abd50a99278fa6584ed9ad1220210a493e80c733cf49"),
     (("translate", "graded", "catgraded", "glist"), 0,
      "fda9f71414bc01fd7dc40641578a1ee3019af06c7e1371a85b41ab8036003fb6"),
     (("translate", "param", "catgraded", "tstate"), 0,
@@ -390,7 +398,8 @@ _GOLDEN = [
 
 @pytest.mark.parametrize("argv,exit_code,digest", _GOLDEN,
                          ids=[" ".join(a) for a, _, _ in _GOLDEN])
-def test_stdout_matches_recorded_digest(capsys, argv, exit_code, digest):
+def test_stdout_matches_recorded_digest(capsys, monkeypatch, argv, exit_code, digest):
+    monkeypatch.chdir(REPO)
     code, out = run_cli(capsys, *argv)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

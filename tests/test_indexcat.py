@@ -13,8 +13,11 @@ from cgm.errors import (
 from cgm.indexcat import (
     DiscreteCategory,
     IndiscreteCategory,
+    Morphism,
     ObjectId,
+    ProductCategory,
     STAR,
+    WElem,
     WIdentity,
     WPath,
     compose,
@@ -27,7 +30,6 @@ from cgm.indexcat import (
     pair_completion,
     pair_object,
     pomonoid_to_2category,
-    split_pair_object,
     tabulate_free,
 )
 from cgm.instances import lock_category, sat_add
@@ -223,11 +225,41 @@ def test_tabulate_free():
         tabulate_free(loop)
 
 
-def test_pair_object_roundtrip():
-    a = ObjectId("x || y")
-    b = ObjectId("<wei|rd>")
-    enc = pair_object(a, b)
-    assert split_pair_object(enc) == (a, b)
+def test_pair_object_name_and_pair():
+    a, b, c = ObjectId("x || y"), ObjectId("<wei|rd>"), ObjectId(r"back\slash")
+    ab = pair_object(a, b)
+    # the escaped names, as rendered before product objects kept their pair
+    assert ab.name == r"<x \|\| y|\<wei\|rd\>>"
+    assert pair_object(ab, c).name == r"<\<x \\\|\\\| y\|\\\<wei\\\|rd\\\>\>|back\\slash>"
+    assert ab.pair == (a, b) and pair_object(ab, c).pair == (ab, c)
+    # the pair is not part of equality, hashing or repr
+    bare = ObjectId(ab.name)
+    assert bare == ab and hash(bare) == hash(ab) and repr(bare) == repr(ab)
+    left, right = DiscreteCategory((a,)), IndiscreteCategory((b,))
+    prod = ProductCategory(left, right)
+    assert prod.identity(ab) == prod.tuple_morphism(left.identity(a), right.identity(b))
+    assert prod.has_object(ab) and not prod.has_object(bare)
+    # a name alone is not decoded
+    with pytest.raises(UnknownObject, match="is not a product object"):
+        prod.identity(bare)
+
+
+def test_free_category_contains():
+    cat = lock_category()
+    free, critical = ObjectId("free"), ObjectId("critical")
+    assert all(cat.contains(m) for m in cat.morphisms(4))
+    rejected = [
+        Morphism(free, critical, WPath(("lock", "spin"))),  # unknown generator
+        Morphism(free, critical, WPath(("lock", "lock"))),  # does not chain
+        Morphism(critical, free, WPath(("lock",))),  # swapped endpoints
+        Morphism(critical, critical, WPath(("lock", "get"))),  # wrong source
+        Morphism(free, critical, WPath(("lock", "unlock"))),  # wrong target
+        Morphism(free, free, WPath(())),  # empty path
+        Morphism(free, free, WElem(0)),  # not a path
+        Morphism(free, critical, WIdentity(free)),  # identity across objects
+        Morphism(ObjectId("x"), ObjectId("x"), WIdentity(ObjectId("x"))),  # unknown object
+    ]
+    assert not any(cat.contains(m) for m in rejected)
 
 
 def test_free_category_law_suite():

@@ -375,8 +375,8 @@ def test_ahl_unit_subcategory_is_wide_and_closed():
     assert members
     for m in members:
         # identities at both endpoints stay inside
-        assert G.sub.contains(cat.identity_at_src(m))
-        assert G.sub.contains(cat.identity_at_tgt(m))
+        assert G.sub.contains(cat.identity(m.src))
+        assert G.sub.contains(cat.identity(m.tgt))
         for n in members:
             if m.tgt == n.src:
                 assert G.sub.contains(cat.compose(n, m))

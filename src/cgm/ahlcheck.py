@@ -320,9 +320,3 @@ def parse_ahl_file(text: str) -> AhlFile:
     if t is not None:
         raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
     return AhlFile(tuple(decls), Judgement(beta, pre, post), deriv)
-
-
-def check_ahl_file(text: str) -> AhlVerdict:
-    f = parse_ahl_file(text)
-    inst = AhlMonad(f.decls)
-    return check_ahl(inst, f.derivation, claimed=f.claimed)

@@ -65,8 +65,7 @@ def parse_cat_file(text: str) -> IndexCategory:
         if monoid_name is None:
             raise ParseError("kind monoid needs a `monoid` line", 1, 1)
         spec = _MONOIDS[monoid_name]
-        return monoid_to_category(spec["op"], spec["unit"], spec["sample"],
-                                  label=monoid_name)
+        return monoid_to_category(spec["op"], spec["unit"], spec["sample"])
     if not objects:
         raise ParseError("no objects declared", 1, 1)
     free = free_category(objects, edges)

@@ -95,12 +95,15 @@ def cmd_laws(args) -> int:
 
 def cmd_run(args) -> int:
     program = parse_program(_read(args.path))
-    if program.instance == "concst" and program.store is not None:
+    if program.store is None:
+        bundle = build_instance(program.instance)
+    elif program.instance == "concst":
         lo, hi = program.store
         bundle = InstanceBundle(
             "concst", concst_instance(tuple(vint(n) for n in range(lo, hi + 1))))
     else:
-        bundle = build_instance(program.instance)
+        raise ConfigError(f"a store header applies only to instance concst, "
+                          f"not {program.instance}")
     start = start_object(bundle, program)
     _emit(f"grade: {infer_program(bundle, program).index}")
     payload = eval_term(bundle, program.body, {}, start).payload

@@ -53,7 +53,6 @@ class CatGradedMonad:
     map_fn: Callable[[Morphism, Callable[[Value], Value], Value], Value]
     validator: Callable[[Morphism, Value], bool]
     sampler: Callable[[Morphism, Rng], Value] | None = None
-    element_sampler: Callable[[Rng], Value] = lambda rng: vint(rng.randint(0, 9))
     index_samples: tuple[Morphism, ...] | None = None
 
 
@@ -251,10 +250,15 @@ _FN_POOL: tuple[tuple[str, Callable[[Value], Value]], ...] = (
 )
 
 
-def index_pool(T: CatGradedMonad, max_path_len: int = 4) -> tuple[Morphism, ...]:
+def sample_element(rng: Rng) -> Value:
+    """A carried value for the laws that start from one: 0..9."""
+    return vint(rng.randint(0, 9))
+
+
+def index_pool(T: CatGradedMonad) -> tuple[Morphism, ...]:
     if T.index_samples is not None:
         return tuple(sorted(T.index_samples, key=morphism_key))
-    return T.index_cat.morphisms(max_path_len)
+    return T.index_cat.morphisms()
 
 
 def _by_source(pool: Sequence[Morphism]) -> dict[ObjectId, list[Morphism]]:
@@ -305,6 +309,14 @@ def _nested3(T: CatGradedMonad, f: Morphism, g: Morphism, h: Morphism, rng: Rng)
 Law = tuple[str, Sequence, Callable]
 
 
+def _witness(datum) -> tuple:
+    """The morphisms and objects of a pool datum: nested tuples are
+    flattened and integer pool positions dropped."""
+    if isinstance(datum, tuple):
+        return tuple(x for part in datum for x in _witness(part))
+    return () if isinstance(datum, int) else (datum,)
+
+
 class Runner:
     """Collects per-law instantiation counts and failures."""
 
@@ -332,8 +344,8 @@ class Runner:
                 indices, inp, lhs, rhs = body(datum, rng)
             except CgmError as exc:
                 self.failures.append(LawFailure(
-                    name, tuple(datum) if isinstance(datum, tuple) else (datum,),
-                    None, None, None, note=f"{type(exc).__name__}: {exc}"))
+                    name, _witness(datum), None, None, None,
+                    note=f"{type(exc).__name__}: {exc}"))
                 continue
             if lhs != rhs:
                 self.failures.append(LawFailure(name, indices, inp, lhs, rhs))
@@ -406,7 +418,7 @@ def _monad_laws(T: CatGradedMonad) -> Iterator[Law]:
     def unit_natural(datum, rng: Rng):
         f, i = datum
         _, fn = _FN_POOL[i % len(_FN_POOL)]
-        a = T.element_sampler(rng)
+        a = sample_element(rng)
         lhs = T.map_fn(cat.identity(f.src), fn, T.unit_fn(f.src, a))
         rhs = T.unit_fn(f.src, fn(a))
         return (f,), a, lhs, rhs
@@ -425,7 +437,7 @@ def _monad_laws(T: CatGradedMonad) -> Iterator[Law]:
     yield "naturality.mult", [(fg, i) for i, fg in enumerate(pairs)], mult_natural
 
     def bind_left_unit(g: Morphism, rng: Rng):
-        a = T.element_sampler(rng)
+        a = sample_element(rng)
         template = _sample_payload(T, g, rng.fork(0))
 
         def k(x: Value) -> GradedComputation:
@@ -494,7 +506,7 @@ def _approx_laws(T2: TwoCatGradedMonad) -> Iterator[Law]:
     yield "approx.vertical", chains, approx_vertical
 
     def approx_unit(f: Morphism, rng: Rng):
-        a = T.element_sampler(rng)
+        a = sample_element(rng)
         ids = cat.identity(f.src)
         u = T.unit_fn(f.src, a)
         return (ids,), a, T2.approx_fn(ids, ids, u), u
@@ -522,7 +534,7 @@ def _genunit_laws(G: GeneralisedUnit) -> Iterator[Law]:
 
     def gen_compose(datum, rng: Rng):
         f, g = datum
-        a = T.element_sampler(rng)
+        a = sample_element(rng)
         gf = cat.compose(g, f)
         staged = T.map_fn(f, lambda b: G.geneta_fn(g, b), G.geneta_fn(f, a))
         lhs = T.mult_fn(f, g, staged)
@@ -532,7 +544,7 @@ def _genunit_laws(G: GeneralisedUnit) -> Iterator[Law]:
     yield "genunit.compose", pairs, gen_compose
 
     def gen_identity(f: Morphism, rng: Rng):
-        a = T.element_sampler(rng)
+        a = sample_element(rng)
         idf = cat.identity(f.src)
         return (idf,), a, G.geneta_fn(idf, a), T.unit_fn(f.src, a)
 
@@ -541,7 +553,7 @@ def _genunit_laws(G: GeneralisedUnit) -> Iterator[Law]:
     def gen_natural(datum, rng: Rng):
         f, i = datum
         _, fn = _FN_POOL[i % len(_FN_POOL)]
-        a = T.element_sampler(rng)
+        a = sample_element(rng)
         lhs = T.map_fn(f, fn, G.geneta_fn(f, a))
         rhs = G.geneta_fn(f, fn(a))
         return (f,), a, lhs, rhs
@@ -555,7 +567,7 @@ def _hom_laws(H: Homomorphism) -> Iterator[Law]:
     pairs = _composable_pairs(pool)
 
     def hom_unit(f: Morphism, rng: Rng):
-        a = T.element_sampler(rng)
+        a = sample_element(rng)
         idx = T.index_cat.identity(f.src)
         lhs = H.gamma_fn(idx, T.unit_fn(f.src, a))
         rhs = S.unit_fn(f.src, a)

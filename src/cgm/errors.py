@@ -35,6 +35,10 @@ class DanglingEdge(CgmError):
     """Graph edge references an undeclared object."""
 
 
+class RepeatedGenerator(CgmError):
+    """Two graph edges share one label."""
+
+
 # --- graded computation errors ---
 
 class MalformedPayload(CgmError):

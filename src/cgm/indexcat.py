@@ -22,6 +22,7 @@ from .errors import (
     CompositionMismatch,
     DanglingEdge,
     ForeignMorphism,
+    RepeatedGenerator,
     SymbolicObjects,
     UnknownObject,
 )
@@ -87,12 +88,17 @@ class WFn:
     """Graph of a function between two finite value sets."""
 
     graph: tuple[tuple[Value, Value], ...]
+    # the graph as a dict, built once
+    _lookup: dict = field(init=False, repr=False, compare=False, hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lookup", dict(self.graph))
 
     def apply(self, v: Value) -> Value:
-        for a, b in self.graph:
-            if a == v:
-                return b
-        raise ForeignMorphism(f"function graph undefined at {v.show()}")
+        try:
+            return self._lookup[v]
+        except KeyError:
+            raise ForeignMorphism(f"function graph undefined at {v.show()}") from None
 
 
 Word = WIdentity | WPath | WElem | WPair | WInj1 | WInj2 | WTuple | WFn
@@ -223,14 +229,18 @@ class FreeCategory(IndexCategory):
 
     objects: tuple[ObjectId, ...]
     edges: tuple[tuple[str, ObjectId, ObjectId], ...]  # (label, src, tgt)
-    # label -> (src, tgt), built once; the first edge with a label wins
+    # label -> (src, tgt), built once; a label names one edge
     _by_label: dict = field(init=False, repr=False, compare=False, hash=False)
 
     kind = "free"
 
     def __post_init__(self):
-        object.__setattr__(self, "_by_label",
-                           {name: (s, t) for name, s, t in reversed(self.edges)})
+        by_label = {}
+        for name, s, t in self.edges:
+            if name in by_label:
+                raise RepeatedGenerator(f"generator {name} is declared twice")
+            by_label[name] = (s, t)
+        object.__setattr__(self, "_by_label", by_label)
 
     def object_ids(self):
         return self.objects
@@ -303,7 +313,6 @@ class MonoidCategory(IndexCategory):
     op: Callable[[Hashable, Hashable], Hashable] = field(hash=False, compare=False)
     unit: Hashable
     sample: tuple[Hashable, ...]
-    label: str = "monoid"
 
     kind = "monoid"
 
@@ -542,8 +551,7 @@ class FuncCategory(IndexCategory):
 
     def compose(self, g, f):
         self._check_endpoints(g, f)
-        after = dict(g.word.graph)  # _check_endpoints: every value of f is a key
-        return Morphism(f.src, g.tgt, WFn(tuple((a, after[b]) for a, b in f.word.graph)))
+        return Morphism(f.src, g.tgt, WFn(tuple((a, g.word.apply(b)) for a, b in f.word.graph)))
 
     def morphisms(self, max_path_len: int = 4):
         out = []
@@ -590,13 +598,13 @@ def identity(cat: IndexCategory, obj: ObjectId) -> Morphism:
     return cat.identity(obj)
 
 
-def monoid_to_category(op, unit, sample, label: str = "monoid") -> MonoidCategory:
+def monoid_to_category(op, unit, sample) -> MonoidCategory:
     """One object, arrows are carrier elements, composition is the op."""
-    return MonoidCategory(op=op, unit=unit, sample=tuple(sample), label=label)
+    return MonoidCategory(op=op, unit=unit, sample=tuple(sample))
 
 
-def pomonoid_to_2category(op, unit, sample, leq, label: str = "pomonoid") -> TwoCategory:
-    base = monoid_to_category(op, unit, sample, label)
+def pomonoid_to_2category(op, unit, sample, leq) -> TwoCategory:
+    base = monoid_to_category(op, unit, sample)
 
     def cell(f: Morphism, g: Morphism) -> bool:
         return leq(f.word.value, g.word.value)
@@ -642,15 +650,18 @@ def func_category(sets: Mapping[str, Iterable[Value]]) -> FuncCategory:
     return FuncCategory(norm)
 
 
-def tabulate_free(free: FreeCategory, max_path_len: int = 8) -> FiniteTableCategory:
+_TABLE_PATH_CAP = 8
+
+
+def tabulate_free(free: FreeCategory) -> FiniteTableCategory:
     """Materialize a free category as an explicit table.
 
     Only works when the path set is finite (acyclic graphs); a cycle makes
-    the enumeration hit the cap and is rejected.
+    the enumeration reach _TABLE_PATH_CAP generators and is rejected.
     """
-    arrows = [m for m in free.morphisms(max_path_len) if not isinstance(m.word, WIdentity)]
+    arrows = [m for m in free.morphisms(_TABLE_PATH_CAP) if not isinstance(m.word, WIdentity)]
     longest = max((len(m.word.gens) for m in arrows), default=0)
-    if longest >= max_path_len:
+    if longest >= _TABLE_PATH_CAP:
         raise SymbolicObjects("graph has unbounded paths; cannot tabulate")
     comp = {}
     for f in arrows:

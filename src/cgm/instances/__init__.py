@@ -47,14 +47,17 @@ class InstanceBundle:
     """Everything the harness and the metalanguage need for one instance."""
 
     name: str
-    monad: CatGradedMonad
-    two: TwoCatGradedMonad | None = None
+    subject: CatGradedMonad | TwoCatGradedMonad  # the structure the laws run on
     genunit: GeneralisedUnit | None = None
     ahl: AhlMonad | None = None
 
+    @property
+    def monad(self) -> CatGradedMonad:
+        s = self.subject
+        return s.base if isinstance(s, TwoCatGradedMonad) else s
+
     def law_report(self, samples: int = 200, seed: int = 0) -> LawReport:
-        report = check_laws(self.two if self.two is not None else self.monad,
-                            samples=samples, seed=seed)
+        report = check_laws(self.subject, samples=samples, seed=seed)
         if self.genunit is not None:
             report = report.merge(check_laws(self.genunit, samples=samples, seed=seed))
         return report
@@ -65,13 +68,11 @@ def _build_identity() -> InstanceBundle:
 
 
 def _build_glist() -> InstanceBundle:
-    two = graded_list_instance()
-    return InstanceBundle("glist", two.base, two=two)
+    return InstanceBundle("glist", graded_list_instance())
 
 
 def _build_broken_glist() -> InstanceBundle:
-    two = broken_graded_list_instance()
-    return InstanceBundle("broken-glist", two.base, two=two)
+    return InstanceBundle("broken-glist", broken_graded_list_instance())
 
 
 def _build_concst() -> InstanceBundle:
@@ -86,14 +87,12 @@ def _build_tstate() -> InstanceBundle:
 
 def _build_ahl() -> InstanceBundle:
     inst = ahl_instance()
-    return InstanceBundle("ahl", inst.monad.base, two=inst.monad,
-                          genunit=inst.genunit, ahl=inst)
+    return InstanceBundle("ahl", inst.monad, genunit=inst.genunit, ahl=inst)
 
 
 def _build_broken_ahl() -> InstanceBundle:
     inst = broken_ahl_instance()
-    return InstanceBundle("broken-ahl", inst.monad.base, two=inst.monad,
-                          genunit=inst.genunit, ahl=inst)
+    return InstanceBundle("broken-ahl", inst.monad, genunit=inst.genunit, ahl=inst)
 
 
 _BUILDERS: dict[str, Callable[[], InstanceBundle]] = {

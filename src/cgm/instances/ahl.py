@@ -75,8 +75,7 @@ class AhlMonad:
     """Instance wrapper; owns the variable declarations and the formula
     registry that names in morphism endpoints decode through."""
 
-    def __init__(self, decls: Iterable[VarDecl], name: str = "ahl",
-                 over_allocate: bool = False):
+    def __init__(self, decls: Iterable[VarDecl], over_allocate: bool = False):
         self.decls = tuple(decls)
         if not self.decls:
             raise InvalidValue("at least one variable must be declared")
@@ -89,7 +88,7 @@ class AhlMonad:
         self._over_allocate = over_allocate
 
         self.beta_cat = MonoidCategory(op=sat_add, unit=Fraction(0),
-                                       sample=BETA_SAMPLE, label="prob-sat")
+                                       sample=BETA_SAMPLE)
         self.prop_cat = IndiscreteCategory(None)
         self.cat = ProductCategory(self.beta_cat, self.prop_cat)
         # The monad's functions are bound to a shallow copy taken before
@@ -97,7 +96,7 @@ class AhlMonad:
         own = copy.copy(self)
         self.two = TwoCategory(self.cat, own._cell)
         monad = CatGradedMonad(
-            name=name,
+            name="broken-ahl" if over_allocate else "ahl",
             index_cat=self.cat,
             unit_fn=own._unit,
             mult_fn=own._mult,
@@ -285,15 +284,14 @@ class AhlMonad:
         return self._mult(None, None, nested)
 
 
-def ahl_instance(decls: Iterable[VarDecl] | None = None) -> AhlMonad:
-    if decls is None:
-        decls = (VarDecl("x", 0, 2),)
+_DEFAULT_DECLS = (VarDecl("x", 0, 2),)
+
+
+def ahl_instance(decls: Iterable[VarDecl] = _DEFAULT_DECLS) -> AhlMonad:
     return AhlMonad(decls)
 
 
-def broken_ahl_instance(decls: Iterable[VarDecl] | None = None) -> AhlMonad:
+def broken_ahl_instance() -> AhlMonad:
     """Mutant whose sampler ignores the declared bound: it always routes
     half the mass to violating states, so validity checks fail."""
-    if decls is None:
-        decls = (VarDecl("x", 0, 2),)
-    return AhlMonad(decls, name="broken-ahl", over_allocate=True)
+    return AhlMonad(_DEFAULT_DECLS, over_allocate=True)

@@ -35,8 +35,7 @@ def lock_category() -> FreeCategory:
 DEFAULT_STORES = tuple(vint(n) for n in range(8))
 
 
-def concst_instance(stores: Iterable[Value] = DEFAULT_STORES,
-                    name: str = "concst") -> CatGradedMonad:
+def concst_instance(stores: Iterable[Value] = DEFAULT_STORES) -> CatGradedMonad:
     cat = lock_category()
     domain = tuple(sorted(set(stores), key=sort_key))  # in table key order
     if not domain:
@@ -84,7 +83,7 @@ def concst_instance(stores: Iterable[Value] = DEFAULT_STORES,
         return total(lambda s: vpair(vint(rng.randint(0, 9)), rng.choice(domain)))
 
     return CatGradedMonad(
-        name=name,
+        name="concst",
         index_cat=cat,
         unit_fn=unit_fn,
         mult_fn=mult_fn,

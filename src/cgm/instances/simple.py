@@ -10,10 +10,10 @@ from ..translations import GradedMonad, PlainMonad, pograded_to_2catgraded
 from ..values import Value, VSeq, sort_key, vint, vseq
 
 
-def identity_instance(cat: IndexCategory, name: str = "identity") -> CatGradedMonad:
+def identity_instance(cat: IndexCategory) -> CatGradedMonad:
     """Payloads are bare values; every operation acts as the identity."""
     return CatGradedMonad(
-        name=name,
+        name="identity",
         index_cat=cat,
         unit_fn=lambda _obj, a: a,
         mult_fn=lambda _f, _g, v: v,
@@ -49,7 +49,11 @@ def list_monad() -> PlainMonad:
     )
 
 
-def graded_list_graded_monad(max_grade: int = 4, drop_last: bool = False) -> GradedMonad:
+# the sampled grades of the list instances: lengths at most 1..4
+_GRADES = tuple(range(1, 5))
+
+
+def graded_list_graded_monad(drop_last: bool = False) -> GradedMonad:
     """Lists of length at most n, graded by (N, *, 1, <=).
 
     drop_last installs a deliberately broken multiplication that loses the
@@ -78,7 +82,7 @@ def graded_list_graded_monad(max_grade: int = 4, drop_last: bool = False) -> Gra
         name="glist" if not drop_last else "broken-glist",
         op=lambda m, n: m * n,
         unit_elem=1,
-        sample=tuple(range(1, max_grade + 1)),
+        sample=_GRADES,
         unit_fn=lambda a: vseq([a]),
         mult_fn=mult,
         map_fn=lambda m, fn, p: vseq(fn(v) for v in p.items),
@@ -89,15 +93,15 @@ def graded_list_graded_monad(max_grade: int = 4, drop_last: bool = False) -> Gra
     )
 
 
-def graded_list_instance(max_grade: int = 4) -> TwoCatGradedMonad:
-    return pograded_to_2catgraded(graded_list_graded_monad(max_grade))
+def graded_list_instance() -> TwoCatGradedMonad:
+    return pograded_to_2catgraded(graded_list_graded_monad())
 
 
-def broken_graded_list_instance(max_grade: int = 4) -> TwoCatGradedMonad:
-    return pograded_to_2catgraded(graded_list_graded_monad(max_grade, drop_last=True))
+def broken_graded_list_instance() -> TwoCatGradedMonad:
+    return pograded_to_2catgraded(graded_list_graded_monad(drop_last=True))
 
 
-def sorted_list_instance(max_grade: int = 4) -> TwoCatGradedMonad:
+def sorted_list_instance() -> TwoCatGradedMonad:
     """Multisets in sorted-sequence form over the same grading monoid."""
 
     def resort(items) -> Value:
@@ -124,7 +128,7 @@ def sorted_list_instance(max_grade: int = 4) -> TwoCatGradedMonad:
         name="sorted-list",
         op=lambda m, n: m * n,
         unit_elem=1,
-        sample=tuple(range(1, max_grade + 1)),
+        sample=_GRADES,
         unit_fn=lambda a: vseq([a]),
         mult_fn=mult,
         map_fn=lambda m, fn, p: resort(fn(v) for v in p.items),
@@ -135,11 +139,11 @@ def sorted_list_instance(max_grade: int = 4) -> TwoCatGradedMonad:
     ))
 
 
-def list_sort_homomorphism(max_grade: int = 4) -> Homomorphism:
+def list_sort_homomorphism() -> Homomorphism:
     """Sorting each list is an index-preserving map from the graded list
     instance onto the sorted (multiset) instance."""
-    src = graded_list_instance(max_grade).base
-    tgt = sorted_list_instance(max_grade).base
+    src = graded_list_instance().base
+    tgt = sorted_list_instance().base
 
     def gamma(_f, p: Value) -> Value:
         if not isinstance(p, VSeq):

@@ -45,8 +45,7 @@ def _normalize_sets(state_sets: Mapping[str, int | Iterable[Value]]) -> dict[str
 
 
 def typed_state_param(state_sets: Mapping[str, int | Iterable[Value]],
-                      discrete: bool = False,
-                      name: str = "tstate") -> ParameterisedMonad:
+                      discrete: bool = False) -> ParameterisedMonad:
     sets = _normalize_sets(state_sets)
     carriers = {ObjectId(k): vs for k, vs in sets.items()}
     cat: IndexCategory
@@ -104,7 +103,7 @@ def typed_state_param(state_sets: Mapping[str, int | Iterable[Value]],
                       for s in carrier(i)})
 
     return ParameterisedMonad(
-        name=name,
+        name="tstate",
         index_cat=cat,
         eta_fn=eta,
         mu_fn=mu,

@@ -23,7 +23,7 @@ from .errors import (
     SpawnGradeError,
     UnknownPrim,
 )
-from .formulas import TokenStream, VarDecl, parse_int_range, tokenize
+from .formulas import TokenStream, parse_int_range, tokenize
 from .indexcat import Morphism, ObjectId
 from .instances import InstanceBundle, LockPrims
 from .values import (
@@ -118,7 +118,6 @@ Term = TVar | TPure | TPrim | TLet
 class Program:
     instance: str
     start: str | None
-    var_decls: tuple[VarDecl, ...]
     store: tuple[int, int] | None
     body: Term
 
@@ -309,7 +308,6 @@ def parse_program(text: str) -> Program:
     ts = TokenStream(toks, end_line=text.count("\n") + 1)
     instance = None
     start = None
-    var_decls: list[VarDecl] = []
     store = None
     while True:
         t = ts.peek()
@@ -324,12 +322,6 @@ def parse_program(text: str) -> Program:
             ts.next()
             tok = ts.next("object name")
             start = tok.text
-        elif t.text == "var":
-            ts.next()
-            name = ts.next("variable name").text
-            ts.expect(":")
-            lo, hi = parse_int_range(ts)
-            var_decls.append(VarDecl(name, lo, hi))
         elif t.text == "store":
             ts.next()
             store = parse_int_range(ts)
@@ -342,7 +334,7 @@ def parse_program(text: str) -> Program:
     t = ts.peek()
     if t is not None:
         raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    return Program(instance, start, tuple(var_decls), store, body)
+    return Program(instance, start, store, body)
 
 
 # --- pretty printing ---
@@ -393,8 +385,6 @@ def pretty_program(p: Program) -> str:
     lines = [f"instance {p.instance}"]
     if p.start is not None:
         lines.append(f"start {p.start}")
-    for d in p.var_decls:
-        lines.append(f"var {d.name} : int[{d.lo}..{d.hi}]")
     if p.store is not None:
         lines.append(f"store int[{p.store[0]}..{p.store[1]}]")
     lines.append("")

@@ -23,6 +23,7 @@ from .core import (
     _nested2,
     _sample_payload,
     run_laws_as,
+    sample_element,
 )
 from .errors import (
     DinaturalityFailure,
@@ -52,7 +53,7 @@ from .indexcat import (
     whole_category,
 )
 from .rng import Rng, derive_seed
-from .values import Value, VTable, table, vint, vstr
+from .values import Value, VTable, table, vstr
 
 
 # --- source structures ---
@@ -65,7 +66,6 @@ class PlainMonad:
     map_fn: Callable[[Callable[[Value], Value], Value], Value]
     validator: Callable[[Value], bool]
     sampler: Callable[[Rng], Value] | None = None
-    element_sampler: Callable[[Rng], Value] = lambda rng: vint(rng.randint(0, 9))
 
 
 @dataclass
@@ -83,7 +83,6 @@ class GradedMonad:
     sampler: Callable[[object, Rng], Value] | None = None
     approx_fn: Callable[[object, object, Value], Value] | None = None
     leq: Callable[[object, object], bool] | None = None
-    element_sampler: Callable[[Rng], Value] = lambda rng: vint(rng.randint(0, 9))
 
 
 @dataclass
@@ -104,7 +103,6 @@ class ParameterisedMonad:
     validator: Callable[[ObjectId, ObjectId, Value], bool]
     sampler: Callable[[ObjectId, ObjectId, Rng], Value] | None = None
     morph_map_fn: Callable[[Morphism, Morphism, Callable[[Value], Value], Value], Value] | None = None
-    element_sampler: Callable[[Rng], Value] = lambda rng: vint(rng.randint(0, 9))
 
     @property
     def discrete(self) -> bool:
@@ -172,7 +170,7 @@ def check_param_laws(P: ParameterisedMonad, samples: int = 200, seed: int = 0) -
     r.law("pdinat.mu", square1, dinat_mu)
 
     def dinat_unit(g: Morphism, rng: Rng):
-        a = P.element_sampler(rng)
+        a = sample_element(rng)
         i, j = g.src, g.tgt
         lhs = P.morph_map_fn(cat.identity(i), g, lambda v: v, P.eta_fn(i, a))
         rhs = P.morph_map_fn(g, cat.identity(j), lambda v: v, P.eta_fn(j, a))
@@ -220,13 +218,12 @@ def monad_to_catgraded(M: PlainMonad) -> CatGradedMonad:
         map_fn=lambda _f, fn, p: M.map_fn(fn, p),
         validator=lambda _f, p: M.validator(p),
         sampler=None if M.sampler is None else (lambda _f, rng: M.sampler(rng)),
-        element_sampler=M.element_sampler,
     )
 
 
 def graded_to_catgraded(G: GradedMonad) -> CatGradedMonad:
     """View the grading monoid as a one-object category; forget any ordering."""
-    cat = monoid_to_category(G.op, G.unit_elem, G.sample, label=G.name)
+    cat = monoid_to_category(G.op, G.unit_elem, G.sample)
     return CatGradedMonad(
         name=G.name,
         index_cat=cat,
@@ -235,7 +232,6 @@ def graded_to_catgraded(G: GradedMonad) -> CatGradedMonad:
         map_fn=lambda f, fn, p: G.map_fn(f.word.value, fn, p),
         validator=lambda f, p: G.validator(f.word.value, p),
         sampler=None if G.sampler is None else (lambda f, rng: G.sampler(f.word.value, rng)),
-        element_sampler=G.element_sampler,
     )
 
 
@@ -243,7 +239,7 @@ def pograded_to_2catgraded(G: GradedMonad) -> TwoCatGradedMonad:
     if G.leq is None or G.approx_fn is None:
         raise NotBottom(f"{G.name} carries no ordering to lift")
     base = graded_to_catgraded(G)
-    two = pomonoid_to_2category(G.op, G.unit_elem, G.sample, G.leq, label=G.name)
+    two = pomonoid_to_2category(G.op, G.unit_elem, G.sample, G.leq)
     return TwoCatGradedMonad(
         base=base,
         index_cat2=two,
@@ -262,7 +258,6 @@ def param_over(P: ParameterisedMonad, cat: IndexCategory, name: str) -> CatGrade
         map_fn=lambda f, fn, p: P.value_map_fn(f.src, f.tgt, fn, p),
         validator=lambda f, p: P.validator(f.src, f.tgt, p),
         sampler=None if P.sampler is None else (lambda f, rng: P.sampler(f.src, f.tgt, rng)),
-        element_sampler=P.element_sampler,
     )
 
 
@@ -296,13 +291,7 @@ def catgraded_to_discrete_param(T: CatGradedMonad) -> ParameterisedMonad:
         validator=lambda i, j, p: T.validator(cat.pair(i, j), p),
         sampler=None if T.sampler is None else (lambda i, j, rng: T.sampler(cat.pair(i, j), rng)),
         morph_map_fn=None,
-        element_sampler=T.element_sampler,
     )
-
-
-def _element_pool(P: ParameterisedMonad, seed: int = 0, n: int = 5) -> list[Value]:
-    rng = Rng(derive_seed(seed, "geneta-elements"))
-    return [P.element_sampler(rng) for _ in range(n)]
 
 
 def param_to_catgraded_genunit(P: ParameterisedMonad) -> tuple[CatGradedMonad, GeneralisedUnit]:
@@ -323,7 +312,8 @@ def param_to_catgraded_genunit(P: ParameterisedMonad) -> tuple[CatGradedMonad, G
         return pure_lift(P, m.word.inner, a)
 
     if not P.discrete:
-        pool = _element_pool(P)
+        rng = Rng(derive_seed(0, "geneta-elements"))
+        pool = [sample_element(rng) for _ in range(5)]
         for f in inner.morphisms():
             if isinstance(f.word, WIdentity):
                 continue
@@ -370,7 +360,6 @@ def catgraded_genunit_to_param(T: CatGradedMonad, G: GeneralisedUnit) -> Paramet
         validator=lambda i, j, p: T.validator(comp.inj2(i, j), p),
         sampler=None if T.sampler is None else (lambda i, j, rng: T.sampler(comp.inj2(i, j), rng)),
         morph_map_fn=None if inner.kind == "discrete" else morph_map,
-        element_sampler=T.element_sampler,
     )
 
 
@@ -390,7 +379,7 @@ def roundtrip_param(P: ParameterisedMonad, samples: int = 50, seed: int = 0) -> 
     S = param_over(P, pairs, P.name)
 
     def cmp_eta(i: ObjectId, rng: Rng):
-        a = P.element_sampler(rng)
+        a = sample_element(rng)
         return (), a, P.eta_fn(i, a), Q.eta_fn(i, a)
 
     r.law("roundtrip.eta", list(objs), cmp_eta)
@@ -518,5 +507,4 @@ def end_graded_from_param(P: ParameterisedMonad,
         map_fn=map_fn,
         validator=validator,
         sampler=None if P.sampler is None else sampler,
-        element_sampler=P.element_sampler,
     )

@@ -12,7 +12,7 @@ lookup, and a composite value computes its hash and sort key once.  All
 of it is kept on the value object, none at module level.
 
 `table` and `dist` check what they are given.  The trusted path
-(`ordered_table`, `dist_map`, `dist_map_snd`, `dist_bind`) rebuilds
+(`ordered_table`, `dist_map_snd`, `dist_bind`) rebuilds
 from valid values and keeps the canonical form without re-checking it.
 A dist keeps int numerators over one denominator in lowest terms: the
 trusted path does int arithmetic per entry and reduces once, and
@@ -328,13 +328,9 @@ def _checked(d: Value) -> VDist:
     return d
 
 
-def dist_map(fn: Callable[[Value], Value], d: VDist) -> VDist:
-    return _lowest(_merged([(fn(v), n) for v, n in _checked(d).atoms]), d.den)
-
-
 def dist_map_snd(fn: Callable[[Value], Value], d: VDist) -> VDist:
-    """dist_map of (a, b) -> (a, fn(b)) on a dist of pairs.  Pair keys order
-    by first component first, so only a run sharing one is merged."""
+    """The image of a dist of pairs under (a, b) -> (a, fn(b)).  Pair keys
+    order by first component first, so only a run sharing one is merged."""
     out: list[tuple[Value, int]] = []
     for _, run in itertools.groupby(_checked(d).atoms, lambda e: sort_key(e[0].fst)):
         out += _merged([(vpair(pr.fst, fn(pr.snd)), n) for pr, n in run])

@@ -393,6 +393,18 @@ _GOLDEN = [
      "8e5c9665aeb61d5de3f9440452e1ddc04d8b4cea3c01ec28d2389aaff8faf9a8"),
     (("roundtrip", "--states", "2", "--samples", "15", "--seed", "4"), 0,
      "6d55fef1ce15e90b7d48192f866c3620221ceacc4c4c545145642b4972a5fa47"),
+    (("laws", "glist", "--samples", "30", "--seed", "9"), 0,
+     "574efc4214b86c2ad4cbf8bf10e516cb0128985e6e69b023ebf4365b6bc256e6"),
+    (("translate", "monad", "catgraded", "list"), 0,
+     "3d00e4fb9c0f57f1ccf712953ffe2b6e7a8899200e131df0bef9669190bdb0cc"),
+    (("translate", "discrete-param", "catgraded", "tstate"), 0,
+     "5c3de93feb007098056f187fc76954b75e69bac41e4b228709a652ae45ecb51b"),
+    # the identity monad's report carries only law counts, so these two
+    # match the lock.cat row: they pin that each kind loads and is lawful
+    (("laws", "identity", "--category", "programs/diamond.cat", "--samples", "30", "--seed", "9"), 0,
+     "00cdcfecb5de64457b31abd50a99278fa6584ed9ad1220210a493e80c733cf49"),
+    (("laws", "identity", "--category", "programs/nat_plus.cat", "--samples", "30", "--seed", "9"), 0,
+     "00cdcfecb5de64457b31abd50a99278fa6584ed9ad1220210a493e80c733cf49"),
 ]
 
 
@@ -439,6 +451,13 @@ _ERROR_CASES = [
     ("undeclared-formula-variable", ("ahl", "{}"),
      "var x : int[0..3]\nconclude 0 : true => (z == 1)\nskip : (z == 1)\n", 3,
      "parse error: 2:23: undeclared variable 'z'\n"),
+    ("repeated-generator-label", ("laws", "identity", "--category", "{}"),
+     "kind free\nobjects a b\ngen f : a -> b\ngen f : b -> a\n", 2,
+     "error: generator f is declared twice\n"),
+    ("store-header-glist", ("run", "{}"), "instance glist\nstore int[0..3]\ndo { pure 1 }\n", 2,
+     "error: a store header applies only to instance concst, not glist\n"),
+    ("var-header-gp", ("run", "{}"), "instance concst\nvar x : int[0..3]\ndo { pure 1 }\n", 3,
+     "parse error: 2:1: expected 'do', found 'var'\n"),
 ]
 
 
@@ -514,6 +533,54 @@ def test_run_fuzzed_programs_exit_with_a_documented_code(tmp_path_factory, case)
     if code != 0:
         assert out.getvalue().splitlines()[-1].startswith(
             ("error: ", "parse error: ", "grade error: ", "store ")), out.getvalue()
+
+
+_CAT_NAMES = ("a", "b", "c")
+_CAT_JUNK = ("gen f a b", "arrows f", "kind", "monoid")
+
+
+@st.composite
+def _cat_files(draw):
+    """A .cat source: a `kind` line (or none, or a bad one), the objects
+    a and b or some of them, and 0-4 `gen` lines labelled f or g.  So
+    labels repeat and graphs cycle under every kind.  Half the draws take
+    endpoints from a, b and the undeclared c, so that they may dangle,
+    the other half from the declared objects only.  `kind monoid` may draw a
+    `monoid` line, and one draw in ten adds a malformed line.  With two
+    labels an accepted graph has at most two generators, which bounds the
+    run: the index pool grows as the fourth power of the generators, the
+    law triples as the cube of the pool."""
+    kind = draw(st.sampled_from(("free", "table", "monoid", None, "bogus")))
+    lines = [] if kind is None else [f"kind {kind}"]
+    objects = draw(st.lists(st.sampled_from(_CAT_NAMES[:2]), max_size=2, unique=True))
+    if objects:
+        lines.append("objects " + " ".join(objects))
+    ends = st.sampled_from(objects if objects and draw(st.booleans()) else _CAT_NAMES)
+    for _ in range(draw(st.integers(0, 4))):
+        label, src, tgt = draw(st.sampled_from("fg")), draw(ends), draw(ends)
+        lines.append(f"gen {label} : {src} -> {tgt}")
+    if kind == "monoid" and draw(st.booleans()):
+        lines.append("monoid " + draw(st.sampled_from(
+            ("nat-plus", "nat-times", "prob-sat", "bogus"))))
+    if draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_CAT_JUNK)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(text=_cat_files())
+def test_laws_over_fuzzed_categories_exit_with_a_documented_code(tmp_path_factory, text):
+    cat = tmp_path_factory.getbasetemp() / "fuzz.cat"
+    cat.write_text(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["laws", "identity", "--category", str(cat), "--samples", "3"])
+    # the identity monad is lawful over every category a file can describe,
+    # so a bad file is a config (2) or parse (3) error, never a failure (1)
+    assert code in (0, 2, 3), text + out.getvalue()
+    if code != 0:
+        assert out.getvalue().startswith(("error: ", "parse error: ")), out.getvalue()
+        assert out.getvalue().count("\n") == 1, out.getvalue()
 
 
 # Grade inference and evaluation recurse once per statement, and the

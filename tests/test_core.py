@@ -1,5 +1,8 @@
 """Monad interface operations and the law harness."""
 
+import dataclasses
+import re
+
 import pytest
 
 from cgm.core import (
@@ -20,7 +23,7 @@ from cgm.errors import (
     NotInSubcategory,
     UnknownObject,
 )
-from cgm.indexcat import ObjectId, STAR
+from cgm.indexcat import Morphism, ObjectId, STAR
 from cgm.instances import (
     broken_graded_list_instance,
     build_instance,
@@ -195,6 +198,32 @@ def test_check_laws_mutant_has_witness():
                      "bind.right_unit", "bind.left_unit", "bind.assoc",
                      "approx.horizontal")
     assert f.lhs is not None and f.rhs is not None and f.lhs != f.rhs
+
+
+def _raising_mult(f, g, nested):
+    raise MalformedPayload(f"no multiplication at ({f}) then ({g})")
+
+
+def test_exception_witnesses_list_morphisms_not_pool_data(ident):
+    # every law that multiplies fails on the exception path; naturality.mult
+    # draws ((f, g), position) data, assoc flat (f, g, h) triples
+    report = check_laws(dataclasses.replace(ident, mult_fn=_raising_mult), samples=6, seed=0)
+    first = {}
+    for f in report.failures:
+        assert f.indices and all(isinstance(m, Morphism) for m in f.indices), f.indices
+        first.setdefault(f.law, f)
+    assert len(first["naturality.mult"].indices) == 2
+    assert len(first["assoc"].indices) == 3
+    text, machine = report.render_text(), report.render_machine()
+    for out in (text, machine):
+        assert "Morphism(" not in out and "ObjectId(" not in out
+    assert not re.search(r"^  index\[\d+\]: \d+$", text, re.M), text
+    assert "FAIL naturality.mult\n  index[0]: get : critical -> critical\n" \
+           "  index[1]: get;get : critical -> critical\n" in text
+    for line in machine.splitlines():
+        if ".indices=" in line:
+            parts = line.split("=", 1)[1].split("; ")
+            assert not any(p.isdigit() for p in parts), line
 
 
 def test_check_laws_deterministic(glist):

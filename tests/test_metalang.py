@@ -12,7 +12,6 @@ from cgm.ahlcheck import (
     DWeak,
     Judgement,
     check_ahl,
-    check_ahl_file,
     parse_ahl_file,
 )
 from cgm.errors import (
@@ -24,7 +23,7 @@ from cgm.errors import (
 )
 from cgm.formulas import FCmp, EVar, EInt, TRUE, VarDecl
 from cgm.indexcat import ObjectId
-from cgm.instances import InstanceBundle, ahl_instance, concst_instance
+from cgm.instances import AhlMonad, InstanceBundle, ahl_instance, concst_instance
 from cgm import metalang
 from cgm.metalang import (
     TLet,
@@ -215,7 +214,7 @@ def test_pretty_roundtrip_generated_corpus():
     for i in range(30):
         term = _random_valid_program(rng.fork(i))
         from cgm.metalang import Program
-        p = Program("concst", "free", (), (0, 7), term)
+        p = Program("concst", "free", (0, 7), term)
         again = parse_program(pretty_program(p))
         assert again.body == p.body
 
@@ -625,7 +624,7 @@ rand x 0 9 : 1/10 : true => (x != 0)
 """
     f = parse_ahl_file(text)
     assert f.claimed.beta == Fraction(1, 10)
-    v = check_ahl_file(text)
+    v = check_ahl(AhlMonad(f.decls), f.derivation, claimed=f.claimed)
     assert v.valid
 
 
@@ -635,8 +634,9 @@ var x : int[0..9]
 conclude 1/20 : true => (x != 0)
 rand x 0 9 : 1/10 : true => (x != 0)
 """
+    f = parse_ahl_file(text)
     with pytest.raises(RuleMismatch):
-        check_ahl_file(text)
+        check_ahl(AhlMonad(f.decls), f.derivation, claimed=f.claimed)
 
 
 def test_ahl_file_parse_error():

@@ -13,7 +13,6 @@ from cgm.values import (
     VSeq,
     dist,
     dist_bind,
-    dist_map,
     dist_map_snd,
     once_per_value,
     ordered_table,
@@ -107,11 +106,11 @@ def test_uniform_and_point():
     assert point(vint(7)).weight(vint(7)) == 1
 
 
-def test_dist_map_matches_pushforward_oracle():
+def test_dist_bind_of_points_matches_pushforward_oracle():
     # oracle: plain dict pushforward
     d = dist([(vint(0), Fraction(1, 3)), (vint(1), Fraction(1, 3)),
               (vint(2), Fraction(1, 3))])
-    mapped = dist_map(lambda v: vint(v.n % 2), d)
+    mapped = dist_bind(d, lambda v: point(vint(v.n % 2)))
     oracle: dict = {}
     for v, w in d.entries:
         k = vint(v.n % 2)
@@ -211,9 +210,9 @@ def _any_dist():
 
 @settings(max_examples=100, derandomize=True)
 @given(_any_dist(), st.sampled_from(_IMAGES))
-def test_dist_map_equals_checked_dist(d, fn):
+def test_dist_bind_of_points_equals_checked_dist(d, fn):
     expected = dist([(fn(v), w) for v, w in d.entries])
-    out = dist_map(fn, d)
+    out = dist_bind(d, lambda v: point(fn(v)))
     assert out == expected and hash(out) == hash(expected)
     assert sort_key(out) == sort_key(expected)
 
@@ -255,7 +254,7 @@ def test_once_per_value_calls_fn_once_per_distinct_argument():
 def test_trusted_dist_ops_reject_a_table():
     t = table({vint(0): vint(1)})
     with pytest.raises(MalformedPayload):
-        dist_map(lambda v: v, t)
+        dist_bind(t, point)
     with pytest.raises(MalformedPayload):
         dist_map_snd(lambda v: v, t)
     with pytest.raises(MalformedPayload):
@@ -327,8 +326,8 @@ def test_dist_matches_fraction_oracle(ps):
 
 @settings(max_examples=60, derandomize=True)
 @given(weighted(values()), st.sampled_from(_IMAGES))
-def test_dist_map_matches_fraction_oracle(ps, fn):
-    _assert_is(dist_map(fn, dist(ps)), _oracle((fn(v), w) for v, w in ps))
+def test_dist_bind_of_points_matches_fraction_oracle(ps, fn):
+    _assert_is(dist_bind(dist(ps), lambda v: point(fn(v))), _oracle((fn(v), w) for v, w in ps))
 
 
 @settings(max_examples=60, derandomize=True)
@@ -351,7 +350,7 @@ def test_dist_bind_matches_fraction_oracle(ps, k):
 def test_equal_dists_have_equal_fields_and_hashes(ps):
     d = dist(ps)
     split = [(v, x) for v, w in ps for x in (w / 3, 2 * w / 3)]  # other denominators
-    for other in (dist(ps[::-1]), dist(split), dist_map(lambda v: v, dist(split[::-1])),
+    for other in (dist(ps[::-1]), dist(split), dist_bind(dist(split[::-1]), point),
                   dist_bind(d, point), dist_bind(dist(split), lambda v: dist([(v, 1)]))):
         assert other == d and hash(other) == hash(d)
         assert (other.atoms, other.den) == (d.atoms, d.den)

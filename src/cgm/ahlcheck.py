@@ -304,10 +304,12 @@ def parse_ahl_file(text: str) -> AhlFile:
     decls: list[VarDecl] = []
     while ts.at("var"):
         ts.next()
-        name = ts.next("variable name").text
+        t = ts.next("variable name")
+        if any(d.name == t.text for d in decls):
+            raise ParseError(f"variable {t.text!r} is declared twice", t.line, t.col)
         ts.expect(":")
         lo, hi = parse_int_range(ts)
-        decls.append(VarDecl(name, lo, hi))
+        decls.append(VarDecl(t.text, lo, hi))
     if not decls:
         raise ParseError("derivation file declares no variables", 1, 1)
     ts.names = {d.name for d in decls}

@@ -10,7 +10,8 @@ structural equality; there is no numeric tolerance anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterator, Sequence
+from itertools import cycle, islice
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import (
     CgmError,
@@ -18,7 +19,6 @@ from .errors import (
     MalformedPayload,
     NoTwoCell,
     NotInSubcategory,
-    SamplerUnavailable,
     UnknownObject,
 )
 from .indexcat import (
@@ -52,7 +52,7 @@ class CatGradedMonad:
     mult_fn: Callable[[Morphism, Morphism, Value], Value]
     map_fn: Callable[[Morphism, Callable[[Value], Value], Value], Value]
     validator: Callable[[Morphism, Value], bool]
-    sampler: Callable[[Morphism, Rng], Value] | None = None
+    sampler: Callable[[Morphism, Rng], Value]
     index_samples: tuple[Morphism, ...] | None = None
 
 
@@ -269,33 +269,27 @@ def _by_source(pool: Sequence[Morphism]) -> dict[ObjectId, list[Morphism]]:
     return out
 
 
-def _composable_pairs(pool: Sequence[Morphism]) -> list[tuple[Morphism, Morphism]]:
+def _composable_pairs(pool: Sequence[Morphism]) -> Iterator[tuple[Morphism, Morphism]]:
     after = _by_source(pool)
-    return [(f, g) for f in pool for g in after.get(f.tgt, ())]
+    return ((f, g) for f in pool for g in after.get(f.tgt, ()))
 
 
-def _composable_triples(pool: Sequence[Morphism]) -> list[tuple[Morphism, Morphism, Morphism]]:
+def _composable_triples(pool: Sequence[Morphism]) -> Iterator[tuple[Morphism, Morphism, Morphism]]:
     after = _by_source(pool)
-    return [(f, g, h) for f, g in _composable_pairs(pool) for h in after.get(g.tgt, ())]
-
-
-def _sample_payload(T: CatGradedMonad, f: Morphism, rng: Rng) -> Value:
-    if T.sampler is None:
-        raise SamplerUnavailable(f"instance {T.name} has no payload sampler")
-    return T.sampler(f, rng)
+    return ((f, g, h) for f, g in _composable_pairs(pool) for h in after.get(g.tgt, ()))
 
 
 def _nested2(T: CatGradedMonad, f: Morphism, g: Morphism, rng: Rng) -> Value:
     """A T_f payload whose carried values are T_g payloads, value-dependent."""
-    outer = _sample_payload(T, f, rng.fork(0))
-    base = _sample_payload(T, g, rng.fork(1))
+    outer = T.sampler(f, rng.fork(0))
+    base = T.sampler(g, rng.fork(1))
     return T.map_fn(f, lambda a: T.map_fn(g, lambda b: vpair(a, b), base), outer)
 
 
 def _nested3(T: CatGradedMonad, f: Morphism, g: Morphism, h: Morphism, rng: Rng) -> Value:
-    outer = _sample_payload(T, f, rng.fork(0))
-    mid = _sample_payload(T, g, rng.fork(1))
-    inner = _sample_payload(T, h, rng.fork(2))
+    outer = T.sampler(f, rng.fork(0))
+    mid = T.sampler(g, rng.fork(1))
+    inner = T.sampler(h, rng.fork(2))
 
     def mk_mid(a: Value) -> Value:
         return T.map_fn(
@@ -304,9 +298,9 @@ def _nested3(T: CatGradedMonad, f: Morphism, g: Morphism, h: Morphism, rng: Rng)
     return T.map_fn(f, mk_mid, outer)
 
 
-# One coherence diagram: its name, the pool of index tuples it is
+# One coherence diagram: its name, the lazy pool of index tuples it is
 # instantiated at, and body(datum, rng) -> (indices, input, lhs, rhs).
-Law = tuple[str, Sequence, Callable]
+Law = tuple[str, Iterable, Callable]
 
 
 def _witness(datum) -> tuple:
@@ -326,19 +320,16 @@ class Runner:
         self.counts: list[tuple[str, int]] = []
         self.failures: list[LawFailure] = []
 
-    def law(self, name: str, data: Sequence, body) -> None:
-        """Run `samples` instantiations of one law.
+    def law(self, name: str, data: Iterable, body) -> None:
+        """Run one law on the first `samples` data of its pool.
 
-        data: non-empty pool of index tuples, cycled deterministically.
+        data: iterable of index tuples, read only as far as it is drawn and
+        cycled when shorter than `samples`; an empty pool runs nothing.
         body(datum, rng) -> (indices, input_value, lhs, rhs).
         """
-        if not data:
-            self.counts.append((name, 0))
-            return
         run = 0
-        for i in range(self.samples):
-            datum = data[i % len(data)]
-            rng = Rng(derive_seed(self.seed, name, i))
+        for datum in islice(cycle(data), self.samples):
+            rng = Rng(derive_seed(self.seed, name, run))
             run += 1
             try:
                 indices, inp, lhs, rhs = body(datum, rng)
@@ -358,17 +349,15 @@ class Runner:
 def _monad_laws(T: CatGradedMonad) -> Iterator[Law]:
     cat = T.index_cat
     pool = index_pool(T)
-    pairs = _composable_pairs(pool)
-    triples = _composable_triples(pool)
 
     def payload_validity(f: Morphism, rng: Rng):
-        p = _sample_payload(T, f, rng)
+        p = T.sampler(f, rng)
         return (f,), p, vbool(T.validator(f, p)), vbool(True)
 
     yield "payload.validity", pool, payload_validity
 
     def functor_identity(f: Morphism, rng: Rng):
-        p = _sample_payload(T, f, rng)
+        p = T.sampler(f, rng)
         return (f,), p, T.map_fn(f, lambda v: v, p), p
 
     yield "functor.identity", pool, functor_identity
@@ -377,16 +366,16 @@ def _monad_laws(T: CatGradedMonad) -> Iterator[Law]:
         f, i = datum
         _, fn1 = _FN_POOL[i % len(_FN_POOL)]
         _, fn2 = _FN_POOL[(i + 1) % len(_FN_POOL)]
-        p = _sample_payload(T, f, rng)
+        p = T.sampler(f, rng)
         lhs = T.map_fn(f, lambda v: fn2(fn1(v)), p)
         rhs = T.map_fn(f, fn2, T.map_fn(f, fn1, p))
         return (f,), p, lhs, rhs
 
-    yield "functor.composition", [(f, i) for i, f in enumerate(pool)], functor_composition
+    yield "functor.composition", ((f, i) for i, f in enumerate(pool)), functor_composition
 
     def unit_left(f: Morphism, rng: Rng):
         # wrap outside with the unit at src(f), then flatten
-        p = _sample_payload(T, f, rng)
+        p = T.sampler(f, rng)
         ids = cat.identity(f.src)
         wrapped = T.unit_fn(f.src, p)
         lhs = T.mult_fn(ids, f, wrapped)
@@ -396,7 +385,7 @@ def _monad_laws(T: CatGradedMonad) -> Iterator[Law]:
 
     def unit_right(f: Morphism, rng: Rng):
         # wrap each carried value with the unit at tgt(f), then flatten
-        p = _sample_payload(T, f, rng)
+        p = T.sampler(f, rng)
         idt = cat.identity(f.tgt)
         wrapped = T.map_fn(f, lambda a: T.unit_fn(f.tgt, a), p)
         lhs = T.mult_fn(f, idt, wrapped)
@@ -413,7 +402,7 @@ def _monad_laws(T: CatGradedMonad) -> Iterator[Law]:
         rhs = T.mult_fn(f, hg, T.map_fn(f, lambda q: T.mult_fn(g, h, q), p3))
         return (f, g, h), p3, lhs, rhs
 
-    yield "assoc", triples, assoc
+    yield "assoc", _composable_triples(pool), assoc
 
     def unit_natural(datum, rng: Rng):
         f, i = datum
@@ -423,7 +412,7 @@ def _monad_laws(T: CatGradedMonad) -> Iterator[Law]:
         rhs = T.unit_fn(f.src, fn(a))
         return (f,), a, lhs, rhs
 
-    yield "naturality.unit", [(f, i) for i, f in enumerate(pool)], unit_natural
+    yield "naturality.unit", ((f, i) for i, f in enumerate(pool)), unit_natural
 
     def mult_natural(datum, rng: Rng):
         (f, g), i = datum
@@ -434,11 +423,12 @@ def _monad_laws(T: CatGradedMonad) -> Iterator[Law]:
         rhs = T.mult_fn(f, g, T.map_fn(f, lambda q: T.map_fn(g, fn, q), p2))
         return (f, g), p2, lhs, rhs
 
-    yield "naturality.mult", [(fg, i) for i, fg in enumerate(pairs)], mult_natural
+    numbered = enumerate(_composable_pairs(pool))
+    yield "naturality.mult", ((fg, i) for i, fg in numbered), mult_natural
 
     def bind_left_unit(g: Morphism, rng: Rng):
         a = sample_element(rng)
-        template = _sample_payload(T, g, rng.fork(0))
+        template = T.sampler(g, rng.fork(0))
 
         def k(x: Value) -> GradedComputation:
             return GradedComputation(g, T.map_fn(g, lambda b: vpair(x, b), template))
@@ -451,7 +441,7 @@ def _monad_laws(T: CatGradedMonad) -> Iterator[Law]:
     yield "bind.left_unit", pool, bind_left_unit
 
     def bind_right_unit(f: Morphism, rng: Rng):
-        p = _sample_payload(T, f, rng)
+        p = T.sampler(f, rng)
         c = GradedComputation(f, p)
         idt = cat.identity(f.tgt)
         lhs = bind(T, c, lambda a: unit(T, f.tgt, a), cont_index=idt)
@@ -461,9 +451,9 @@ def _monad_laws(T: CatGradedMonad) -> Iterator[Law]:
 
     def bind_assoc(datum, rng: Rng):
         f, g, h = datum
-        p = _sample_payload(T, f, rng.fork(0))
-        tg = _sample_payload(T, g, rng.fork(1))
-        th = _sample_payload(T, h, rng.fork(2))
+        p = T.sampler(f, rng.fork(0))
+        tg = T.sampler(g, rng.fork(1))
+        th = T.sampler(h, rng.fork(2))
         c = GradedComputation(f, p)
 
         def k1(x: Value) -> GradedComputation:
@@ -477,28 +467,27 @@ def _monad_laws(T: CatGradedMonad) -> Iterator[Law]:
         rhs = bind(T, c, lambda x: bind(T, k1(x), k2, cont_index=h), cont_index=hg)
         return (f, g, h), p, lhs.payload, rhs.payload
 
-    yield "bind.assoc", triples, bind_assoc
+    yield "bind.assoc", _composable_triples(pool), bind_assoc
 
 
 def _approx_laws(T2: TwoCatGradedMonad) -> Iterator[Law]:
     T = T2.base
     cat = T.index_cat
     pool = index_pool(T)
-    cells = [(f, g) for f in pool for g in pool if T2.index_cat2.leq(f, g)]
-    chains = [(f, g, h)
-              for f, g in cells for h in pool if T2.index_cat2.leq(g, h)]
-    squares = [(fc, gc) for fc in cells for gc in [
-        c for c in cells if c[0].src == fc[0].tgt]]
+    leq = T2.index_cat2.leq
+    cells = [(f, g) for f in pool for g in pool if leq(f, g)]
+    chains = ((f, g, h) for f, g in cells for h in pool if leq(g, h))
+    squares = ((fc, gc) for fc in cells for gc in cells if gc[0].src == fc[0].tgt)
 
     def approx_identity(f: Morphism, rng: Rng):
-        p = _sample_payload(T, f, rng)
+        p = T.sampler(f, rng)
         return (f,), p, T2.approx_fn(f, f, p), p
 
     yield "approx.identity", pool, approx_identity
 
     def approx_vertical(datum, rng: Rng):
         f, g, h = datum
-        p = _sample_payload(T, f, rng)
+        p = T.sampler(f, rng)
         lhs = T2.approx_fn(g, h, T2.approx_fn(f, g, p))
         rhs = T2.approx_fn(f, h, p)
         return (f, g, h), p, lhs, rhs
@@ -530,7 +519,6 @@ def _genunit_laws(G: GeneralisedUnit) -> Iterator[Law]:
     T = G.monad
     cat = T.index_cat
     pool = [m for m in index_pool(T) if G.sub.contains(m)]
-    pairs = _composable_pairs(pool)
 
     def gen_compose(datum, rng: Rng):
         f, g = datum
@@ -541,7 +529,7 @@ def _genunit_laws(G: GeneralisedUnit) -> Iterator[Law]:
         rhs = G.geneta_fn(gf, a)
         return (f, g), a, lhs, rhs
 
-    yield "genunit.compose", pairs, gen_compose
+    yield "genunit.compose", _composable_pairs(pool), gen_compose
 
     def gen_identity(f: Morphism, rng: Rng):
         a = sample_element(rng)
@@ -558,13 +546,12 @@ def _genunit_laws(G: GeneralisedUnit) -> Iterator[Law]:
         rhs = G.geneta_fn(f, fn(a))
         return (f,), a, lhs, rhs
 
-    yield "genunit.naturality", [(f, i) for i, f in enumerate(pool)], gen_natural
+    yield "genunit.naturality", ((f, i) for i, f in enumerate(pool)), gen_natural
 
 
 def _hom_laws(H: Homomorphism) -> Iterator[Law]:
     T, S = H.source, H.target
     pool = index_pool(T)
-    pairs = _composable_pairs(pool)
 
     def hom_unit(f: Morphism, rng: Rng):
         a = sample_element(rng)
@@ -583,7 +570,7 @@ def _hom_laws(H: Homomorphism) -> Iterator[Law]:
         rhs = S.mult_fn(f, g, H.gamma_fn(f, T.map_fn(f, lambda q: H.gamma_fn(g, q), p2)))
         return (f, g), p2, lhs, rhs
 
-    yield "hom.mult", pairs, hom_mult
+    yield "hom.mult", _composable_pairs(pool), hom_mult
 
 
 def _laws(subject) -> Iterator[Law]:

@@ -58,7 +58,7 @@ class InconsistentContinuationIndex(CgmError):
 
 
 class SamplerUnavailable(CgmError):
-    """Law harness needs a sampler the instance did not supply."""
+    """Law harness needs the objects of a symbolic (infinite) index category."""
 
 
 # --- instance errors ---

@@ -10,6 +10,7 @@ law suites and round-trip comparisons that certify it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Mapping
 
 from .core import (
@@ -20,8 +21,8 @@ from .core import (
     Runner,
     TwoCatGradedMonad,
     _FN_POOL,
+    _composable_pairs,
     _nested2,
-    _sample_payload,
     run_laws_as,
     sample_element,
 )
@@ -65,7 +66,7 @@ class PlainMonad:
     join_fn: Callable[[Value], Value]
     map_fn: Callable[[Callable[[Value], Value], Value], Value]
     validator: Callable[[Value], bool]
-    sampler: Callable[[Rng], Value] | None = None
+    sampler: Callable[[Rng], Value]
 
 
 @dataclass
@@ -80,7 +81,7 @@ class GradedMonad:
     mult_fn: Callable[[object, object, Value], Value]
     map_fn: Callable[[object, Callable[[Value], Value], Value], Value]
     validator: Callable[[object, Value], bool]
-    sampler: Callable[[object, Rng], Value] | None = None
+    sampler: Callable[[object, Rng], Value]
     approx_fn: Callable[[object, object, Value], Value] | None = None
     leq: Callable[[object, object], bool] | None = None
 
@@ -101,7 +102,7 @@ class ParameterisedMonad:
     mu_fn: Callable[[ObjectId, ObjectId, ObjectId, Value], Value]
     value_map_fn: Callable[[ObjectId, ObjectId, Callable[[Value], Value], Value], Value]
     validator: Callable[[ObjectId, ObjectId, Value], bool]
-    sampler: Callable[[ObjectId, ObjectId, Rng], Value] | None = None
+    sampler: Callable[[ObjectId, ObjectId, Rng], Value]
     morph_map_fn: Callable[[Morphism, Morphism, Callable[[Value], Value], Value], Value] | None = None
 
     @property
@@ -152,7 +153,6 @@ def check_param_laws(P: ParameterisedMonad, samples: int = 200, seed: int = 0) -
     # counterpart; a payload at (I, J) is T's payload at the pair I -> J
     cat = P.index_cat
     morphs = cat.morphisms()
-    square1 = [(i, g, k) for i in objs for g in morphs for k in objs]
 
     def dinat_mu(datum, rng: Rng):
         i, g, k = datum
@@ -167,7 +167,7 @@ def check_param_laws(P: ParameterisedMonad, samples: int = 200, seed: int = 0) -
             i, j, lambda q: P.morph_map_fn(g, idk, lambda v: v, q), nested))
         return (g,), nested, lhs, rhs
 
-    r.law("pdinat.mu", square1, dinat_mu)
+    r.law("pdinat.mu", product(objs, morphs, objs), dinat_mu)
 
     def dinat_unit(g: Morphism, rng: Rng):
         a = sample_element(rng)
@@ -180,26 +180,24 @@ def check_param_laws(P: ParameterisedMonad, samples: int = 200, seed: int = 0) -
 
     def bifunctor_identity(datum, rng: Rng):
         i, j = datum
-        p = _sample_payload(T, pairs.pair(i, j), rng)
+        p = T.sampler(pairs.pair(i, j), rng)
         lhs = P.morph_map_fn(cat.identity(i), cat.identity(j), lambda v: v, p)
         return (), p, lhs, p
 
-    r.law("pbifunctor.identity", [(i, j) for i in objs for j in objs], bifunctor_identity)
-
-    comp_pairs = [(f, f2, g, g2)
-                  for f in morphs for f2 in morphs if f.tgt == f2.src
-                  for g in morphs for g2 in morphs if g.tgt == g2.src]
+    r.law("pbifunctor.identity", product(objs, repeat=2), bifunctor_identity)
 
     def bifunctor_compose(datum, rng: Rng):
         f, f2, g, g2 = datum
         _, h = _FN_POOL[0]
         _, h2 = _FN_POOL[1]
-        p = _sample_payload(T, pairs.pair(f2.tgt, g.src), rng)
+        p = T.sampler(pairs.pair(f2.tgt, g.src), rng)
         lhs = P.morph_map_fn(cat.compose(f2, f), cat.compose(g2, g),
                              lambda v: h2(h(v)), p)
         rhs = P.morph_map_fn(f, g2, h2, P.morph_map_fn(f2, g, h, p))
         return (f, f2, g, g2), p, lhs, rhs
 
+    comp_pairs = ((f, f2, g, g2) for f, f2 in _composable_pairs(morphs)
+                  for g, g2 in _composable_pairs(morphs))
     r.law("pbifunctor.compose", comp_pairs, bifunctor_compose)
 
     return r.report()
@@ -217,7 +215,7 @@ def monad_to_catgraded(M: PlainMonad) -> CatGradedMonad:
         mult_fn=lambda _f, _g, nested: M.join_fn(nested),
         map_fn=lambda _f, fn, p: M.map_fn(fn, p),
         validator=lambda _f, p: M.validator(p),
-        sampler=None if M.sampler is None else (lambda _f, rng: M.sampler(rng)),
+        sampler=lambda _f, rng: M.sampler(rng),
     )
 
 
@@ -231,7 +229,7 @@ def graded_to_catgraded(G: GradedMonad) -> CatGradedMonad:
         mult_fn=lambda f, g, nested: G.mult_fn(f.word.value, g.word.value, nested),
         map_fn=lambda f, fn, p: G.map_fn(f.word.value, fn, p),
         validator=lambda f, p: G.validator(f.word.value, p),
-        sampler=None if G.sampler is None else (lambda f, rng: G.sampler(f.word.value, rng)),
+        sampler=lambda f, rng: G.sampler(f.word.value, rng),
     )
 
 
@@ -257,7 +255,7 @@ def param_over(P: ParameterisedMonad, cat: IndexCategory, name: str) -> CatGrade
         mult_fn=lambda f, g, nested: P.mu_fn(f.src, f.tgt, g.tgt, nested),
         map_fn=lambda f, fn, p: P.value_map_fn(f.src, f.tgt, fn, p),
         validator=lambda f, p: P.validator(f.src, f.tgt, p),
-        sampler=None if P.sampler is None else (lambda f, rng: P.sampler(f.src, f.tgt, rng)),
+        sampler=lambda f, rng: P.sampler(f.src, f.tgt, rng),
     )
 
 
@@ -289,7 +287,7 @@ def catgraded_to_discrete_param(T: CatGradedMonad) -> ParameterisedMonad:
         mu_fn=lambda i, j, k, p: T.mult_fn(cat.pair(i, j), cat.pair(j, k), p),
         value_map_fn=lambda i, j, fn, p: T.map_fn(cat.pair(i, j), fn, p),
         validator=lambda i, j, p: T.validator(cat.pair(i, j), p),
-        sampler=None if T.sampler is None else (lambda i, j, rng: T.sampler(cat.pair(i, j), rng)),
+        sampler=lambda i, j, rng: T.sampler(cat.pair(i, j), rng),
         morph_map_fn=None,
     )
 
@@ -358,7 +356,7 @@ def catgraded_genunit_to_param(T: CatGradedMonad, G: GeneralisedUnit) -> Paramet
         mu_fn=lambda i, j, k, p: T.mult_fn(comp.inj2(i, j), comp.inj2(j, k), p),
         value_map_fn=lambda i, j, fn, p: T.map_fn(comp.inj2(i, j), fn, p),
         validator=lambda i, j, p: T.validator(comp.inj2(i, j), p),
-        sampler=None if T.sampler is None else (lambda i, j, rng: T.sampler(comp.inj2(i, j), rng)),
+        sampler=lambda i, j, rng: T.sampler(comp.inj2(i, j), rng),
         morph_map_fn=None if inner.kind == "discrete" else morph_map,
     )
 
@@ -382,40 +380,34 @@ def roundtrip_param(P: ParameterisedMonad, samples: int = 50, seed: int = 0) -> 
         a = sample_element(rng)
         return (), a, P.eta_fn(i, a), Q.eta_fn(i, a)
 
-    r.law("roundtrip.eta", list(objs), cmp_eta)
-
-    triples = [(i, j, k) for i in objs for j in objs for k in objs]
+    r.law("roundtrip.eta", objs, cmp_eta)
 
     def cmp_mu(datum, rng: Rng):
         i, j, k = datum
         nested = _nested2(S, pairs.pair(i, j), pairs.pair(j, k), rng)
         return (), nested, P.mu_fn(i, j, k, nested), Q.mu_fn(i, j, k, nested)
 
-    r.law("roundtrip.mu", triples, cmp_mu)
-
-    obj_pairs = [(i, j) for i in objs for j in objs]
+    r.law("roundtrip.mu", product(objs, repeat=3), cmp_mu)
 
     def cmp_value_map(datum, rng: Rng):
         i, j = datum
         _, fn = _FN_POOL[0]
-        p = _sample_payload(S, pairs.pair(i, j), rng)
+        p = S.sampler(pairs.pair(i, j), rng)
         return (), p, P.value_map_fn(i, j, fn, p), Q.value_map_fn(i, j, fn, p)
 
-    r.law("roundtrip.value_map", obj_pairs, cmp_value_map)
+    r.law("roundtrip.value_map", product(objs, repeat=2), cmp_value_map)
 
     if not P.discrete:
         morphs = cat.morphisms()
-        fg = [(f, g) for f in morphs for g in morphs]
-
         def cmp_morph_map(datum, rng: Rng):
             f, g = datum
             _, fn = _FN_POOL[rng.randint(0, len(_FN_POOL) - 1)]
-            p = _sample_payload(S, pairs.pair(f.tgt, g.src), rng)
+            p = S.sampler(pairs.pair(f.tgt, g.src), rng)
             lhs = P.morph_map_fn(f, g, fn, p)
             rhs = Q.morph_map_fn(f, g, fn, p)
             return (f, g), p, lhs, rhs
 
-        r.law("roundtrip.morph_map", fg, cmp_morph_map)
+        r.law("roundtrip.morph_map", product(morphs, repeat=2), cmp_morph_map)
 
     return r.report()
 
@@ -506,5 +498,5 @@ def end_graded_from_param(P: ParameterisedMonad,
         mult_fn=mult_fn,
         map_fn=map_fn,
         validator=validator,
-        sampler=None if P.sampler is None else sampler,
+        sampler=sampler,
     )

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cgm import core
 from cgm.cli import main
-from cgm.instances import instance_names
+from cgm.instances import instance_names, list_sort_homomorphism
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -417,6 +418,51 @@ def test_stdout_matches_recorded_digest(capsys, monkeypatch, argv, exit_code, di
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the repr of every law instantiation's (law, str(indices), input,
+# lhs, rhs), recorded before law pools became lazy streams; a lawful report
+# prints only counts, so only these notice a law drawing other data or the
+# same data in another order (argv None: the list-sort homomorphism's laws)
+_TRACES = [
+    (("laws", "identity", "--samples", "40", "--seed", "5"),
+     "baaef14870dc3a3ed5c589d29e6e3b4c5a2809c769617dcadb2f785037d4154a"),
+    (("laws", "concst", "--samples", "40", "--seed", "5"),
+     "b2375b3f719689cdb7d39328ac8f07f91be88353bc9b5d061cd338331b3e7022"),
+    (("laws", "glist", "--samples", "40", "--seed", "5"),
+     "c37fa292cb4ec900e5a7fa6fa289c0187c672047778cc6ba47a37a98925365e1"),
+    (("laws", "tstate", "--samples", "40", "--seed", "5"),
+     "1a85a44612111d94b4650706d2a7838083c1cb1925d916d153c25f84729f91bb"),
+    (("laws", "ahl", "--samples", "40", "--seed", "5"),
+     "93a44c39188f70f1dda2aad773b67eccea92b96cbcfc51c6d7a6c4ff2b7a14bc"),
+    (("translate", "param", "catgraded", "tstate"),
+     "ea2d9890fca4b45f978402b573b91b0466d4ded1977f5f5eeb4ee26b10527c39"),
+    (("roundtrip", "--states", "2", "--samples", "15"),
+     "e6acc3c995142a5cc7639d5a08320697b66054a57f9c81f02db6dd42cd0d92be"),
+    (None, "ce601a3640b6542723e694c90831b9fe51321a0008c817d14be2fbabbdf01677"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _TRACES,
+                         ids=[" ".join(a) if a else "hom list-sort" for a, _ in _TRACES])
+def test_law_data_match_recorded_trace(capsys, monkeypatch, argv, digest):
+    trace = []
+    law = core.Runner.law
+
+    def traced(self, name, data, body):
+        def recorded(datum, rng):
+            out = body(datum, rng)
+            indices, inp, lhs, rhs = out
+            trace.append((name, str(indices), inp.show(), lhs.show(), rhs.show()))
+            return out
+        return law(self, name, data, recorded)
+
+    monkeypatch.setattr(core.Runner, "law", traced)
+    if argv is None:
+        assert core.check_laws(list_sort_homomorphism(), samples=40).ok()
+    else:
+        assert run_cli(capsys, *argv)[0] == 0
+    assert hashlib.sha256(repr(trace).encode()).hexdigest() == digest
+
+
 # --- the error boundary: one stdout line and a documented code, never a traceback ---
 
 _BAD_START = "instance {}\nstart bogus\ndo {{ 1 }}\n"
@@ -458,6 +504,9 @@ _ERROR_CASES = [
      "error: a store header applies only to instance concst, not glist\n"),
     ("var-header-gp", ("run", "{}"), "instance concst\nvar x : int[0..3]\ndo { pure 1 }\n", 3,
      "parse error: 2:1: expected 'do', found 'var'\n"),
+    ("repeated-ahl-variable", ("ahl", "{}"),
+     "var x : int[0..1]\nvar x : int[0..2]\nconclude 0 : true => true\nskip : true\n", 3,
+     "parse error: 2:5: variable 'x' is declared twice\n"),
 ]
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from cgm.core import (
     GradedComputation,
+    Runner,
     approximate,
     bind,
     check_laws,
@@ -224,6 +225,33 @@ def test_exception_witnesses_list_morphisms_not_pool_data(ident):
         if ".indices=" in line:
             parts = line.split("=", 1)[1].split("; ")
             assert not any(p.isdigit() for p in parts), line
+
+
+def test_runner_draws_pools_lazily(ident):
+    f = ident.index_cat.identity(ObjectId("free"))
+    g = ident.index_cat.identity(ObjectId("critical"))
+    advanced = []
+
+    def unbounded():
+        while True:
+            advanced.append(f)
+            yield f
+
+    drawn = []
+
+    def body(m, rng):
+        drawn.append(m)
+        return (m,), vint(0), vint(0), vint(0)
+
+    r = Runner(samples=7, seed=0)
+    r.law("unbounded", unbounded(), body)
+    assert drawn == [f] * 7 and len(advanced) <= 7
+    drawn.clear()
+    r.law("short", (m for m in (f, g)), body)
+    assert drawn == [f, g, f, g, f, g, f]
+    r.law("x", (m for m in ()), body)
+    assert r.report().render_text().splitlines() == [
+        "law unbounded: 7/7", "law short: 7/7", "law x: 0/0", "failures: 0"]
 
 
 def test_check_laws_deterministic(glist):

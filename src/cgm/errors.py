@@ -57,8 +57,8 @@ class InconsistentContinuationIndex(CgmError):
     """bind continuation produced computations at different indices."""
 
 
-class SamplerUnavailable(CgmError):
-    """Law harness needs the objects of a symbolic (infinite) index category."""
+class InfiniteIndex(CgmError):
+    """The objects of a symbolic (infinite) index category were asked for."""
 
 
 # --- instance errors ---

@@ -49,7 +49,7 @@ from ..values import (
     VDist,
     VPair,
     VTable,
-    dist,
+    _lowest,
     dist_bind,
     dist_map_snd,
     once_per_value,
@@ -85,6 +85,7 @@ class AhlMonad:
         self._svalue_set = frozenset(self.svalues)
         self._svalue_of = {tuple(s.values()): sv for s, sv in zip(self.states, self.svalues)}
         self._formulas: dict[str, Formula] = {}
+        self._truth: dict[Formula, tuple[bool, ...]] = {}
         self._over_allocate = over_allocate
 
         self.beta_cat = MonoidCategory(op=sat_add, unit=Fraction(0),
@@ -166,12 +167,19 @@ class AhlMonad:
         fn = once_per_value(fn)
         return ordered_table((sv, dist_map_snd(fn, d)) for sv, d in p.entries)
 
+    def _holds(self, phi: Formula) -> tuple[bool, ...]:
+        """Whether phi holds in each of `states`, evaluated once per formula."""
+        truth = self._truth.get(phi)
+        if truth is None:
+            truth = self._truth[phi] = tuple(eval_formula(phi, s) for s in self.states)
+        return truth
+
     def failure_prob(self, payload: Value, pre: Formula, post: Formula) -> Fraction:
         """Exact max over states satisfying pre of Pr[final state violates post]."""
-        starts = [sv for s, sv in zip(self.states, self.svalues) if eval_formula(pre, s)]
+        starts = [sv for sv, ok in zip(self.svalues, self._holds(pre)) if ok]
         if not starts:
             return Fraction(0)
-        bad = {sv for s, sv in zip(self.states, self.svalues) if not eval_formula(post, s)}
+        bad = {sv for sv, ok in zip(self.svalues, self._holds(post)) if not ok}
         return max(Fraction(sum(n for prv, n in d.atoms if prv.fst in bad), d.den)
                    for d in map(payload.get, starts))
 
@@ -200,11 +208,12 @@ class AhlMonad:
     def _sample(self, f: Morphism, rng: Rng) -> Value:
         beta = self.beta_of(f)
         pre, post = self.pre_of(f), self.post_of(f)
-        good = [sv for s, sv in zip(self.states, self.svalues) if eval_formula(post, s)]
-        bad = [sv for s, sv in zip(self.states, self.svalues) if not eval_formula(post, s)]
+        holds_post = self._holds(post)
+        good = [sv for sv, ok in zip(self.svalues, holds_post) if ok]
+        bad = [sv for sv, ok in zip(self.svalues, holds_post) if not ok]
         out = {}
-        for s, sv in zip(self.states, self.svalues):
-            if not eval_formula(pre, s):
+        for sv, ok in zip(self.svalues, self._holds(pre)):
+            if not ok:
                 out[sv] = point(vpair(rng.choice(self.svalues), vint(rng.randint(0, 9))))
                 continue
             if not good:
@@ -215,19 +224,22 @@ class AhlMonad:
                 q = beta * Fraction(rng.randint(0, 2), 2)
             else:
                 q = Fraction(0)
-            entries: list[tuple[Value, Fraction]] = []
-            if q < 1:
+            # numerators over den: 1 - q to the good branches, q to a bad one
+            bad_n, den = q.numerator, q.denominator
+            atoms: list[tuple[Value, int]] = []
+            if bad_n < den:
                 g1 = rng.choice(good)
                 g2 = rng.choice(good)
                 if g1 != g2:
-                    entries.append((vpair(g1, vint(rng.randint(0, 9))), (1 - q) / 2))
-                    entries.append((vpair(g2, vint(rng.randint(0, 9))), (1 - q) / 2))
+                    atoms.append((vpair(g1, vint(rng.randint(0, 9))), den - bad_n))
+                    atoms.append((vpair(g2, vint(rng.randint(0, 9))), den - bad_n))
+                    bad_n, den = 2 * bad_n, 2 * den
                 else:
-                    entries.append((vpair(g1, vint(rng.randint(0, 9))), 1 - q))
-            if q > 0:
-                entries.append((vpair(rng.choice(bad), vint(rng.randint(0, 9))), q))
-            out[sv] = dist(entries)
-        return table(out)
+                    atoms.append((vpair(g1, vint(rng.randint(0, 9))), den - bad_n))
+            if bad_n > 0:
+                atoms.append((vpair(rng.choice(bad), vint(rng.randint(0, 9))), bad_n))
+            out[sv] = _lowest(sorted(atoms), den)  # the values are distinct
+        return ordered_table((sv, out[sv]) for sv in self._sorted_svalues)
 
     def _default_samples(self) -> tuple[Morphism, ...]:
         x = self.decls[0].name

@@ -29,11 +29,11 @@ from .core import (
 from .errors import (
     DinaturalityFailure,
     InfeasibleEnd,
+    InfiniteIndex,
     NotBottom,
     NotDiscrete,
     NotIndiscrete,
     NotInSubcategory,
-    SamplerUnavailable,
     WrongShape,
 )
 from .indexcat import (
@@ -112,7 +112,7 @@ class ParameterisedMonad:
     def objects(self) -> tuple[ObjectId, ...]:
         objs = self.index_cat.object_ids()
         if objs is None:
-            raise SamplerUnavailable("parameterised index category must be finite")
+            raise InfiniteIndex("parameterised index category must be finite")
         return objs
 
 

@@ -7,9 +7,15 @@ distribution.  All shapes are immutable, hashable, and have decidable
 structural equality; tables and distributions are canonicalized at
 construction so equal contents compare equal.
 
-Table and distribution lookups go through a dict built on the first
-lookup, and a composite value computes its hash and sort key once.  All
-of it is kept on the value object, none at module level.
+A value is a tuple tagged with its shape, `(tag, *fields)`: `VUnit` is
+`(0,)`, `VInt` is `(1, n)`, up to `VDist`, `(9, atoms, den)`.  The tags
+follow the canonical order of shapes, so the tuple's own `<`, `==` and
+`hash` are the canonical order, equality and hash, computed in C.  Only
+dists define their order among themselves (by `Fraction` weight, not by
+numerator).  A value equals a plain tuple with the same items, so the
+two must not share a dict or set.  A table or dist keeps the dict of
+its first lookup on the object, and a dist its comparison key; nothing
+is cached at module level.
 
 `table` and `dist` check what they are given.  The trusted path
 (`ordered_table`, `dist_map_snd`, `dist_bind`) rebuilds
@@ -24,16 +30,30 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import InvalidValue, MalformedPayload
 
 
-class Value:
-    """Base class; concrete shapes are the frozen dataclasses below."""
+class Value(tuple):
+    """Base class: a shape is the tuple (tag, *fields), its fields named
+    by the `fields` it is declared with."""
 
     __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, tag: int, fields: tuple[str, ...] = ()):
+        super().__init_subclass__()
+        cls._tag, cls._fields = tag, fields
+        for i, name in enumerate(fields, 1):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __new__(cls, *fields):
+        return tuple.__new__(cls, (cls._tag, *fields))
+
+    def __getnewargs__(self):
+        return self[1:]
 
     def show(self) -> str:
         raise NotImplementedError
@@ -41,98 +61,79 @@ class Value:
     def __str__(self) -> str:
         return self.show()
 
-
-class _Composite(Value):
-    """Shapes built from other values.  Two slots start unset and are
-    filled on first use: `_h` holds the hash and `_k` the sort key, so
-    each is computed once per value object."""
-
-    __slots__ = ("_h", "_k")
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
 
 
-@dataclass(frozen=True, slots=True)
-class VUnit(Value):
+class VUnit(Value, tag=0):
+    __slots__ = ()
+
     def show(self) -> str:
         return "()"
 
 
-@dataclass(frozen=True, slots=True)
-class VInt(Value):
-    n: int
+class VInt(Value, tag=1, fields=("n",)):
+    __slots__ = ()
 
     def show(self) -> str:
         return str(self.n)
 
 
-@dataclass(frozen=True, slots=True)
-class VRat(Value):
-    q: Fraction
+class VRat(Value, tag=2, fields=("q",)):
+    __slots__ = ()
 
     def show(self) -> str:
         return str(self.q)
 
 
-@dataclass(frozen=True, slots=True)
-class VBool(Value):
-    b: bool
+class VBool(Value, tag=3, fields=("b",)):
+    __slots__ = ()
 
     def show(self) -> str:
         return "true" if self.b else "false"
 
 
-@dataclass(frozen=True, slots=True)
-class VStr(Value):
-    s: str
+class VStr(Value, tag=4, fields=("s",)):
+    __slots__ = ()
 
     def show(self) -> str:
         return '"' + self.s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-@dataclass(frozen=True, slots=True)
-class VPair(_Composite):
-    fst: Value
-    snd: Value
+class VPair(Value, tag=5, fields=("fst", "snd")):
+    __slots__ = ()
 
     def show(self) -> str:
         return f"({self.fst.show()}, {self.snd.show()})"
 
 
-@dataclass(frozen=True, slots=True)
-class VSeq(_Composite):
-    items: tuple[Value, ...]
+class VSeq(Value, tag=6, fields=("items",)):
+    __slots__ = ()
 
     def show(self) -> str:
         return "[" + ", ".join(v.show() for v in self.items) + "]"
 
 
-@dataclass(frozen=True, slots=True)
-class VTag(_Composite):
-    tag: str
-    value: Value
+class VTag(Value, tag=7, fields=("tag", "value")):
+    __slots__ = ()
 
     def show(self) -> str:
         return f"#{self.tag}({self.value.show()})"
 
 
-class _Indexed(_Composite):
-    """Shapes with unique entry keys; `_ix` maps key to entry value and
-    is built on the first lookup."""
-
-    __slots__ = ("_ix",)
-
-    def _index(self) -> dict:
-        ix = getattr(self, "_ix", None)
-        if ix is None:
-            ix = dict(self.entries)
-            object.__setattr__(self, "_ix", ix)
+def _index(v: VTable | VDist) -> dict:
+    """v's entries as a dict, built on the first lookup and kept on v
+    (tables and dists have an instance dict for it)."""
+    try:
+        return v._ix
+    except AttributeError:
+        v._ix = ix = dict(v.entries)
         return ix
 
 
-@dataclass(frozen=True, slots=True)
-class VTable(_Indexed):
+class VTable(Value, tag=8, fields=("entries",)):
     """Finite map; entries sorted by canonical key order, keys unique."""
-
-    entries: tuple[tuple[Value, Value], ...]
 
     def show(self) -> str:
         body = "; ".join(f"{k.show()} -> {v.show()}" for k, v in self.entries)
@@ -143,25 +144,42 @@ class VTable(_Indexed):
 
     def get(self, key: Value) -> Value:
         try:
-            return self._index()[key]
+            return _index(self)[key]
         except KeyError:
             raise MalformedPayload(f"table has no entry for {key.show()}") from None
 
     def has(self, key: Value) -> bool:
-        return key in self._index()
+        return key in _index(self)
 
 
-@dataclass(frozen=True, slots=True)
-class VDist(_Indexed):
+class VDist(Value, tag=9, fields=("atoms", "den")):
     """Finite-support distribution: values in canonical order, positive int
-    numerators over `den` summing to it, in lowest terms (equal dists have equal fields)."""
-
-    atoms: tuple[tuple[Value, int], ...]
-    den: int
+    numerators over `den` summing to it, in lowest terms (equal dists have
+    equal fields).  Two dists order by their `entries`, i.e. by `Fraction`
+    weight; a dist against any other shape orders natively, by tag."""
 
     @property
     def entries(self) -> tuple[tuple[Value, Fraction], ...]:
         return tuple((v, Fraction(n, self.den)) for v, n in self.atoms)
+
+    def _key(self) -> tuple[tuple[Value, Fraction], ...]:
+        try:
+            return self._k
+        except AttributeError:
+            self._k = k = self.entries
+            return k
+
+    def __lt__(self, other):
+        return self._key() < other._key() if type(other) is VDist else tuple.__lt__(self, other)
+
+    def __le__(self, other):
+        return self._key() <= other._key() if type(other) is VDist else tuple.__le__(self, other)
+
+    def __gt__(self, other):
+        return self._key() > other._key() if type(other) is VDist else tuple.__gt__(self, other)
+
+    def __ge__(self, other):
+        return self._key() >= other._key() if type(other) is VDist else tuple.__ge__(self, other)
 
     def show(self) -> str:
         body = "; ".join(f"{v.show()} @ {w}" for v, w in self.entries)
@@ -171,108 +189,66 @@ class VDist(_Indexed):
         return tuple(v for v, _ in self.atoms)
 
     def weight(self, v: Value) -> Fraction:
-        return self._index().get(v, _ZERO)
+        return _index(self).get(v, _ZERO)
 
 
 _ZERO = Fraction(0)
+_new = tuple.__new__  # the constructors below skip Value.__new__'s frame
 
-
-def _cached_hash(parts):
-    """Composite values are hashed constantly by tables, caches, and law
-    comparisons; memoize the recursive hash on first use."""
-
-    def __hash__(self):
-        h = getattr(self, "_h", None)
-        if h is None:
-            h = hash(parts(self))
-            object.__setattr__(self, "_h", h)
-        return h
-
-    return __hash__
-
-
-VPair.__hash__ = _cached_hash(lambda s: ("P", s.fst, s.snd))
-VSeq.__hash__ = _cached_hash(lambda s: ("S", s.items))
-VTag.__hash__ = _cached_hash(lambda s: ("G", s.tag, s.value))
-VTable.__hash__ = _cached_hash(lambda s: ("T", s.entries))
-VDist.__hash__ = _cached_hash(lambda s: ("D", s.atoms, s.den))
-
-unit = VUnit()
+unit = _new(VUnit, (0,))
 
 
 def vint(n: int) -> VInt:
-    return VInt(int(n))
+    return _new(VInt, (1, int(n)))
 
 
 def vrat(num, den=None) -> VRat:
-    return VRat(Fraction(num) if den is None else Fraction(num, den))
+    return _new(VRat, (2, Fraction(num) if den is None else Fraction(num, den)))
 
 
 def vbool(b: bool) -> VBool:
-    return VBool(bool(b))
+    return _new(VBool, (3, bool(b)))
 
 
 def vstr(s: str) -> VStr:
-    return VStr(s)
+    return _new(VStr, (4, s))
 
 
 def vpair(a: Value, b: Value) -> VPair:
-    return VPair(a, b)
+    return _new(VPair, (5, a, b))
 
 
 def vseq(items: Iterable[Value]) -> VSeq:
-    return VSeq(tuple(items))
+    return _new(VSeq, (6, tuple(items)))
 
 
 def vtag(tag: str, value: Value) -> VTag:
-    return VTag(tag, value)
+    return _new(VTag, (7, tag, value))
 
 
-# A leaf's key is cheaper to build than a cache miss, so only composite
-# keys are kept on the value.
-_LEAF_KEYS = {
-    VUnit: lambda v: (0,),
-    VInt: lambda v: (1, v.n),
-    VRat: lambda v: (2, v.q),
-    VBool: lambda v: (3, v.b),
-    VStr: lambda v: (4, v.s),
-}
-_COMPOSITE_KEYS = {
-    VPair: lambda v: (5, sort_key(v.fst), sort_key(v.snd)),
-    VSeq: lambda v: (6, tuple(sort_key(x) for x in v.items)),
-    VTag: lambda v: (7, v.tag, sort_key(v.value)),
-    VTable: lambda v: (8, tuple((sort_key(k), sort_key(x)) for k, x in v.entries)),
-    VDist: lambda v: (9, tuple((sort_key(x), w) for x, w in v.entries)),
-}
+def sort_key(v: Value) -> Value:
+    """Key of the total order over the whole universe: the value itself,
+    checked to be one."""
+    if isinstance(v, Value):
+        return v
+    raise InvalidValue(f"foreign value {v!r}")
 
 
-def sort_key(v: Value):
-    """Total order over the whole universe, used for canonical sorting."""
-    leaf = _LEAF_KEYS.get(type(v))
-    if leaf is not None:
-        return leaf(v)
-    key = getattr(v, "_k", None)
-    if key is None:
-        composite = _COMPOSITE_KEYS.get(type(v))
-        if composite is None:
-            raise InvalidValue(f"foreign value {v!r}")
-        key = composite(v)
-        object.__setattr__(v, "_k", key)
-    return key
+_by_key = itemgetter(0)
 
 
-def _by_key(entry: tuple[Value, object]):
+def _by_checked_key(entry: tuple[Value, object]) -> Value:
     return sort_key(entry[0])
 
 
 def table(entries: Mapping[Value, Value] | Iterable[tuple[Value, Value]]) -> VTable:
     if isinstance(entries, Mapping):  # keys already distinct
-        return VTable(tuple(sorted(entries.items(), key=_by_key)))
-    pairs = sorted(entries, key=_by_key)
+        return _new(VTable, (8, tuple(sorted(entries.items(), key=_by_checked_key))))
+    pairs = sorted(entries, key=_by_checked_key)
     for (k1, _), (k2, _) in zip(pairs, pairs[1:]):
         if k1 == k2:
             raise InvalidValue(f"duplicate table key {k1.show()}")
-    return VTable(tuple(pairs))
+    return _new(VTable, (8, tuple(pairs)))
 
 
 def _merged(entries: list[tuple[Value, int]]) -> tuple[tuple[Value, int], ...]:
@@ -285,19 +261,27 @@ def _merged(entries: list[tuple[Value, int]]) -> tuple[tuple[Value, int], ...]:
     return tuple(sorted(acc.items(), key=_by_key))
 
 
+def point(v: Value) -> VDist:
+    return _new(VDist, (9, ((v, 1),), 1))
+
+
 def _lowest(atoms: Iterable[tuple[Value, int]], den: int) -> VDist:
-    """The dist of numerators `atoms` over `den`, reduced to lowest terms."""
+    """The dist of numerators `atoms` over `den`, reduced to lowest terms.
+    Numerators sum to `den`, so one atom (as with `den == 1`) is a point."""
     atoms = tuple(atoms)
+    if len(atoms) == 1:
+        return point(atoms[0][0])
     g = math.gcd(den, *(n for _, n in atoms))
     if g > 1:
-        return VDist(tuple((v, n // g) for v, n in atoms), den // g)
-    return VDist(atoms, den)
+        return _new(VDist, (9, tuple((v, n // g) for v, n in atoms), den // g))
+    return _new(VDist, (9, atoms, den))
 
 
 def dist(entries: Mapping[Value, Fraction] | Iterable[tuple[Value, Fraction]]) -> VDist:
     pairs = entries.items() if isinstance(entries, Mapping) else entries
     positive: list[tuple[Value, Fraction]] = []
     for v, w in pairs:
+        sort_key(v)  # rejects a foreign value
         if not isinstance(w, Fraction):
             w = Fraction(w)
         if w < 0:
@@ -312,14 +296,10 @@ def dist(entries: Mapping[Value, Fraction] | Iterable[tuple[Value, Fraction]]) -
     return _lowest(merged, den)
 
 
-def point(v: Value) -> VDist:
-    return VDist(((v, 1),), 1)
-
-
 def ordered_table(entries: Iterable[tuple[Value, Value]]) -> VTable:
     """Trusted: the keys come unique and in `sort_key` order, e.g. a valid
     table's keys, an in-order subsequence of them, or keys sorted once."""
-    return VTable(tuple(entries))
+    return _new(VTable, (8, tuple(entries)))
 
 
 def _checked(d: Value) -> VDist:
@@ -329,11 +309,15 @@ def _checked(d: Value) -> VDist:
 
 
 def dist_map_snd(fn: Callable[[Value], Value], d: VDist) -> VDist:
-    """The image of a dist of pairs under (a, b) -> (a, fn(b)).  Pair keys
-    order by first component first, so only a run sharing one is merged."""
+    """The image of a dist of pairs under (a, b) -> (a, fn(b)).  Pairs order
+    by first component first, so only a run sharing one is merged: a value
+    alone in its run is not hashed, however big `fn` makes it."""
+    atoms = _checked(d).atoms
     out: list[tuple[Value, int]] = []
-    for _, run in itertools.groupby(_checked(d).atoms, lambda e: sort_key(e[0].fst)):
+    for _, run in itertools.groupby(atoms, lambda e: e[0].fst):
         out += _merged([(vpair(pr.fst, fn(pr.snd)), n) for pr, n in run])
+    if len(out) == len(atoms):  # nothing merged: d's numerators, in lowest terms
+        return _new(VDist, (9, tuple(out), d.den))
     return _lowest(out, d.den)
 
 
@@ -358,4 +342,3 @@ def uniform(values: Iterable[Value]) -> VDist:
     if not vs:
         raise InvalidValue("uniform over empty support")
     return _lowest(_merged([(v, 1) for v in vs]), len(vs))
-

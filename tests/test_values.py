@@ -1,16 +1,27 @@
 """Value universe: canonicalization, equality, distribution arithmetic."""
 
-import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cgm
 from cgm.errors import InvalidValue, MalformedPayload
 from cgm.values import (
-    Value,
+    VBool,
+    VDist,
+    VInt,
+    VPair,
+    VRat,
     VSeq,
+    VStr,
+    VTable,
+    VTag,
+    VUnit,
     dist,
     dist_bind,
     dist_map_snd,
@@ -152,13 +163,28 @@ def dists(keys):
 
 
 def clone(x):
-    """A structurally equal copy that shares no Value object with `x`."""
-    if isinstance(x, Value):
-        return dataclasses.replace(
-            x, **{f.name: clone(getattr(x, f.name)) for f in dataclasses.fields(x)})
-    if isinstance(x, tuple):
-        return tuple(clone(y) for y in x)
-    return x
+    """A structurally equal copy that shares no Value object with `x`,
+    rebuilt through the public constructors."""
+    if isinstance(x, VPair):
+        return vpair(clone(x.fst), clone(x.snd))
+    if isinstance(x, VSeq):
+        return vseq(clone(y) for y in x.items)
+    if isinstance(x, VTag):
+        return vtag(x.tag, clone(x.value))
+    if isinstance(x, VTable):
+        return table([(clone(k), clone(v)) for k, v in x.entries])
+    if isinstance(x, VDist):
+        return dist([(clone(v), w) for v, w in x.entries])
+    if isinstance(x, VInt):
+        return vint(x.n)
+    if isinstance(x, VRat):
+        return vrat(x.q)
+    if isinstance(x, VBool):
+        return vbool(x.b)
+    if isinstance(x, VStr):
+        return vstr(x.s)
+    assert isinstance(x, VUnit)
+    return VUnit()
 
 
 def _probes(entries, extra):
@@ -219,6 +245,107 @@ def test_dist_bind_of_points_equals_checked_dist(d, fn):
 
 def pairs(firsts, seconds):
     return st.tuples(firsts, seconds).map(lambda ab: vpair(*ab))
+
+
+# --- the native order against the key that sort_key computed before values
+# were tagged tuples ---
+
+_LEAF_KEYS = {
+    VUnit: lambda v: (0,),
+    VInt: lambda v: (1, v.n),
+    VRat: lambda v: (2, v.q),
+    VBool: lambda v: (3, v.b),
+    VStr: lambda v: (4, v.s),
+}
+_COMPOSITE_KEYS = {
+    VPair: lambda v: (5, _reference_key(v.fst), _reference_key(v.snd)),
+    VSeq: lambda v: (6, tuple(_reference_key(x) for x in v.items)),
+    VTag: lambda v: (7, v.tag, _reference_key(v.value)),
+    VTable: lambda v: (8, tuple((_reference_key(k), _reference_key(x)) for k, x in v.entries)),
+    VDist: lambda v: (9, tuple((_reference_key(x), w) for x, w in v.entries)),
+}
+
+
+def _reference_key(v):
+    """Nested tuples of plain data, no value objects: a dist's weights
+    compare as `Fraction`s."""
+    leaf = _LEAF_KEYS.get(type(v))
+    if leaf is not None:
+        return leaf(v)
+    return _COMPOSITE_KEYS[type(v)](v)
+
+
+def few():
+    return st.one_of(st.just(unit), st.integers(0, 1).map(vint))
+
+
+def nested():
+    """Every shape, with tables and dists anywhere, over few leaves so that
+    equal values and dists over one support are common."""
+    return st.recursive(
+        st.one_of(few(), leaves()),
+        lambda kids: st.one_of(
+            pairs(kids, kids),
+            st.lists(kids, max_size=3).map(vseq),
+            st.tuples(st.sampled_from("ab"), kids).map(lambda tv: vtag(*tv)),
+            tables(kids),
+            dists(kids),
+        ),
+        max_leaves=6,
+    )
+
+
+@settings(max_examples=400, derandomize=True)
+@given(st.one_of(nested(), dists(few()), pairs(dists(few()), few())),
+       st.one_of(nested(), dists(few()), pairs(dists(few()), few())))
+def test_native_order_equality_and_hash_match_reference_key(a, b):
+    for x, y in ((a, b), (b, a), (a, clone(a))):
+        rx, ry = _reference_key(x), _reference_key(y)
+        assert (x < y) == (rx < ry) and (x <= y) == (rx <= ry)
+        assert (x > y) == (rx > ry) and (x >= y) == (rx >= ry)
+        assert (x == y) == (rx == ry) and (x != y) == (rx != ry)
+        if x == y:
+            assert hash(x) == hash(y)
+
+
+def test_dists_order_by_weight_not_numerator():
+    halves = dist({vint(0): Fraction(1, 2), vint(1): Fraction(1, 2)})
+    thirds = dist({vint(0): Fraction(1, 3), vint(1): Fraction(2, 3)})
+    assert thirds < halves  # by numerators, (1, 1) over 2 would sort first
+    assert table({halves: vint(0), thirds: vint(1)}).show() == (
+        "{dist{0 @ 1/3; 1 @ 2/3} -> 1; dist{0 @ 1/2; 1 @ 1/2} -> 0}")
+
+
+def test_table_rejects_a_foreign_key():
+    with pytest.raises(InvalidValue, match="^foreign value 1$"):
+        table({1: vint(1)})
+
+
+_DEEP_CHAIN = """
+from cgm.values import unit, vint, vpair
+
+def chain():
+    v = unit
+    for i in range(10 ** 4):
+        v = vpair(vint(i), v)
+    return v
+
+a, b = chain(), chain()
+print(hash(a) == hash(b))
+try:
+    print(a == b)
+except RecursionError:
+    print("RecursionError")
+"""
+
+
+def test_deep_pair_chain_hashes_and_compares_without_a_crash():
+    src = os.path.dirname(os.path.dirname(cgm.__file__))
+    out = subprocess.run([sys.executable, "-c", _DEEP_CHAIN], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 0, out.stderr  # a signal would make it negative
+    hashed, compared = out.stdout.split()
+    assert hashed == "True" and compared in ("True", "RecursionError")
 
 
 @settings(max_examples=100, derandomize=True)

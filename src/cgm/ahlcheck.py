@@ -11,7 +11,6 @@ stay within every node's claimed bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidImplication, ParseError, RuleMismatch
@@ -29,23 +28,23 @@ from .formulas import (
     valid_implication,
 )
 from .instances.ahl import AhlMonad, sat_add
-from .values import Value
+from .values import Record, Value
 
 
-@dataclass(frozen=True)
-class DSkip:
+class DSkip(Record):
+    __slots__ = ()
     pre: Formula
 
 
-@dataclass(frozen=True)
-class DAssign:
+class DAssign(Record):
+    __slots__ = ()
     var: str
     expr: Expr
     post: Formula
 
 
-@dataclass(frozen=True)
-class DRand:
+class DRand(Record):
+    __slots__ = ()
     var: str
     lo: int
     hi: int
@@ -54,14 +53,14 @@ class DRand:
     post: Formula
 
 
-@dataclass(frozen=True)
-class DSeq:
+class DSeq(Record):
+    __slots__ = ()
     first: "Derivation"
     second: "Derivation"
 
 
-@dataclass(frozen=True)
-class DWeak:
+class DWeak(Record):
+    __slots__ = ()
     child: "Derivation"
     beta: Fraction
     pre: Formula
@@ -71,8 +70,8 @@ class DWeak:
 Derivation = DSkip | DAssign | DRand | DSeq | DWeak
 
 
-@dataclass(frozen=True)
-class Judgement:
+class Judgement(Record):
+    __slots__ = ()
     beta: Fraction
     pre: Formula
     post: Formula
@@ -81,8 +80,8 @@ class Judgement:
         return f"|-{self.beta} : {formula_text(self.pre)} => {formula_text(self.post)}"
 
 
-@dataclass(frozen=True)
-class NodeReport:
+class NodeReport(Record):
+    __slots__ = ()
     rule: str
     judgement: Judgement
     failure: Fraction  # exact Pr[post violated] of this node's program
@@ -94,8 +93,8 @@ class NodeReport:
                 f"failure {self.failure}")
 
 
-@dataclass(frozen=True)
-class AhlVerdict:
+class AhlVerdict(Record):
+    __slots__ = ()
     valid: bool
     nodes: tuple[NodeReport, ...]
     conclusion: Judgement
@@ -139,10 +138,10 @@ def conclusion(inst: AhlMonad, d: Derivation,
         out = Judgement(sat_add(j1.beta, j2.beta), j1.pre, j2.post)
     elif isinstance(d, DWeak):
         j = conclusion(inst, d.child, memo)
-        if not valid_implication(inst.decls, d.pre, j.pre):
+        if not valid_implication(inst.holds, d.pre, j.pre):
             raise InvalidImplication(
                 f"{formula_text(d.pre)} does not entail {formula_text(j.pre)}")
-        if not valid_implication(inst.decls, j.post, d.post):
+        if not valid_implication(inst.holds, j.post, d.post):
             raise InvalidImplication(
                 f"{formula_text(j.post)} does not entail {formula_text(d.post)}")
         if not j.beta <= d.beta:
@@ -206,8 +205,7 @@ def check_ahl(inst: AhlMonad, d: Derivation,
         if n.failure > n.judgement.beta:
             return AhlVerdict(
                 False, tuple(nodes), root,
-                message=(f"{n.rule} node: failure probability {n.failure} "
-                         f"exceeds bound {n.judgement.beta}"))
+                f"{n.rule} node: failure probability {n.failure} exceeds bound {n.judgement.beta}")
     return AhlVerdict(True, tuple(nodes), root)
 
 
@@ -292,8 +290,8 @@ def _parse_derivation(ts: TokenStream, decls: dict[str, VarDecl]) -> Derivation:
     raise ParseError(f"unknown rule {t.text!r}", t.line, t.col)
 
 
-@dataclass(frozen=True)
-class AhlFile:
+class AhlFile(Record):
+    __slots__ = ()
     decls: tuple[VarDecl, ...]
     claimed: Judgement
     derivation: Derivation

@@ -9,9 +9,8 @@ structural equality; there is no numeric tolerance anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from itertools import cycle, islice
-from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import (
     CgmError,
@@ -30,13 +29,13 @@ from .indexcat import (
     morphism_key,
 )
 from .rng import Rng, derive_seed
-from .values import Value, vbool, vint, vpair, vtag
+from .values import Record, Value, _new, vbool, vint, vpair, vtag
 
 
-@dataclass(frozen=True)
-class GradedComputation:
+class GradedComputation(Record):
     """A morphism index paired with the payload inhabiting it."""
 
+    __slots__ = ()
     index: Morphism
     payload: Value
 
@@ -44,48 +43,45 @@ class GradedComputation:
         return f"[{self.index}] {self.payload.show()}"
 
 
-@dataclass
 class CatGradedMonad:
-    name: str
-    index_cat: IndexCategory
-    unit_fn: Callable[[ObjectId, Value], Value]
-    mult_fn: Callable[[Morphism, Morphism, Value], Value]
-    map_fn: Callable[[Morphism, Callable[[Value], Value], Value], Value]
-    validator: Callable[[Morphism, Value], bool]
-    sampler: Callable[[Morphism, Rng], Value]
-    index_samples: tuple[Morphism, ...] | None = None
+    def __init__(self, name: str, index_cat: IndexCategory,
+                 unit_fn: Callable[[ObjectId, Value], Value],
+                 mult_fn: Callable[[Morphism, Morphism, Value], Value],
+                 map_fn: Callable[[Morphism, Callable[[Value], Value], Value], Value],
+                 validator: Callable[[Morphism, Value], bool],
+                 sampler: Callable[[Morphism, Rng], Value],
+                 index_samples: tuple[Morphism, ...] | None = None):
+        self.name, self.index_cat, self.index_samples = name, index_cat, index_samples
+        self.unit_fn, self.mult_fn, self.map_fn = unit_fn, mult_fn, map_fn
+        self.validator, self.sampler = validator, sampler
 
 
-@dataclass
 class TwoCatGradedMonad:
-    base: CatGradedMonad
-    index_cat2: TwoCategory
-    approx_fn: Callable[[Morphism, Morphism, Value], Value]
+    def __init__(self, base: CatGradedMonad, index_cat2: TwoCategory,
+                 approx_fn: Callable[[Morphism, Morphism, Value], Value]):
+        self.base, self.index_cat2, self.approx_fn = base, index_cat2, approx_fn
 
     @property
     def name(self) -> str:
         return self.base.name
 
 
-@dataclass
 class GeneralisedUnit:
-    monad: CatGradedMonad
-    sub: WideSubcategory
-    geneta_fn: Callable[[Morphism, Value], Value]
+    def __init__(self, monad: CatGradedMonad, sub: WideSubcategory,
+                 geneta_fn: Callable[[Morphism, Value], Value]):
+        self.monad, self.sub, self.geneta_fn = monad, sub, geneta_fn
 
     @property
     def name(self) -> str:
         return self.monad.name
 
 
-@dataclass
 class Homomorphism:
     """Index-preserving map between two monads over the same index category."""
 
-    name: str
-    source: CatGradedMonad
-    target: CatGradedMonad
-    gamma_fn: Callable[[Morphism, Value], Value]
+    def __init__(self, name: str, source: CatGradedMonad, target: CatGradedMonad,
+                 gamma_fn: Callable[[Morphism, Value], Value]):
+        self.name, self.source, self.target, self.gamma_fn = name, source, target, gamma_fn
 
 
 # --- operations ---
@@ -97,7 +93,7 @@ def unit(T: CatGradedMonad, obj: ObjectId, a: Value) -> GradedComputation:
     payload = T.unit_fn(obj, a)
     if not T.validator(idx, payload):
         raise MalformedPayload(f"unit produced an invalid payload at {idx}")
-    return GradedComputation(idx, payload)
+    return _new(GradedComputation, ("GradedComputation", idx, payload))
 
 
 def mult(T: CatGradedMonad, f: Morphism, g: Morphism, nested: Value) -> GradedComputation:
@@ -107,7 +103,7 @@ def mult(T: CatGradedMonad, f: Morphism, g: Morphism, nested: Value) -> GradedCo
     payload = T.mult_fn(f, g, nested)
     if not T.validator(idx, payload):
         raise MalformedPayload(f"mult produced an invalid payload at {idx}")
-    return GradedComputation(idx, payload)
+    return _new(GradedComputation, ("GradedComputation", idx, payload))
 
 
 def fmap(T: CatGradedMonad, f: Morphism, fn: Callable[[Value], Value], payload: Value) -> Value:
@@ -169,8 +165,8 @@ def gen_unit(G: GeneralisedUnit, f: Morphism, a: Value) -> GradedComputation:
 
 # --- law reports ---
 
-@dataclass(frozen=True)
-class LawFailure:
+class LawFailure(Record):
+    __slots__ = ()
     law: str
     indices: tuple[Morphism, ...]
     input_value: Value | None
@@ -193,8 +189,8 @@ class LawFailure:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(Record):
+    __slots__ = ()
     counts: tuple[tuple[str, int], ...]  # (law name, instantiations run)
     failures: tuple[LawFailure, ...]
 
@@ -304,9 +300,9 @@ Law = tuple[str, Iterable, Callable]
 
 
 def _witness(datum) -> tuple:
-    """The morphisms and objects of a pool datum: nested tuples are
-    flattened and integer pool positions dropped."""
-    if isinstance(datum, tuple):
+    """The morphisms and objects of a pool datum: nested plain tuples (not
+    records) are flattened and integer pool positions dropped."""
+    if type(datum) is tuple:
         return tuple(x for part in datum for x in _witness(part))
     return () if isinstance(datum, int) else (datum,)
 
@@ -335,8 +331,7 @@ class Runner:
                 indices, inp, lhs, rhs = body(datum, rng)
             except CgmError as exc:
                 self.failures.append(LawFailure(
-                    name, _witness(datum), None, None, None,
-                    note=f"{type(exc).__name__}: {exc}"))
+                    name, _witness(datum), None, None, None, f"{type(exc).__name__}: {exc}"))
                 continue
             if lhs != rhs:
                 self.failures.append(LawFailure(name, indices, inp, lhs, rhs))

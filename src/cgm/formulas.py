@@ -8,27 +8,26 @@ Validity of an implication is decided by brute-force enumeration of the
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping
+from collections.abc import Callable, Collection, Iterable, Mapping
 
 from .errors import ParseError
-from .values import Value, VInt, VStr, VTable, table, vint, vstr
+from .values import Record, Value, VInt, VStr, VTable, _new, table, vint, vstr
 
 
 # --- expressions ---
 
-@dataclass(frozen=True)
-class EInt:
+class EInt(Record):
+    __slots__ = ()
     n: int
 
 
-@dataclass(frozen=True)
-class EVar:
+class EVar(Record):
+    __slots__ = ()
     name: str
 
 
-@dataclass(frozen=True)
-class EBin:
+class EBin(Record):
+    __slots__ = ()
     op: str  # + - *
     lhs: "Expr"
     rhs: "Expr"
@@ -39,32 +38,32 @@ Expr = EInt | EVar | EBin
 
 # --- formulas ---
 
-@dataclass(frozen=True)
-class FBool:
+class FBool(Record):
+    __slots__ = ()
     b: bool
 
 
-@dataclass(frozen=True)
-class FCmp:
+class FCmp(Record):
+    __slots__ = ()
     op: str  # == != < <= > >=
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
-class FAnd:
+class FAnd(Record):
+    __slots__ = ()
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
-class FOr:
+class FOr(Record):
+    __slots__ = ()
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
-class FNot:
+class FNot(Record):
+    __slots__ = ()
     body: "Formula"
 
 
@@ -156,8 +155,8 @@ def formula_text(phi: Formula) -> str:
 
 # --- variable declarations and state spaces ---
 
-@dataclass(frozen=True)
-class VarDecl:
+class VarDecl(Record):
+    __slots__ = ()
     name: str
     lo: int
     hi: int
@@ -188,8 +187,9 @@ def state_dict(v: Value) -> dict[str, int]:
     return out
 
 
-def valid_implication(decls: Iterable[VarDecl], pre: Formula, post: Formula) -> bool:
-    return all(eval_formula(post, s) for s in states(decls) if eval_formula(pre, s))
+def valid_implication(holds: Callable, pre: Formula, post: Formula) -> bool:
+    """Whether post holds wherever pre does; `holds(phi)` is phi's truth per state."""
+    return all(q for p, q in zip(holds(pre), holds(post)) if p)
 
 
 # --- parsing ---
@@ -200,8 +200,8 @@ _ONE = "+-*/<>!(){};:=[],~"
 _DIGITS = "0123456789"
 
 
-@dataclass
-class Token:
+class Token(Record):
+    __slots__ = ()
     kind: str  # int | name | op
     text: str
     line: int
@@ -228,7 +228,7 @@ def tokenize(text: str) -> list[Token]:
             continue
         two = text[i:i + 2]
         if two in _TWO:
-            toks.append(Token("op", two, line, col))
+            toks.append(_new(Token, ("Token", "op", two, line, col)))
             i += 2
             col += 2
             continue
@@ -236,7 +236,7 @@ def tokenize(text: str) -> list[Token]:
             j = i
             while j < len(text) and text[j] in _DIGITS:
                 j += 1
-            toks.append(Token("int", text[i:j], line, col))
+            toks.append(_new(Token, ("Token", "int", text[i:j], line, col)))
             col += j - i
             i = j
             continue
@@ -244,12 +244,12 @@ def tokenize(text: str) -> list[Token]:
             j = i
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            toks.append(Token("name", text[i:j], line, col))
+            toks.append(_new(Token, ("Token", "name", text[i:j], line, col)))
             col += j - i
             i = j
             continue
         if c in _ONE:
-            toks.append(Token("op", c, line, col))
+            toks.append(_new(Token, ("Token", "op", c, line, col)))
             i += 1
             col += 1
             continue

@@ -15,8 +15,7 @@ their generator sequences are equal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping
+from collections.abc import Callable, Hashable, Iterable, Mapping
 
 from .errors import (
     CompositionMismatch,
@@ -26,14 +25,14 @@ from .errors import (
     SymbolicObjects,
     UnknownObject,
 )
-from .values import Value
+from .values import Record, Value, _new
 
 
-@dataclass(frozen=True)
-class ObjectId:
+class ObjectId(Record):
     name: str
-    # the components of a product object, set only by pair_object
-    pair: tuple[ObjectId, ObjectId] | None = field(default=None, compare=False, repr=False)
+    # a product object's components: set by pair_object in the instance
+    # dict, not a field, so equality, hash and repr ignore them
+    pair = None
 
     def __str__(self) -> str:
         return self.name
@@ -41,62 +40,60 @@ class ObjectId:
 
 # --- morphism words ---
 
-@dataclass(frozen=True)
-class WIdentity:
+class WIdentity(Record):
+    __slots__ = ()
     obj: ObjectId
 
 
-@dataclass(frozen=True)
-class WPath:
+class WPath(Record):
+    __slots__ = ()
     gens: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class WElem:
+class WElem(Record):
     """Morphism labelled by a monoid carrier element."""
 
+    __slots__ = ()
     value: Hashable
 
 
-@dataclass(frozen=True)
-class WPair:
+class WPair(Record):
     """The unique arrow of an indiscrete category (a 'domino')."""
 
+    __slots__ = ()
     src: ObjectId
     tgt: ObjectId
 
 
-@dataclass(frozen=True)
-class WInj1:
+class WInj1(Record):
+    __slots__ = ()
     inner: "Morphism"
 
 
-@dataclass(frozen=True)
-class WInj2:
+class WInj2(Record):
+    __slots__ = ()
     src: ObjectId
     tgt: ObjectId
 
 
-@dataclass(frozen=True)
-class WTuple:
+class WTuple(Record):
+    __slots__ = ()
     left: "Morphism"
     right: "Morphism"
 
 
-@dataclass(frozen=True)
-class WFn:
-    """Graph of a function between two finite value sets."""
+class WFn(Record):
+    """Graph of a function between two finite value sets.  The graph as a
+    dict is built on the first `apply` and kept in the instance dict."""
 
     graph: tuple[tuple[Value, Value], ...]
-    # the graph as a dict, built once
-    _lookup: dict = field(init=False, repr=False, compare=False, hash=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_lookup", dict(self.graph))
 
     def apply(self, v: Value) -> Value:
         try:
             return self._lookup[v]
+        except AttributeError:
+            self._lookup = dict(self.graph)
+            return self.apply(v)
         except KeyError:
             raise ForeignMorphism(f"function graph undefined at {v.show()}") from None
 
@@ -124,8 +121,8 @@ def word_str(w: Word) -> str:
     raise ForeignMorphism(f"unknown word {w!r}")
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Record):
+    __slots__ = ()
     src: ObjectId
     tgt: ObjectId
     word: Word
@@ -139,7 +136,22 @@ def morphism_key(m: Morphism):
     return (m.src.name, m.tgt.name, word_str(m.word))
 
 
-class IndexCategory:
+class ByValue:
+    """Equal to an instance of its own class with equal `_compared`
+    attributes; hashed by its `_hashed` ones (default: the compared)."""
+
+    _compared: tuple[str, ...] = ()
+    _hashed: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, n) == getattr(other, n) for n in self._compared)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, n) for n in self._hashed or self._compared))
+
+
+class IndexCategory(ByValue):
     """Abstract interface; concrete kinds below."""
 
     kind: str = "abstract"
@@ -155,7 +167,7 @@ class IndexCategory:
     def identity(self, obj: ObjectId) -> Morphism:
         """The formal identity; kinds whose identities are other words override this."""
         _require_object(self, obj)
-        return Morphism(obj, obj, WIdentity(obj))
+        return _new(Morphism, ("Morphism", obj, obj, _new(WIdentity, ("WIdentity", obj))))
 
     def _is_identity(self, m: Morphism) -> bool:
         return isinstance(m.word, WIdentity) and m.word.obj == m.src == m.tgt and self.has_object(m.src)
@@ -189,15 +201,18 @@ def _sorted_morphisms(ms: Iterable[Morphism]) -> tuple[Morphism, ...]:
     return tuple(sorted(ms, key=morphism_key))
 
 
-@dataclass(frozen=True)
 class FiniteTableCategory(IndexCategory):
     """Explicitly tabulated finite category."""
 
-    objects: tuple[ObjectId, ...]
-    arrows: tuple[Morphism, ...]  # non-identity morphisms
-    comp: Mapping[tuple[Word, Word], Morphism] = field(hash=False)  # (g.word, f.word) -> g o f
-
     kind = "table"
+    _compared = ("objects", "arrows", "comp")
+    _hashed = ("objects", "arrows")
+
+    def __init__(self, objects: tuple[ObjectId, ...], arrows: tuple[Morphism, ...],
+                 comp: Mapping[tuple[Word, Word], Morphism]):
+        self.objects = objects
+        self.arrows = arrows  # non-identity morphisms
+        self.comp = comp  # (g.word, f.word) -> g o f
 
     def object_ids(self):
         return self.objects
@@ -223,24 +238,20 @@ class FiniteTableCategory(IndexCategory):
         return _sorted_morphisms(list(self.arrows) + ids)
 
 
-@dataclass(frozen=True)
 class FreeCategory(IndexCategory):
     """Free category on a labelled graph; morphisms are generator paths."""
 
-    objects: tuple[ObjectId, ...]
-    edges: tuple[tuple[str, ObjectId, ObjectId], ...]  # (label, src, tgt)
-    # label -> (src, tgt), built once; a label names one edge
-    _by_label: dict = field(init=False, repr=False, compare=False, hash=False)
-
     kind = "free"
+    _compared = ("objects", "edges")
 
-    def __post_init__(self):
-        by_label = {}
-        for name, s, t in self.edges:
-            if name in by_label:
+    def __init__(self, objects: tuple[ObjectId, ...],
+                 edges: tuple[tuple[str, ObjectId, ObjectId], ...]):  # (label, src, tgt)
+        self.objects, self.edges = objects, edges
+        self._by_label = {}  # label -> (src, tgt); a label names one edge
+        for name, s, t in edges:
+            if name in self._by_label:
                 raise RepeatedGenerator(f"generator {name} is declared twice")
-            by_label[name] = (s, t)
-        object.__setattr__(self, "_by_label", by_label)
+            self._by_label[name] = (s, t)
 
     def object_ids(self):
         return self.objects
@@ -285,7 +296,8 @@ class FreeCategory(IndexCategory):
             return g
         if isinstance(g.word, WIdentity):
             return f
-        return Morphism(f.src, g.tgt, WPath(f.word.gens + g.word.gens))
+        return _new(Morphism, ("Morphism", f.src, g.tgt,
+                               _new(WPath, ("WPath", f.word.gens + g.word.gens))))
 
     def morphisms(self, max_path_len: int = 4):
         out = [self.identity(o) for o in self.objects]
@@ -306,21 +318,21 @@ class FreeCategory(IndexCategory):
 STAR = ObjectId("*")
 
 
-@dataclass(frozen=True)
 class MonoidCategory(IndexCategory):
     """One-object category whose arrows are monoid elements."""
 
-    op: Callable[[Hashable, Hashable], Hashable] = field(hash=False, compare=False)
-    unit: Hashable
-    sample: tuple[Hashable, ...]
-
     kind = "monoid"
+    _compared = ("unit", "sample")
+
+    def __init__(self, op: Callable[[Hashable, Hashable], Hashable], unit: Hashable,
+                 sample: tuple[Hashable, ...]):
+        self.op, self.unit, self.sample = op, unit, sample
 
     def object_ids(self):
         return (STAR,)
 
     def elem(self, x) -> Morphism:
-        return Morphism(STAR, STAR, WElem(x))
+        return _new(Morphism, ("Morphism", STAR, STAR, _new(WElem, ("WElem", x))))
 
     def identity(self, obj):
         _require_object(self, obj)
@@ -339,11 +351,12 @@ class MonoidCategory(IndexCategory):
         return tuple(self.elem(x) for x in sorted(elems, key=lambda e: (str(type(e)), e)))
 
 
-@dataclass(frozen=True)
 class DiscreteCategory(IndexCategory):
-    objects: tuple[ObjectId, ...]
-
     kind = "discrete"
+    _compared = ("objects",)
+
+    def __init__(self, objects: tuple[ObjectId, ...]):
+        self.objects = objects
 
     def object_ids(self):
         return self.objects
@@ -359,7 +372,6 @@ class DiscreteCategory(IndexCategory):
         return _sorted_morphisms(self.identity(o) for o in self.objects)
 
 
-@dataclass(frozen=True)
 class IndiscreteCategory(IndexCategory):
     """Exactly one arrow between every ordered pair of objects.
 
@@ -367,9 +379,11 @@ class IndiscreteCategory(IndexCategory):
     the category cannot be enumerated.
     """
 
-    objects: tuple[ObjectId, ...] | None
-
     kind = "indiscrete"
+    _compared = ("objects",)
+
+    def __init__(self, objects: tuple[ObjectId, ...] | None):
+        self.objects = objects
 
     def object_ids(self):
         return self.objects
@@ -377,7 +391,7 @@ class IndiscreteCategory(IndexCategory):
     def pair(self, a: ObjectId, b: ObjectId) -> Morphism:
         _require_object(self, a)
         _require_object(self, b)
-        return Morphism(a, b, WPair(a, b))
+        return _new(Morphism, ("Morphism", a, b, _new(WPair, ("WPair", a, b))))
 
     def identity(self, obj):
         return self.pair(obj, obj)
@@ -396,13 +410,14 @@ class IndiscreteCategory(IndexCategory):
         return _sorted_morphisms(self.pair(a, b) for a in self.objects for b in self.objects)
 
 
-@dataclass(frozen=True)
 class PairCompletionCategory(IndexCategory):
     """Inner morphisms tagged in1 plus one formal in2 arrow per object pair."""
 
-    inner: IndexCategory
-
     kind = "pair_completion"
+    _compared = ("inner",)
+
+    def __init__(self, inner: IndexCategory):
+        self.inner = inner
 
     def object_ids(self):
         return self.inner.object_ids()
@@ -410,12 +425,12 @@ class PairCompletionCategory(IndexCategory):
     def inj1(self, m: Morphism) -> Morphism:
         if not self.inner.contains(m):
             raise ForeignMorphism(f"{m} is not in the inner category")
-        return Morphism(m.src, m.tgt, WInj1(m))
+        return _new(Morphism, ("Morphism", m.src, m.tgt, _new(WInj1, ("WInj1", m))))
 
     def inj2(self, a: ObjectId, b: ObjectId) -> Morphism:
         _require_object(self, a)
         _require_object(self, b)
-        return Morphism(a, b, WInj2(a, b))
+        return _new(Morphism, ("Morphism", a, b, _new(WInj2, ("WInj2", a, b))))
 
     def identity(self, obj):
         _require_object(self, obj)
@@ -449,28 +464,39 @@ _ESC = str.maketrans({"\\": "\\\\", "|": "\\|", "<": "\\<", ">": "\\>"})
 
 def pair_object(a: ObjectId, b: ObjectId) -> ObjectId:
     """The product object of a and b: an escaped `<a|b>` name that keeps the pair."""
-    return ObjectId(f"<{a.name.translate(_ESC)}|{b.name.translate(_ESC)}>", (a, b))
+    o = ObjectId(f"<{a.name.translate(_ESC)}|{b.name.translate(_ESC)}>")
+    o.pair = (a, b)
+    return o
 
 
-@dataclass(frozen=True)
 class ProductCategory(IndexCategory):
-    left: IndexCategory
-    right: IndexCategory
-
     kind = "product"
+    _compared = ("left", "right")
+
+    def __init__(self, left: IndexCategory, right: IndexCategory):
+        self.left, self.right = left, right
+        self._objects: dict[tuple[ObjectId, ObjectId], ObjectId] = {}
+
+    def _object(self, a: ObjectId, b: ObjectId) -> ObjectId:
+        """pair_object(a, b), built once per pair: few objects carry a dict."""
+        o = self._objects.get((a, b))
+        if o is None:
+            o = self._objects[a, b] = pair_object(a, b)
+        return o
 
     def object_ids(self):
         lo, ro = self.left.object_ids(), self.right.object_ids()
         if lo is None or ro is None:
             return None
-        return tuple(pair_object(a, b) for a in lo for b in ro)
+        return tuple(self._object(a, b) for a in lo for b in ro)
 
     def has_object(self, obj):
         return (obj.pair is not None
                 and self.left.has_object(obj.pair[0]) and self.right.has_object(obj.pair[1]))
 
     def tuple_morphism(self, l: Morphism, r: Morphism) -> Morphism:
-        return Morphism(pair_object(l.src, r.src), pair_object(l.tgt, r.tgt), WTuple(l, r))
+        return _new(Morphism, ("Morphism", self._object(l.src, r.src), self._object(l.tgt, r.tgt),
+                               _new(WTuple, ("WTuple", l, r))))
 
     def identity(self, obj):
         if obj.pair is None:
@@ -481,8 +507,8 @@ class ProductCategory(IndexCategory):
     def contains(self, m):
         return (isinstance(m.word, WTuple)
                 and self.left.contains(m.word.left) and self.right.contains(m.word.right)
-                and m.src == pair_object(m.word.left.src, m.word.right.src)
-                and m.tgt == pair_object(m.word.left.tgt, m.word.right.tgt))
+                and m.src == self._object(m.word.left.src, m.word.right.src)
+                and m.tgt == self._object(m.word.left.tgt, m.word.right.tgt))
 
     def compose(self, g, f):
         self._check_endpoints(g, f)
@@ -495,20 +521,17 @@ class ProductCategory(IndexCategory):
         return _sorted_morphisms(self.tuple_morphism(l, r) for l in ls for r in rs)
 
 
-@dataclass(frozen=True)
 class FuncCategory(IndexCategory):
     """Objects are named finite value sets; arrows are all functions."""
 
-    sets: tuple[tuple[ObjectId, tuple[Value, ...]], ...]
-    # per object: (carrier, carrier as a set, identity), built once
-    _by_obj: dict = field(init=False, repr=False, compare=False, hash=False)
-
     kind = "func"
+    _compared = ("sets",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_by_obj", {
-            o: (vs, frozenset(vs), Morphism(o, o, WFn(tuple((v, v) for v in vs))))
-            for o, vs in self.sets})
+    def __init__(self, sets: tuple[tuple[ObjectId, tuple[Value, ...]], ...]):
+        self.sets = sets
+        # per object: (carrier, carrier as a set, identity), built once
+        self._by_obj = {o: (vs, frozenset(vs), Morphism(o, o, WFn(tuple((v, v) for v in vs))))
+                        for o, vs in sets}
 
     def _entry(self, obj: ObjectId):
         try:
@@ -551,7 +574,8 @@ class FuncCategory(IndexCategory):
 
     def compose(self, g, f):
         self._check_endpoints(g, f)
-        return Morphism(f.src, g.tgt, WFn(tuple((a, g.word.apply(b)) for a, b in f.word.graph)))
+        graph = tuple((a, g.word.apply(b)) for a, b in f.word.graph)
+        return _new(Morphism, ("Morphism", f.src, g.tgt, _new(WFn, ("WFn", graph))))
 
     def morphisms(self, max_path_len: int = 4):
         out = []
@@ -562,12 +586,13 @@ class FuncCategory(IndexCategory):
         return _sorted_morphisms(out)
 
 
-@dataclass(frozen=True)
-class TwoCategory:
+class TwoCategory(ByValue):
     """An index category plus a decidable 2-cell preorder on parallel arrows."""
 
-    base: IndexCategory
-    cell: Callable[[Morphism, Morphism], bool] = field(hash=False, compare=False)
+    _compared = ("base",)
+
+    def __init__(self, base: IndexCategory, cell: Callable[[Morphism, Morphism], bool]):
+        self.base, self.cell = base, cell
 
     def leq(self, f: Morphism, g: Morphism) -> bool:
         if f.src != g.src or f.tgt != g.tgt:
@@ -575,10 +600,11 @@ class TwoCategory:
         return f == g or self.cell(f, g)
 
 
-@dataclass(frozen=True)
-class WideSubcategory:
-    parent: IndexCategory
-    member: Callable[[Morphism], bool] = field(hash=False, compare=False)
+class WideSubcategory(ByValue):
+    _compared = ("parent",)
+
+    def __init__(self, parent: IndexCategory, member: Callable[[Morphism], bool]):
+        self.parent, self.member = parent, member
 
     def contains(self, m: Morphism) -> bool:
         return self.parent.contains(m) and self.member(m)

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from ..core import (
     CatGradedMonad,
@@ -42,14 +41,13 @@ __all__ = [
 ]
 
 
-@dataclass
 class InstanceBundle:
     """Everything the harness and the metalanguage need for one instance."""
 
-    name: str
-    subject: CatGradedMonad | TwoCatGradedMonad  # the structure the laws run on
-    genunit: GeneralisedUnit | None = None
-    ahl: AhlMonad | None = None
+    def __init__(self, name: str,
+                 subject: CatGradedMonad | TwoCatGradedMonad,  # the structure the laws run on
+                 genunit: GeneralisedUnit | None = None, ahl: AhlMonad | None = None):
+        self.name, self.subject, self.genunit, self.ahl = name, subject, genunit, ahl
 
     @property
     def monad(self) -> CatGradedMonad:

@@ -13,8 +13,8 @@ final state violates psi is at most beta.  Composition adds the bounds
 from __future__ import annotations
 
 import copy
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from ..core import CatGradedMonad, GeneralisedUnit, TwoCatGradedMonad
 from ..errors import InvalidImplication, InvalidValue, MalformedPayload, RangeError
@@ -167,7 +167,7 @@ class AhlMonad:
         fn = once_per_value(fn)
         return ordered_table((sv, dist_map_snd(fn, d)) for sv, d in p.entries)
 
-    def _holds(self, phi: Formula) -> tuple[bool, ...]:
+    def holds(self, phi: Formula) -> tuple[bool, ...]:
         """Whether phi holds in each of `states`, evaluated once per formula."""
         truth = self._truth.get(phi)
         if truth is None:
@@ -176,10 +176,10 @@ class AhlMonad:
 
     def failure_prob(self, payload: Value, pre: Formula, post: Formula) -> Fraction:
         """Exact max over states satisfying pre of Pr[final state violates post]."""
-        starts = [sv for sv, ok in zip(self.svalues, self._holds(pre)) if ok]
+        starts = [sv for sv, ok in zip(self.svalues, self.holds(pre)) if ok]
         if not starts:
             return Fraction(0)
-        bad = {sv for sv, ok in zip(self.svalues, self._holds(post)) if not ok}
+        bad = {sv for sv, ok in zip(self.svalues, self.holds(post)) if not ok}
         return max(Fraction(sum(n for prv, n in d.atoms if prv.fst in bad), d.den)
                    for d in map(payload.get, starts))
 
@@ -200,7 +200,7 @@ class AhlMonad:
 
     def _geneta(self, m: Morphism, a: Value) -> Value:
         pre, post = self.pre_of(m), self.post_of(m)
-        if not valid_implication(self.decls, pre, post):
+        if not valid_implication(self.holds, pre, post):
             raise InvalidImplication(
                 f"{formula_text(pre)} does not entail {formula_text(post)}")
         return self._unit(m.src, a)
@@ -208,11 +208,11 @@ class AhlMonad:
     def _sample(self, f: Morphism, rng: Rng) -> Value:
         beta = self.beta_of(f)
         pre, post = self.pre_of(f), self.post_of(f)
-        holds_post = self._holds(post)
+        holds_post = self.holds(post)
         good = [sv for sv, ok in zip(self.svalues, holds_post) if ok]
         bad = [sv for sv, ok in zip(self.svalues, holds_post) if not ok]
         out = {}
-        for sv, ok in zip(self.svalues, self._holds(pre)):
+        for sv, ok in zip(self.svalues, self.holds(pre)):
             if not ok:
                 out[sv] = point(vpair(rng.choice(self.svalues), vint(rng.randint(0, 9))))
                 continue

@@ -9,7 +9,7 @@ composite a partial transformer.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from ..core import CatGradedMonad, GradedComputation
 from ..errors import MalformedPayload, SpawnGradeError

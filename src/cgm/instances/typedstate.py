@@ -9,7 +9,7 @@ in the discrete variant, only identities.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from ..core import CatGradedMonad, GeneralisedUnit
 from ..errors import DomainMismatch, MalformedPayload, NotInSubcategory

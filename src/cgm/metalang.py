@@ -11,8 +11,7 @@ inferred index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from collections.abc import Callable, Mapping
 
 from .core import CatGradedMonad, GradedComputation, fmap, mult, unit
 from .errors import (
@@ -27,6 +26,7 @@ from .formulas import TokenStream, parse_int_range, tokenize
 from .indexcat import Morphism, ObjectId
 from .instances import InstanceBundle, LockPrims
 from .values import (
+    Record,
     Value,
     VBool,
     VInt,
@@ -41,8 +41,8 @@ from .values import (
 )
 
 
-@dataclass(frozen=True)
-class Pos:
+class Pos(Record):
+    __slots__ = ()
     line: int
     col: int
 
@@ -55,25 +55,25 @@ NOPOS = Pos(0, 0)
 
 # --- pure expressions ---
 
-@dataclass(frozen=True)
-class PLit:
+class PLit(Record):
+    __slots__ = ()
     value: Value
 
 
-@dataclass(frozen=True)
-class PVar:
+class PVar(Record):
+    __slots__ = ()
     name: str
 
 
-@dataclass(frozen=True)
-class PArith:
+class PArith(Record):
+    __slots__ = ()
     op: str
     lhs: "PExpr"
     rhs: "PExpr"
 
 
-@dataclass(frozen=True)
-class PPairE:
+class PPairE(Record):
+    __slots__ = ()
     fst: "PExpr"
     snd: "PExpr"
 
@@ -81,41 +81,37 @@ class PPairE:
 PExpr = PLit | PVar | PArith | PPairE
 
 
-# --- terms ---
+# --- terms (each keeps its pos outside its tuple: equality and hash ignore it) ---
 
-@dataclass(frozen=True)
-class TVar:
+class TVar(Record, outside=("pos",)):
     name: str
-    pos: Pos = field(default=NOPOS, compare=False)
+    pos: Pos = NOPOS
 
 
-@dataclass(frozen=True)
-class TPure:
+class TPure(Record, outside=("pos",)):
     expr: PExpr
-    pos: Pos = field(default=NOPOS, compare=False)
+    pos: Pos = NOPOS
 
 
-@dataclass(frozen=True)
-class TPrim:
+class TPrim(Record, outside=("pos",)):
     name: str
     args: tuple[PExpr, ...] = ()
     body: "Term | None" = None  # spawn carries a computation argument
-    pos: Pos = field(default=NOPOS, compare=False)
+    pos: Pos = NOPOS
 
 
-@dataclass(frozen=True)
-class TLet:
+class TLet(Record, outside=("pos",)):
     var: str
     bound: "Term"
     body: "Term"
-    pos: Pos = field(default=NOPOS, compare=False)
+    pos: Pos = NOPOS
 
 
 Term = TVar | TPure | TPrim | TLet
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record):
+    __slots__ = ()
     instance: str
     start: str | None
     store: tuple[int, int] | None
@@ -151,8 +147,8 @@ def shape_text(s: Shape) -> str:
     return str(s)
 
 
-@dataclass(frozen=True)
-class GradedType:
+class GradedType(Record):
+    __slots__ = ()
     index: Morphism
     shape: Shape
 
@@ -162,12 +158,11 @@ class GradedType:
 
 # --- primitive signatures per instance ---
 
-@dataclass
 class PrimSpec:
-    arg_shapes: tuple[Shape, ...]
-    result_shape: Shape
-    index: Morphism
-    make: Callable[[list[Value]], GradedComputation]
+    def __init__(self, arg_shapes: tuple[Shape, ...], result_shape: Shape, index: Morphism,
+                 make: Callable[[list[Value]], GradedComputation]):
+        self.arg_shapes, self.result_shape = arg_shapes, result_shape
+        self.index, self.make = index, make
 
 
 Spawn = Callable[[GradedComputation], GradedComputation]
@@ -337,64 +332,6 @@ def parse_program(text: str) -> Program:
     return Program(instance, start, store, body)
 
 
-# --- pretty printing ---
-
-def pexpr_text(e: PExpr) -> str:
-    if isinstance(e, PLit):
-        if isinstance(e.value, VBool):
-            return "true" if e.value.b else "false"
-        if isinstance(e.value, VUnit):
-            return "()"
-        return e.value.show()
-    if isinstance(e, PVar):
-        return e.name
-    if isinstance(e, PArith):
-        return f"({pexpr_text(e.lhs)} {e.op} {pexpr_text(e.rhs)})"
-    return f"({pexpr_text(e.fst)}, {pexpr_text(e.snd)})"
-
-
-def _term_text(t: Term, indent: int) -> str:
-    pad = "  " * indent
-    if isinstance(t, TLet):
-        stmts = []
-        cur: Term = t
-        while isinstance(cur, TLet):
-            head = f"{cur.var} <- " if cur.var != "_" else ""
-            stmts.append(pad + "  " + head + _inline_term(cur.bound, indent + 1) + ";")
-            cur = cur.body
-        stmts.append(pad + "  " + _inline_term(cur, indent + 1))
-        return pad + "do {\n" + "\n".join(stmts) + "\n" + pad + "}"
-    return pad + _inline_term(t, indent)
-
-
-def _inline_term(t: Term, indent: int) -> str:
-    if isinstance(t, TVar):
-        return t.name
-    if isinstance(t, TPure):
-        return f"pure {pexpr_text(t.expr)}"
-    if isinstance(t, TPrim):
-        if t.name == "spawn":
-            return "spawn " + _term_text(t.body, indent).lstrip()
-        if t.args:
-            return f"{t.name}({', '.join(pexpr_text(a) for a in t.args)})"
-        return t.name
-    return _term_text(t, indent).lstrip() if isinstance(t, TLet) else str(t)
-
-
-def pretty_program(p: Program) -> str:
-    lines = [f"instance {p.instance}"]
-    if p.start is not None:
-        lines.append(f"start {p.start}")
-    if p.store is not None:
-        lines.append(f"store int[{p.store[0]}..{p.store[1]}]")
-    lines.append("")
-    if isinstance(p.body, TLet):
-        lines.append(_term_text(p.body, 0))
-    else:
-        lines.append("do {\n  " + _inline_term(p.body, 1) + "\n}")
-    return "\n".join(lines) + "\n"
-
-
 # --- grade inference ---
 
 def shape_of_pexpr(e: PExpr, env: Mapping[str, Shape]) -> Shape:
@@ -423,10 +360,10 @@ def _pexpr_vars(e: PExpr) -> frozenset[str]:
     return frozenset()
 
 
-@dataclass(frozen=True)
-class _LetInfo:
+class _LetInfo(Record):
     """What inference fixes about a bind for evaluation."""
 
+    __slots__ = ()
     cont: Morphism              # the continuation's (the body's) grade
     carried: tuple[str, ...]    # the body's free variables, bound variable excepted
     reads_var: bool             # whether the body reads the bound variable

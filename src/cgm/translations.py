@@ -9,9 +9,8 @@ law suites and round-trip comparisons that certify it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
 from itertools import product
-from typing import Callable, Mapping
 
 from .core import (
     CatGradedMonad,
@@ -59,34 +58,32 @@ from .values import Value, VTable, table, vstr
 
 # --- source structures ---
 
-@dataclass
+ValueFn = Callable[[Value], Value]
+
+
 class PlainMonad:
-    name: str
-    unit_fn: Callable[[Value], Value]
-    join_fn: Callable[[Value], Value]
-    map_fn: Callable[[Callable[[Value], Value], Value], Value]
-    validator: Callable[[Value], bool]
-    sampler: Callable[[Rng], Value]
+    def __init__(self, name: str, unit_fn: ValueFn, join_fn: ValueFn,
+                 map_fn: Callable[[ValueFn, Value], Value],
+                 validator: Callable[[Value], bool], sampler: Callable[[Rng], Value]):
+        self.name, self.unit_fn, self.join_fn, self.map_fn = name, unit_fn, join_fn, map_fn
+        self.validator, self.sampler = validator, sampler
 
 
-@dataclass
 class GradedMonad:
     """Endofunctor family indexed by a (pre-ordered) monoid."""
 
-    name: str
-    op: Callable
-    unit_elem: object
-    sample: tuple
-    unit_fn: Callable[[Value], Value]
-    mult_fn: Callable[[object, object, Value], Value]
-    map_fn: Callable[[object, Callable[[Value], Value], Value], Value]
-    validator: Callable[[object, Value], bool]
-    sampler: Callable[[object, Rng], Value]
-    approx_fn: Callable[[object, object, Value], Value] | None = None
-    leq: Callable[[object, object], bool] | None = None
+    def __init__(self, name: str, op: Callable, unit_elem: object, sample: tuple,
+                 unit_fn: ValueFn, mult_fn: Callable[[object, object, Value], Value],
+                 map_fn: Callable[[object, ValueFn, Value], Value],
+                 validator: Callable[[object, Value], bool],
+                 sampler: Callable[[object, Rng], Value],
+                 approx_fn: Callable[[object, object, Value], Value] | None = None,
+                 leq: Callable[[object, object], bool] | None = None):
+        self.name, self.op, self.unit_elem, self.sample = name, op, unit_elem, sample
+        self.unit_fn, self.mult_fn, self.map_fn = unit_fn, mult_fn, map_fn
+        self.validator, self.sampler, self.approx_fn, self.leq = validator, sampler, approx_fn, leq
 
 
-@dataclass
 class ParameterisedMonad:
     """Doubly indexed family P(I, J) over a finite index category.
 
@@ -96,14 +93,16 @@ class ParameterisedMonad:
     whose morphism mapping is degenerate.
     """
 
-    name: str
-    index_cat: IndexCategory
-    eta_fn: Callable[[ObjectId, Value], Value]
-    mu_fn: Callable[[ObjectId, ObjectId, ObjectId, Value], Value]
-    value_map_fn: Callable[[ObjectId, ObjectId, Callable[[Value], Value], Value], Value]
-    validator: Callable[[ObjectId, ObjectId, Value], bool]
-    sampler: Callable[[ObjectId, ObjectId, Rng], Value]
-    morph_map_fn: Callable[[Morphism, Morphism, Callable[[Value], Value], Value], Value] | None = None
+    def __init__(self, name: str, index_cat: IndexCategory,
+                 eta_fn: Callable[[ObjectId, Value], Value],
+                 mu_fn: Callable[[ObjectId, ObjectId, ObjectId, Value], Value],
+                 value_map_fn: Callable[[ObjectId, ObjectId, ValueFn, Value], Value],
+                 validator: Callable[[ObjectId, ObjectId, Value], bool],
+                 sampler: Callable[[ObjectId, ObjectId, Rng], Value],
+                 morph_map_fn: Callable[[Morphism, Morphism, ValueFn, Value], Value] | None = None):
+        self.name, self.index_cat, self.eta_fn, self.mu_fn = name, index_cat, eta_fn, mu_fn
+        self.value_map_fn, self.validator, self.sampler = value_map_fn, validator, sampler
+        self.morph_map_fn = morph_map_fn
 
     @property
     def discrete(self) -> bool:
@@ -368,8 +367,7 @@ def roundtrip_param(P: ParameterisedMonad, samples: int = 50, seed: int = 0) -> 
         Q = catgraded_genunit_to_param(T, G)
     except DinaturalityFailure as exc:
         return LawReport((("roundtrip.build", 1),),
-                         (LawFailure("roundtrip.build", (), None, None, None,
-                                     note=str(exc)),))
+                         (LawFailure("roundtrip.build", (), None, None, None, str(exc)),))
     r = Runner(samples, seed)
     objs = P.objects()
     cat = P.index_cat

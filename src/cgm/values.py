@@ -7,13 +7,15 @@ distribution.  All shapes are immutable, hashable, and have decidable
 structural equality; tables and distributions are canonicalized at
 construction so equal contents compare equal.
 
-A value is a tuple tagged with its shape, `(tag, *fields)`: `VUnit` is
+A value is a `Record`, the one representation of the package's
+immutable data: a tuple tagged with its shape, `(tag, *fields)`.  `VUnit` is
 `(0,)`, `VInt` is `(1, n)`, up to `VDist`, `(9, atoms, den)`.  The tags
 follow the canonical order of shapes, so the tuple's own `<`, `==` and
 `hash` are the canonical order, equality and hash, computed in C.  Only
 dists define their order among themselves (by `Fraction` weight, not by
-numerator).  A value equals a plain tuple with the same items, so the
-two must not share a dict or set.  A table or dist keeps the dict of
+numerator).  Other records are tagged with their class names, so no
+record equals a value.  A record equals a plain tuple with the same
+items, so the two must not share a dict or set.  A table or dist keeps the dict of
 its first lookup on the object, and a dist its comparison key; nothing
 is cached at module level.
 
@@ -29,41 +31,73 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import _tuplegetter  # namedtuple's field descriptor, in C
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from operator import itemgetter
 
 from .errors import InvalidValue, MalformedPayload
 
+_new = tuple.__new__  # builds a record from its tuple, skipping Record.__new__'s frame
 
-class Value(tuple):
-    """Base class: a shape is the tuple (tag, *fields), its fields named
-    by the `fields` it is declared with."""
+
+class Record(tuple):
+    """An immutable record: the tuple (tag, *fields).
+
+    A subclass declares its fields by annotation, in order with any
+    defaults last, and its tag by keyword (default: its class name); a
+    field reads through namedtuple's C descriptor.  The tuple's `==`,
+    `hash` and `<` are the record's, run in C; records of different
+    classes differ in their tags.  Fields named in `outside` come last and
+    live in the instance dict, so equality and hash ignore them.  Nothing
+    is generated: `Record(*fields)` checks the count and fills in
+    defaults, and hot call sites build `_new(cls, (tag, *fields))`.  A
+    record with nothing outside the tuple declares `__slots__ = ()`.
+    """
 
     __slots__ = ()
-    _fields: tuple[str, ...]
 
-    def __init_subclass__(cls, tag: int, fields: tuple[str, ...] = ()):
+    def __init_subclass__(cls, tag=None, outside: tuple[str, ...] = ()):
         super().__init_subclass__()
-        cls._tag, cls._fields = tag, fields
-        for i, name in enumerate(fields, 1):
-            setattr(cls, name, property(itemgetter(i)))
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._tag = cls.__name__ if tag is None else tag
+        cls._fields, cls._arity = names, len(names) - len(outside)
+        cls._defaults = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
+        for i, name in enumerate(names[:cls._arity], 1):
+            setattr(cls, name, _tuplegetter(i, None))
 
-    def __new__(cls, *fields):
-        return tuple.__new__(cls, (cls._tag, *fields))
+    def __new__(cls, *args):
+        n = cls._arity
+        if len(args) == n:
+            return _new(cls, (cls._tag, *args))
+        missing = len(cls._fields) - len(args)
+        if not 0 <= missing <= len(cls._defaults):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, not {len(args)}")
+        args += cls._defaults[len(cls._defaults) - missing:]
+        self = _new(cls, (cls._tag, *args[:n]))
+        for name, v in zip(cls._fields[n:], args[n:]):
+            if v is not getattr(cls, name):
+                setattr(self, name, v)
+        return self
 
     def __getnewargs__(self):
         return self[1:]
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class Value(Record):
+    """Base class of the shapes: records tagged with ints, by shape."""
+
+    __slots__ = ()
 
     def show(self) -> str:
         raise NotImplementedError
 
     def __str__(self) -> str:
         return self.show()
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({args})"
 
 
 class VUnit(Value, tag=0):
@@ -73,50 +107,59 @@ class VUnit(Value, tag=0):
         return "()"
 
 
-class VInt(Value, tag=1, fields=("n",)):
+class VInt(Value, tag=1):
     __slots__ = ()
+    n: int
 
     def show(self) -> str:
         return str(self.n)
 
 
-class VRat(Value, tag=2, fields=("q",)):
+class VRat(Value, tag=2):
     __slots__ = ()
+    q: Fraction
 
     def show(self) -> str:
         return str(self.q)
 
 
-class VBool(Value, tag=3, fields=("b",)):
+class VBool(Value, tag=3):
     __slots__ = ()
+    b: bool
 
     def show(self) -> str:
         return "true" if self.b else "false"
 
 
-class VStr(Value, tag=4, fields=("s",)):
+class VStr(Value, tag=4):
     __slots__ = ()
+    s: str
 
     def show(self) -> str:
         return '"' + self.s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-class VPair(Value, tag=5, fields=("fst", "snd")):
+class VPair(Value, tag=5):
     __slots__ = ()
+    fst: Value
+    snd: Value
 
     def show(self) -> str:
         return f"({self.fst.show()}, {self.snd.show()})"
 
 
-class VSeq(Value, tag=6, fields=("items",)):
+class VSeq(Value, tag=6):
     __slots__ = ()
+    items: tuple[Value, ...]
 
     def show(self) -> str:
         return "[" + ", ".join(v.show() for v in self.items) + "]"
 
 
-class VTag(Value, tag=7, fields=("tag", "value")):
+class VTag(Value, tag=7):
     __slots__ = ()
+    tag: str
+    value: Value
 
     def show(self) -> str:
         return f"#{self.tag}({self.value.show()})"
@@ -132,8 +175,10 @@ def _index(v: VTable | VDist) -> dict:
         return ix
 
 
-class VTable(Value, tag=8, fields=("entries",)):
+class VTable(Value, tag=8):
     """Finite map; entries sorted by canonical key order, keys unique."""
+
+    entries: tuple[tuple[Value, Value], ...]
 
     def show(self) -> str:
         body = "; ".join(f"{k.show()} -> {v.show()}" for k, v in self.entries)
@@ -152,11 +197,14 @@ class VTable(Value, tag=8, fields=("entries",)):
         return key in _index(self)
 
 
-class VDist(Value, tag=9, fields=("atoms", "den")):
+class VDist(Value, tag=9):
     """Finite-support distribution: values in canonical order, positive int
     numerators over `den` summing to it, in lowest terms (equal dists have
     equal fields).  Two dists order by their `entries`, i.e. by `Fraction`
     weight; a dist against any other shape orders natively, by tag."""
+
+    atoms: tuple[tuple[Value, int], ...]
+    den: int
 
     @property
     def entries(self) -> tuple[tuple[Value, Fraction], ...]:
@@ -193,7 +241,6 @@ class VDist(Value, tag=9, fields=("atoms", "den")):
 
 
 _ZERO = Fraction(0)
-_new = tuple.__new__  # the constructors below skip Value.__new__'s frame
 
 unit = _new(VUnit, (0,))
 

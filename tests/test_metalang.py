@@ -37,13 +37,74 @@ from cgm.metalang import (
     eval_term,
     infer_grade,
     infer_program,
+    PExpr,
+    Program,
+    Term,
     parse_program,
-    pretty_program,
     start_object,
     strength,
 )
 from cgm.rng import Rng
-from cgm.values import unit as vunit, vint, vpair, vseq
+from cgm.values import VBool, VUnit, unit as vunit, vint, vpair, vseq
+
+
+# --- pretty printing, for parse round trips ---
+
+def pexpr_text(e: PExpr) -> str:
+    if isinstance(e, PLit):
+        if isinstance(e.value, VBool):
+            return "true" if e.value.b else "false"
+        if isinstance(e.value, VUnit):
+            return "()"
+        return e.value.show()
+    if isinstance(e, PVar):
+        return e.name
+    if isinstance(e, PArith):
+        return f"({pexpr_text(e.lhs)} {e.op} {pexpr_text(e.rhs)})"
+    return f"({pexpr_text(e.fst)}, {pexpr_text(e.snd)})"
+
+
+def _term_text(t: Term, indent: int) -> str:
+    pad = "  " * indent
+    if isinstance(t, TLet):
+        stmts = []
+        cur: Term = t
+        while isinstance(cur, TLet):
+            head = f"{cur.var} <- " if cur.var != "_" else ""
+            stmts.append(pad + "  " + head + _inline_term(cur.bound, indent + 1) + ";")
+            cur = cur.body
+        stmts.append(pad + "  " + _inline_term(cur, indent + 1))
+        return pad + "do {\n" + "\n".join(stmts) + "\n" + pad + "}"
+    return pad + _inline_term(t, indent)
+
+
+def _inline_term(t: Term, indent: int) -> str:
+    if isinstance(t, TVar):
+        return t.name
+    if isinstance(t, TPure):
+        return f"pure {pexpr_text(t.expr)}"
+    if isinstance(t, TPrim):
+        if t.name == "spawn":
+            return "spawn " + _term_text(t.body, indent).lstrip()
+        if t.args:
+            return f"{t.name}({', '.join(pexpr_text(a) for a in t.args)})"
+        return t.name
+    return _term_text(t, indent).lstrip() if isinstance(t, TLet) else str(t)
+
+
+def pretty_program(p: Program) -> str:
+    lines = [f"instance {p.instance}"]
+    if p.start is not None:
+        lines.append(f"start {p.start}")
+    if p.store is not None:
+        lines.append(f"store int[{p.store[0]}..{p.store[1]}]")
+    lines.append("")
+    if isinstance(p.body, TLet):
+        lines.append(_term_text(p.body, 0))
+    else:
+        lines.append("do {\n  " + _inline_term(p.body, 1) + "\n}")
+    return "\n".join(lines) + "\n"
+
 
 LOCK_PROGRAM = """
 instance concst

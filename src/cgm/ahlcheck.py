@@ -225,10 +225,10 @@ def _parse_fraction(ts: TokenStream) -> Fraction:
     return Fraction(num)
 
 
-def _parse_judgement_tail(ts: TokenStream) -> tuple[Formula, Formula]:
-    pre = parse_formula(ts)
+def _parse_judgement_tail(ts: TokenStream, decls: dict[str, VarDecl]) -> tuple[Formula, Formula]:
+    pre = parse_formula(ts, decls)
     ts.expect("=>")
-    post = parse_formula(ts)
+    post = parse_formula(ts, decls)
     return pre, post
 
 
@@ -243,13 +243,13 @@ def _parse_derivation(ts: TokenStream, decls: dict[str, VarDecl]) -> Derivation:
     t = ts.next("rule name")
     if t.text == "skip":
         ts.expect(":")
-        return DSkip(parse_formula(ts))
+        return DSkip(parse_formula(ts, decls))
     if t.text == "assign":
         var = _parse_var(ts, decls).name
         ts.expect(":=")
-        expr = parse_arith(ts)
+        expr = parse_arith(ts, decls)
         ts.expect(":")
-        return DAssign(var, expr, parse_formula(ts))
+        return DAssign(var, expr, parse_formula(ts, decls))
     if t.text == "rand":
         decl = _parse_var(ts, decls)
         at = ts.peek()
@@ -263,7 +263,7 @@ def _parse_derivation(ts: TokenStream, decls: dict[str, VarDecl]) -> Derivation:
         ts.expect(":")
         beta = _parse_fraction(ts)
         ts.expect(":")
-        pre, post = _parse_judgement_tail(ts)
+        pre, post = _parse_judgement_tail(ts, decls)
         return DRand(decl.name, lo, hi, beta, pre, post)
     if t.text == "seq":
         ts.expect("{")
@@ -282,7 +282,7 @@ def _parse_derivation(ts: TokenStream, decls: dict[str, VarDecl]) -> Derivation:
     if t.text == "weak":
         beta = _parse_fraction(ts)
         ts.expect(":")
-        pre, post = _parse_judgement_tail(ts)
+        pre, post = _parse_judgement_tail(ts, decls)
         ts.expect("{")
         child = _parse_derivation(ts, decls)
         ts.expect("}")
@@ -299,24 +299,24 @@ class AhlFile(Record):
 
 def parse_ahl_file(text: str) -> AhlFile:
     ts = TokenStream(tokenize(text), end_line=text.count("\n") + 1)
-    decls: list[VarDecl] = []
+    decls: dict[str, VarDecl] = {}
     while ts.at("var"):
         ts.next()
         t = ts.next("variable name")
-        if any(d.name == t.text for d in decls):
+        if t.text in ("true", "false"):
+            raise ParseError(f"{t.text!r} is a constant, not a variable name", t.line, t.col)
+        if t.text in decls:
             raise ParseError(f"variable {t.text!r} is declared twice", t.line, t.col)
         ts.expect(":")
-        lo, hi = parse_int_range(ts)
-        decls.append(VarDecl(t.text, lo, hi))
+        decls[t.text] = VarDecl(t.text, *parse_int_range(ts))
     if not decls:
         raise ParseError("derivation file declares no variables", 1, 1)
-    ts.names = {d.name for d in decls}
     ts.expect("conclude")
     beta = _parse_fraction(ts)
     ts.expect(":")
-    pre, post = _parse_judgement_tail(ts)
-    deriv = _parse_derivation(ts, {d.name: d for d in decls})
+    pre, post = _parse_judgement_tail(ts, decls)
+    deriv = _parse_derivation(ts, decls)
     t = ts.peek()
     if t is not None:
         raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    return AhlFile(tuple(decls), Judgement(beta, pre, post), deriv)
+    return AhlFile(tuple(decls.values()), Judgement(beta, pre, post), deriv)

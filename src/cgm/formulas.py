@@ -11,7 +11,7 @@ import itertools
 from collections.abc import Callable, Collection, Iterable, Mapping
 
 from .errors import ParseError
-from .values import Record, Value, VInt, VStr, VTable, _new, table, vint, vstr
+from .values import Record, Value, VInt, VStr, VTable, _new
 
 
 # --- expressions ---
@@ -172,10 +172,6 @@ def states(decls: Iterable[VarDecl]) -> list[dict[str, int]]:
             for combo in itertools.product(*[d.values() for d in decls])]
 
 
-def state_value(state: Mapping[str, int]) -> VTable:
-    return table({vstr(k): vint(v) for k, v in state.items()})
-
-
 def state_dict(v: Value) -> dict[str, int]:
     if not isinstance(v, VTable):
         raise ValueError("state must be a table value")
@@ -194,7 +190,6 @@ def valid_implication(holds: Callable, pre: Formula, post: Formula) -> bool:
 
 # --- parsing ---
 
-_TOKEN_CHARS = {"(": "(", ")": ")", ",": ","}
 _TWO = ("==", "!=", "<=", ">=", "&&", "||", "<-", "<~", "->", "..", "=>", ":=")
 _ONE = "+-*/<>!(){};:=[],~"
 _DIGITS = "0123456789"
@@ -262,7 +257,6 @@ class TokenStream:
         self.toks = toks
         self.pos = 0
         self.end_line = end_line
-        self.names: Collection[str] | None = None  # declared variables, if checked
 
     def peek(self) -> Token | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -310,77 +304,97 @@ def parse_int_range(ts: TokenStream) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_atom_expr(ts: TokenStream) -> Expr:
-    t = ts.next("expression")
-    if t.kind == "int":
-        return EInt(int(t.text))
-    if t.kind == "name":
-        if ts.names is not None and t.text not in ts.names:
-            raise ParseError(f"undeclared variable {t.text!r}", t.line, t.col)
-        return EVar(t.text)
-    if t.text == "(":
-        e = parse_arith(ts)
-        ts.expect(")")
-        return e
-    if t.text == "-":
-        inner = _parse_atom_expr(ts)
-        return EBin("-", EInt(0), inner)
-    raise ParseError(f"expected expression, found {t.text!r}", t.line, t.col)
+def parse_infix(ts: TokenStream, atom: Callable[[Token], object], binary: Mapping[str, int],
+                prefix: Mapping[str, int], build: Callable, pair: Callable | None = None):
+    """One expression, read by operator precedence with no recursion and
+    no backtracking (Pratt, "Top down operator precedence", 1973).
 
-
-def parse_arith(ts: TokenStream) -> Expr:
-    left = _parse_mul(ts)
-    while ts.at("+") or ts.at("-"):
-        op = ts.next().text
-        left = EBin(op, left, _parse_mul(ts))
-    return left
-
-
-def _parse_mul(ts: TokenStream) -> Expr:
-    left = _parse_atom_expr(ts)
-    while ts.at("*"):
-        ts.next()
-        left = EBin("*", left, _parse_atom_expr(ts))
-    return left
-
-
-def _parse_formula_atom(ts: TokenStream) -> Formula:
-    t = ts.peek()
-    if t is None:
-        raise ParseError("expected formula", ts.end_line, 1)
-    if t.text == "!":
-        ts.next()
-        return FNot(_parse_formula_atom(ts))
-    if t.text == "true" and t.kind == "name":
-        ts.next()
-        return TRUE
-    if t.text == "false" and t.kind == "name":
-        ts.next()
-        return FALSE
-    if t.text == "(":
-        # Could be a parenthesized formula or a parenthesized arithmetic
-        # expression starting a comparison; backtrack on failure.
-        save = ts.pos
-        ts.next()
-        try:
-            inner = parse_formula(ts)
+    `binary` and `prefix` give each operator's precedence: a higher one
+    binds tighter, and binary operators associate left.  `atom(token)`
+    reads any other operand; `build(token, *operands)` makes an operator's
+    node or rejects its operands.  An open `(` is a marker of precedence 0
+    on the operator stack, so the builder that takes a group settles its
+    sort.  With `pair`, `(a, b)` is pair(a, b) and `()` is pair().  The
+    expression ends before the first token that cannot continue it."""
+    vals: list = []
+    ops: list = []  # (precedence, arity, token); an open `(` has arity 1, and 2 after its comma
+    while True:
+        t = ts.next("expression")
+        if t.text == "(" and (pair is None or not ts.eat(")")):
+            ops.append((0, 1, t))
+            continue
+        if t.text in prefix:
+            ops.append((prefix[t.text], 1, t))
+            continue
+        vals.append(pair() if t.text == "(" else atom(t))
+        while True:  # after an operand: close groups, then a binary operator or the end
+            t = ts.peek()
+            if t is not None and t.text in binary:
+                _reduce(vals, ops, binary[t.text], build)
+                ops.append((binary[t.text], 2, t))
+                ts.pos += 1
+                break
+            _reduce(vals, ops, 1, build)
+            if not ops:  # no group is open
+                return vals[0]
+            if pair is not None and ops[-1][1] == 1 and ts.eat(","):
+                ops[-1] = (0, 2, ops[-1][2])
+                break
             ts.expect(")")
-            return inner
-        except ParseError:
-            ts.pos = save
-    lhs = parse_arith(ts)
-    t = ts.next("comparison operator")
-    if t.text not in _CMP:
+            if ops.pop()[1] == 2:
+                vals[-2:] = [pair(*vals[-2:])]
+
+
+def _reduce(vals: list, ops: list, prec: int, build: Callable) -> None:
+    """Apply the stacked operators that bind at least as tightly as `prec`."""
+    while ops and ops[-1][0] >= prec:
+        _, arity, t = ops.pop()
+        vals[-arity:] = [build(t, *vals[-arity:])]
+
+
+def _node(t: Token, *operands):
+    """Operator `t`'s node: `&& || !` take formulas, the others expressions."""
+    op = t.text
+    logic = op in ("&&", "||", "!")
+    if not all(isinstance(x, Formula if logic else Expr) for x in operands):
+        want, other = ("formula", "expression") if logic else ("expression", "formula")
+        raise ParseError(f"{op!r} applies to {want}s, not {other}s", t.line, t.col)
+    if logic:
+        return FNot(*operands) if op == "!" else FAnd(*operands) if op == "&&" else FOr(*operands)
+    if len(operands) == 1:
+        return EBin("-", EInt(0), *operands)
+    return FCmp(op, *operands) if op in _CMP else EBin(op, *operands)
+
+
+# `|| &&` < `!` < comparisons < `+ -` < `*` < unary `-`
+_ARITH, _NEG = {"+": 4, "-": 4, "*": 5}, {"-": 6}
+_FORMULA_OPS = {**_ARITH, "&&": 1, "||": 1, **dict.fromkeys(_CMP, 3)}
+_FORMULA_PREFIX = {**_NEG, "!": 2}
+
+
+def _reader(scope: Mapping[str, Expr | Formula]) -> Callable[[Token], Expr | Formula]:
+    """Integers, and the names in `scope` as their nodes."""
+    def atom(t: Token) -> Expr | Formula:
+        if t.kind == "int":
+            return EInt(int(t.text))
+        if t.kind != "name":
+            raise ParseError(f"expected expression, found {t.text!r}", t.line, t.col)
+        if t.text not in scope:
+            raise ParseError(f"undeclared variable {t.text!r}", t.line, t.col)
+        return scope[t.text]
+    return atom
+
+
+def parse_arith(ts: TokenStream, names: Collection[str]) -> Expr:
+    """An integer expression over the declared `names`."""
+    return parse_infix(ts, _reader({n: EVar(n) for n in names}), _ARITH, _NEG, _node)
+
+
+def parse_formula(ts: TokenStream, names: Collection[str]) -> Formula:
+    """A predicate over the declared `names`, with the constants `true` and `false`."""
+    scope = {n: EVar(n) for n in names} | {"true": TRUE, "false": FALSE}
+    phi = parse_infix(ts, _reader(scope), _FORMULA_OPS, _FORMULA_PREFIX, _node)
+    if not isinstance(phi, Formula):
+        t = ts.next("comparison operator")
         raise ParseError(f"expected comparison, found {t.text!r}", t.line, t.col)
-    rhs = parse_arith(ts)
-    return FCmp(t.text, lhs, rhs)
-
-
-def parse_formula(ts: TokenStream) -> Formula:
-    left = _parse_formula_atom(ts)
-    while ts.at("&&") or ts.at("||"):
-        op = ts.next().text
-        right = _parse_formula_atom(ts)
-        left = FAnd(left, right) if op == "&&" else FOr(left, right)
-    return left
-
+    return phi

@@ -29,7 +29,6 @@ from ..formulas import (
     eval_expr,
     eval_formula,
     formula_text,
-    state_value,
     states,
     valid_implication,
 )
@@ -56,11 +55,11 @@ from ..values import (
     ordered_table,
     point,
     sort_key,
-    table,
     uniform,
     unit as vunit,
     vint,
     vpair,
+    vstr,
 )
 
 
@@ -80,7 +79,9 @@ class AhlMonad:
         if not self.decls:
             raise InvalidValue("at least one variable must be declared")
         self.states = states(self.decls)
-        self.svalues = tuple(state_value(s) for s in self.states)
+        names = sorted(d.name for d in self.decls)
+        self.svalues = tuple(ordered_table((vstr(k), vint(s[k])) for k in names)
+                             for s in self.states)
         self._sorted_svalues = tuple(sorted(self.svalues, key=sort_key))
         self._svalue_set = frozenset(self.svalues)
         self._svalue_of = {tuple(s.values()): sv for s, sv in zip(self.states, self.svalues)}
@@ -279,16 +280,16 @@ class AhlMonad:
                 raise RangeError(
                     f"{var} := {v} leaves the declared range [{decl.lo}..{decl.hi}]")
             out[sv] = point(vpair(self._successor(s, var, v), vunit))
-        return table(out)
+        return ordered_table((sv, out[sv]) for sv in self._sorted_svalues)
 
     def sample_uniform(self, var: str, lo: int, hi: int) -> Value:
         decl = self.range_of(var)
         if lo > hi or lo < decl.lo or hi > decl.hi:
             raise RangeError(
                 f"uniform({lo},{hi}) is not within [{decl.lo}..{decl.hi}] for {var}")
-        return table({sv: uniform([vpair(self._successor(s, var, v), vunit)
-                                   for v in range(lo, hi + 1)])
-                      for s, sv in zip(self.states, self.svalues)})
+        out = {sv: uniform([vpair(self._successor(s, var, v), vunit) for v in range(lo, hi + 1)])
+               for s, sv in zip(self.states, self.svalues)}
+        return ordered_table((sv, out[sv]) for sv in self._sorted_svalues)
 
     def seq(self, first: Value, second: Value) -> Value:
         """Sequential composition of two program payloads."""

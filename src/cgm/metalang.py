@@ -22,7 +22,7 @@ from .errors import (
     SpawnGradeError,
     UnknownPrim,
 )
-from .formulas import TokenStream, parse_int_range, tokenize
+from .formulas import Token, TokenStream, parse_infix, parse_int_range, tokenize
 from .indexcat import Morphism, ObjectId
 from .instances import InstanceBundle, LockPrims
 from .values import (
@@ -191,45 +191,28 @@ _KEYWORDS = {"do", "pure", "spawn", "instance", "start", "var", "store",
              "true", "false"}
 
 
-def _parse_pexpr_atom(ts: TokenStream, scope: set[str]) -> PExpr:
-    t = ts.next("expression")
+def _pexpr_atom(t: Token) -> PExpr:
     if t.kind == "int":
         return PLit(vint(int(t.text)))
-    if t.text == "true":
-        return PLit(vbool(True))
-    if t.text == "false":
-        return PLit(vbool(False))
+    if t.text in ("true", "false"):
+        return PLit(vbool(t.text == "true"))
     if t.kind == "name":
         if t.text in _KEYWORDS:
             raise ParseError(f"keyword {t.text!r} is not an expression", t.line, t.col)
         return PVar(t.text)
-    if t.text == "(":
-        if ts.eat(")"):
-            return PLit(vunit)
-        e = parse_pexpr(ts, scope)
-        if ts.eat(","):
-            e2 = parse_pexpr(ts, scope)
-            ts.expect(")")
-            return PPairE(e, e2)
-        ts.expect(")")
-        return e
     raise ParseError(f"expected expression, found {t.text!r}", t.line, t.col)
 
 
-def _parse_pexpr_mul(ts: TokenStream, scope: set[str]) -> PExpr:
-    left = _parse_pexpr_atom(ts, scope)
-    while ts.at("*"):
-        ts.next()
-        left = PArith("*", left, _parse_pexpr_atom(ts, scope))
-    return left
+def _arith(t: Token, lhs: PExpr, rhs: PExpr) -> PExpr:
+    return PArith(t.text, lhs, rhs)
 
 
-def parse_pexpr(ts: TokenStream, scope: set[str]) -> PExpr:
-    left = _parse_pexpr_mul(ts, scope)
-    while ts.at("+") or ts.at("-"):
-        op = ts.next().text
-        left = PArith(op, left, _parse_pexpr_mul(ts, scope))
-    return left
+def _tuple(*items: PExpr) -> PExpr:
+    return PPairE(*items) if items else PLit(vunit)
+
+
+def parse_pexpr(ts: TokenStream) -> PExpr:
+    return parse_infix(ts, _pexpr_atom, {"+": 1, "-": 1, "*": 2}, {}, _arith, _tuple)
 
 
 def _parse_term(ts: TokenStream, scope: set[str]) -> Term:
@@ -239,23 +222,21 @@ def _parse_term(ts: TokenStream, scope: set[str]) -> Term:
     pos = Pos(t.line, t.col)
     if t.text == "do":
         return _parse_block(ts, scope)
-    if t.text == "pure":
-        ts.next()
-        return TPure(parse_pexpr(ts, scope), pos)
     if t.text == "spawn":
         ts.next()
         body = _parse_block(ts, scope) if ts.at("do") else _parse_term(ts, scope)
         return TPrim("spawn", (), body, pos)
-    if t.kind == "int" or t.text in ("true", "false") or t.text == "(":
-        return TPure(parse_pexpr(ts, scope), pos)
+    if t.kind == "int" or t.text in ("pure", "true", "false", "("):
+        ts.eat("pure")
+        return TPure(parse_pexpr(ts), pos)
     if t.kind == "name":
         ts.next()
         if ts.eat("("):
             args = []
             if not ts.eat(")"):
-                args.append(parse_pexpr(ts, scope))
+                args.append(parse_pexpr(ts))
                 while ts.eat(","):
-                    args.append(parse_pexpr(ts, scope))
+                    args.append(parse_pexpr(ts))
                 ts.expect(")")
             return TPrim(t.text, tuple(args), None, pos)
         if t.text in scope:
@@ -268,6 +249,7 @@ def _parse_block(ts: TokenStream, scope: set[str]) -> Term:
     ts.expect("do")
     ts.expect("{")
     stmts: list[tuple[str | None, Term, Pos]] = []
+    scope = set(scope)  # this block's binds, added as they are read
     while True:
         t = ts.peek()
         if t is None:
@@ -281,8 +263,9 @@ def _parse_block(ts: TokenStream, scope: set[str]) -> Term:
             var = t.text
             ts.next()
             ts.next()
-        term = _parse_term(ts, scope | {s[0] for s in stmts if s[0]})
-        stmts.append((var, term, pos))
+        stmts.append((var, _parse_term(ts, scope), pos))
+        if var is not None:
+            scope.add(var)
         if not ts.eat(";"):
             break
     close = ts.expect("}")

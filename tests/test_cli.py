@@ -507,6 +507,20 @@ _ERROR_CASES = [
     ("repeated-ahl-variable", ("ahl", "{}"),
      "var x : int[0..1]\nvar x : int[0..2]\nconclude 0 : true => true\nskip : true\n", 3,
      "parse error: 2:5: variable 'x' is declared twice\n"),
+    ("formula-constant-as-variable", ("ahl", "{}"),
+     "var true : int[0..1]\nconclude 0 : true => true\nskip : true\n", 3,
+     "parse error: 1:5: 'true' is a constant, not a variable name\n"),
+    ("formula-as-arithmetic-operand", ("ahl", "{}"),
+     "var x : int[0..3]\nconclude 0 : (x == 1) + 2 => true\nskip : true\n", 3,
+     "parse error: 2:23: '+' applies to expressions, not formulas\n"),
+    ("chained-comparison", ("ahl", "{}"),
+     "var x : int[0..3]\nconclude 0 : x == 1 == 2 => true\nskip : true\n", 3,
+     "parse error: 2:21: '==' applies to expressions, not formulas\n"),
+    ("unclosed-parenthesis", ("ahl", "{}"),
+     "var x : int[0..3]\nconclude 0 : true => true\nskip : (x == 1\n", 3,
+     "parse error: 4:1: expected ')', found end of input\n"),
+    ("triple-in-gp", ("run", "{}"), "instance concst\ndo { pure (1, 2, 3) }\n", 3,
+     "parse error: 2:16: expected ')', found ','\n"),
 ]
 
 
@@ -632,10 +646,10 @@ def test_laws_over_fuzzed_categories_exit_with_a_documented_code(tmp_path_factor
         assert out.getvalue().count("\n") == 1, out.getvalue()
 
 
-# Grade inference and evaluation recurse once per statement, and the
-# formula parser once per parenthesis, so deep inputs overflow the
-# interpreter stack.  These mark the defect until the walkers are
-# iterative; then they pass, and strict makes the suite say so.
+# Grade inference and evaluation recurse once per statement, so long
+# programs overflow the interpreter stack.  This marks the defect until
+# the walkers are iterative; then it passes, and strict makes the suite
+# say so.
 
 @pytest.mark.xfail(strict=True, raises=RecursionError,
                    reason="metalang walkers recurse once per statement")
@@ -647,11 +661,32 @@ def test_run_300_statements(tmp_path, capsys):
     assert code == 0 and out.startswith("grade: ")
 
 
-@pytest.mark.xfail(strict=True, raises=RecursionError,
-                   reason="the formula parser recurses once per parenthesis")
+# The expression parser keeps open parentheses on an explicit stack, so
+# nesting depth costs no interpreter stack.
+
 def test_ahl_formula_600_parentheses_deep(tmp_path, capsys):
     phi = "(" * 600 + "x == 0" + ")" * 600
     f = tmp_path / "deep.ahl"
     f.write_text(f"var x : int[0..1]\nconclude 0 : {phi} => {phi}\nskip : {phi}\n")
     code, out = run_cli(capsys, "ahl", str(f))
     assert code == 0 and out.endswith("verdict: valid\n")
+
+
+@pytest.mark.parametrize("phi", [
+    "(" * 10_000 + "x + 1" + ")" * 10_000 + " == 1",
+    "(" * 10_000 + "x == 0" + ")" * 10_000,
+])
+def test_ahl_formula_10000_parentheses_deep(tmp_path, capsys, phi):
+    f = tmp_path / "deep.ahl"
+    f.write_text(f"var x : int[0..1]\nconclude 0 : {phi} => {phi}\nskip : {phi}\n")
+    code, out = run_cli(capsys, "ahl", str(f))
+    assert code == 0 and out.endswith("verdict: valid\n")
+
+
+def test_run_pure_expression_10000_parentheses_deep(tmp_path, capsys):
+    gp = tmp_path / "deep.gp"
+    gp.write_text("instance concst\nstart free\ndo { pure "
+                  + "(" * 10_000 + "1, 2" + ")" * 10_000 + " }\n")
+    code, out = run_cli(capsys, "run", str(gp), "--store", "0")
+    assert code == 0
+    assert out == "grade: id_free : free -> free\nstore 0: result (1, 2), final 0\n"

@@ -303,6 +303,8 @@ def parse_ahl_file(text: str) -> AhlFile:
     while ts.at("var"):
         ts.next()
         t = ts.next("variable name")
+        if t.kind != "name":
+            raise ParseError(f"expected a variable name, found {t.text!r}", t.line, t.col)
         if t.text in ("true", "false"):
             raise ParseError(f"{t.text!r} is a constant, not a variable name", t.line, t.col)
         if t.text in decls:

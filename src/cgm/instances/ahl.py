@@ -83,7 +83,7 @@ class AhlMonad:
         self.svalues = tuple(ordered_table((vstr(k), vint(s[k])) for k in names)
                              for s in self.states)
         self._sorted_svalues = tuple(sorted(self.svalues, key=sort_key))
-        self._svalue_set = frozenset(self.svalues)
+        self._rank = {sv: i for i, sv in enumerate(self._sorted_svalues)}
         self._svalue_of = {tuple(s.values()): sv for s, sv in zip(self.states, self.svalues)}
         self._formulas: dict[str, Formula] = {}
         self._truth: dict[Formula, tuple[bool, ...]] = {}
@@ -162,7 +162,12 @@ class AhlMonad:
                 raise MalformedPayload("carried value must be a state table")
             return pr.snd.get(pr.fst)
 
-        return ordered_table((sv, dist_bind(d, step)) for sv, d in nested.entries)
+        rank = self._rank  # declared (state, result) pairs order natively by (rank, result)
+        try:
+            return ordered_table((sv, dist_bind(d, step, lambda u: (rank[u.fst], u.snd)))
+                                 for sv, d in nested.entries)
+        except (AttributeError, KeyError):  # an undeclared pair, which core.mult then rejects
+            return ordered_table((sv, dist_bind(d, step)) for sv, d in nested.entries)
 
     def _map(self, _f: Morphism, fn, p: Value) -> Value:
         fn = once_per_value(fn)
@@ -191,7 +196,7 @@ class AhlMonad:
             if not isinstance(d, VDist):
                 return False
             for prv, _n in d.atoms:
-                if not isinstance(prv, VPair) or prv.fst not in self._svalue_set:
+                if not isinstance(prv, VPair) or prv.fst not in self._rank:
                     return False
         try:
             pre, post = self.pre_of(f), self.post_of(f)

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -367,6 +368,46 @@ def test_ahl_rand_ranges_with_coprime_sizes(tmp_path, capsys):
         f"conclusion: |-71/105 : true => {xyz}\nverdict: valid\n")
 
 
+CHAIN216 = """
+var x0 : int[0..5]
+var x1 : int[0..5]
+var x2 : int[0..5]
+
+conclude {total} : true => (((x2 != 3) && (x1 != 0)) && (x0 != 4))
+
+seq {{
+  rand x2 0 5 : {beta} : true => (x2 != 3);
+  rand x1 0 5 : {beta} : (x2 != 3) => ((x2 != 3) && (x1 != 0));
+  rand x0 0 5 : {beta} : ((x2 != 3) && (x1 != 0)) => (((x2 != 3) && (x1 != 0)) && (x0 != 4))
+}}
+"""
+
+
+@pytest.mark.parametrize("beta,total,code,reason", [
+    ("1/6", "1/2", 0, None),
+    ("1/7", "3/7", 1, "rand node: failure probability 1/6 exceeds bound 1/7"),
+], ids=["valid", "under-bounded"])
+def test_ahl_rand_chain_over_216_states(tmp_path, capsys, beta, total, code, reason):
+    # three `rand _ 0 5` over 6^3 states, each seq node's distributions
+    # merged across every middle state; closed forms: each rand fails
+    # with 1/6, a prefix of k of them with 1 - (5/6)^k: 11/36, then 91/216
+    f = tmp_path / "chain216.ahl"
+    f.write_text(CHAIN216.format(beta=beta, total=total))
+    out_code, out = run_cli(capsys, "ahl", str(f))
+    assert out_code == code
+    b = Fraction(beta)
+    p1, p2 = "(x2 != 3)", "((x2 != 3) && (x1 != 0))"
+    p3 = "(((x2 != 3) && (x1 != 0)) && (x0 != 4))"
+    assert out == (
+        f"node rand: beta {b}, pre true, post {p1}, failure 1/6\n"
+        f"node rand: beta {b}, pre {p1}, post {p2}, failure 1/6\n"
+        f"node seq: beta {2 * b}, pre true, post {p2}, failure 11/36\n"
+        f"node rand: beta {b}, pre {p2}, post {p3}, failure 1/6\n"
+        f"node seq: beta {3 * b}, pre true, post {p3}, failure 91/216\n"
+        f"conclusion: |-{total} : true => {p3}\n"
+        + (f"reason: {reason}\nverdict: invalid\n" if reason else "verdict: valid\n"))
+
+
 # sha256 of stdout, recorded before the law suites of the source structures
 # were rebuilt on the category-graded engine (the two text-format `ahl`
 # reports: before distributions kept integer numerators; the `concst` and
@@ -507,6 +548,12 @@ _ERROR_CASES = [
     ("repeated-ahl-variable", ("ahl", "{}"),
      "var x : int[0..1]\nvar x : int[0..2]\nconclude 0 : true => true\nskip : true\n", 3,
      "parse error: 2:5: variable 'x' is declared twice\n"),
+    ("number-as-variable", ("ahl", "{}"),
+     "var 5 : int[0..1]\nconclude 0 : true => true\nskip : true\n", 3,
+     "parse error: 1:5: expected a variable name, found '5'\n"),
+    ("parenthesis-as-variable", ("ahl", "{}"),
+     "var ( : int[0..1]\nconclude 0 : true => true\nskip : true\n", 3,
+     "parse error: 1:5: expected a variable name, found '('\n"),
     ("formula-constant-as-variable", ("ahl", "{}"),
      "var true : int[0..1]\nconclude 0 : true => true\nskip : true\n", 3,
      "parse error: 1:5: 'true' is a constant, not a variable name\n"),

@@ -6,12 +6,14 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cgm.core import GradedComputation, bind, check_laws, fmap, gen_unit, index_pool, unit
+from cgm.core import GradedComputation, bind, check_laws, fmap, gen_unit, index_pool, mult, unit
 from cgm.errors import (
     CompositionMismatch,
     DomainMismatch,
     InvalidImplication,
+    MalformedPayload,
     RangeError,
     SpawnGradeError,
 )
@@ -29,7 +31,9 @@ from cgm.instances import (
     typed_state_param,
 )
 from cgm.rng import Rng
-from cgm.values import dist, point, table, unit as vunit, vint, vpair, vtag
+from cgm.values import (
+    dist, ordered_table, point, table, uniform, unit as vunit, vint, vpair, vtag,
+)
 
 
 # --- lock protocol ---
@@ -408,6 +412,84 @@ def test_ahl_mult_threads_states():
             final = state_dict(pr.fst)
             assert final["y"] == final["x"]
             assert w == Fraction(1, 4)
+
+
+# --- mult merges by state rank, in the native order ---
+
+@st.composite
+def _ahl_payloads(draw, inst, decl, tag, kinds=("sampler", "assign", "uniform")):
+    """A payload from the sampler, or `assign` or `sample_uniform` on
+    decl, its results paired with `tag`."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "sampler":
+        f = draw(st.sampled_from(inst.monad.base.index_samples))
+        p = inst.monad.base.sampler(f, Rng(draw(st.integers(0, 999))))
+    elif kind == "assign":
+        p = inst.assign(decl.name, EInt(draw(st.integers(decl.lo, decl.hi))))
+    else:
+        lo = draw(st.integers(decl.lo, decl.hi - 1))
+        p = inst.sample_uniform(decl.name, lo, draw(st.integers(lo + 1, decl.hi)))
+    return inst._map(None, lambda r: vpair(vint(tag), r), p)
+
+
+@st.composite
+def _ahl_nested(draw):
+    """An instance over 1-3 variables with 2-3 values each, whose names sort
+    in any order against their declarations; a first payload that samples
+    (no point where `sample_uniform` made it); and 1-3 payloads to carry
+    after it, each tagged with its position.  All but the sampler's change
+    one variable, so different middle states often reach one final state."""
+    names = draw(st.permutations("xyz"))[:draw(st.integers(1, 3))]
+    decls = [VarDecl(x, lo, lo + draw(st.integers(1, 2)))
+             for x, lo in zip(names, draw(st.lists(st.integers(-1, 1), min_size=3, max_size=3)))]
+    inst = ahl_instance(decls)
+    decl = draw(st.sampled_from(inst.decls))
+    first = draw(_ahl_payloads(inst, decl, 0, ("sampler", "uniform")))
+    return inst, first, [draw(_ahl_payloads(inst, decl, i)) for i in range(draw(st.integers(1, 3)))]
+
+
+def _carry(first, inners):
+    """first, each atom carrying one of `inners` chosen by its row and
+    place: a final state is reached through payloads with different
+    tags, so its distribution has several distinct results."""
+    return table({sv: dist([(vpair(pr.fst, inners[(i + j) % len(inners)]), w)
+                            for j, (pr, w) in enumerate(d.entries)])
+                  for i, (sv, d) in enumerate(first.entries)})
+
+
+def _mult_oracle(nested):
+    """mult through the checked `dist()`, which sorts natively."""
+    return ordered_table(
+        (sv, dist([(u, w * x) for pr, w in d.entries for u, x in pr.snd.get(pr.fst).entries]))
+        for sv, d in nested.entries)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_ahl_nested())
+def test_ahl_mult_by_state_rank_equals_native_order(case):
+    inst, first, inners = case
+    nested = _carry(first, inners)
+    out = inst._mult(None, None, nested)
+    assert out == _mult_oracle(nested)
+    for _, d in out.entries:
+        assert all(a < b for (a, _), (b, _) in zip(d.atoms, d.atoms[1:]))
+    assert inst.seq(first, inners[-1]) == _mult_oracle(_carry(first, inners[-1:]))
+
+
+@pytest.mark.parametrize("bad", [vpair(vint(99), vunit), vint(99)],
+                         ids=["undeclared-state", "not-a-pair"])
+def test_ahl_mult_of_a_malformed_carried_atom_is_rejected_by_core(bad):
+    # the outer layer is valid, so only the carried tables' atoms are wrong
+    inst = ahl_instance()
+    f = inst.make_index(0, TRUE, TRUE)
+    s0, s1 = inst.svalues[:2]
+    inner = table({sv: dist({bad: Fraction(1, 2), vpair(s0, vunit): Fraction(1, 2)})
+                   for sv in inst.svalues})
+    nested = table({sv: uniform([vpair(s0, inner), vpair(s1, inner)]) for sv in inst.svalues})
+    with pytest.raises(MalformedPayload) as err:
+        mult(inst.monad.base, f, f, nested)
+    assert str(err.value) == ("mult produced an invalid payload at "
+                              "(0, true -> true) : <*|true> -> <*|true>")
 
 
 # --- map_fn calls fn once per distinct carried value ---

@@ -13,6 +13,7 @@ final state violates psi is at most beta.  Composition adds the bounds
 from __future__ import annotations
 
 import copy
+import math
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -156,15 +157,34 @@ class AhlMonad:
     def _unit(self, _obj: ObjectId, a: Value) -> Value:
         return ordered_table((sv, point(vpair(sv, a))) for sv in self._sorted_svalues)
 
+    def _row(self, d: VDist) -> tuple[VDist, list[tuple[tuple[int, Value], Value, int]]]:
+        """d, each atom keyed once by (final state's rank, result): the native order."""
+        return d, [((self._rank[pr.fst], pr.snd), pr, n) for pr, n in d.atoms]
+
+    def _mix(self, d: VDist, rows: list) -> VDist:
+        """`rows`, one per atom of d, mixed by d's numerators: added by key, sorted, reduced once."""
+        if len(rows) == 1:  # a point: the row's dist as it is
+            return rows[0][0]
+        den = math.lcm(*(e.den for e, _ in rows))
+        acc: dict[tuple[int, Value], list] = {}  # key -> [pair, numerator]
+        for (_, n), (e, keyed) in zip(d.atoms, rows):
+            s = n * (den // e.den)
+            for k, pr, m in keyed:
+                acc.setdefault(k, [pr, 0])[1] += s * m
+        return _lowest([(pr, m) for _, (pr, m) in sorted(acc.items())], d.den * den)
+
     def _mult(self, _f: Morphism, _g: Morphism, nested: Value) -> Value:
         def step(pr: Value) -> VDist:
             if not isinstance(pr, VPair) or not isinstance(pr.snd, VTable):
                 raise MalformedPayload("carried value must be a state table")
             return pr.snd.get(pr.fst)
 
-        rank = self._rank  # declared (state, result) pairs order natively by (rank, result)
+        rows: dict[int, tuple] = {}  # by id of the carried dist, which `nested` keeps alive
+        def row(pr: Value) -> tuple:
+            e = step(pr)
+            return rows.get(id(e)) or rows.setdefault(id(e), self._row(e))
         try:
-            return ordered_table((sv, dist_bind(d, step, lambda u: (rank[u.fst], u.snd)))
+            return ordered_table((sv, self._mix(d, [row(pr) for pr, _ in d.atoms]))
                                  for sv, d in nested.entries)
         except (AttributeError, KeyError):  # an undeclared pair, which core.mult then rejects
             return ordered_table((sv, dist_bind(d, step)) for sv, d in nested.entries)
@@ -297,9 +317,12 @@ class AhlMonad:
         return ordered_table((sv, out[sv]) for sv in self._sorted_svalues)
 
     def seq(self, first: Value, second: Value) -> Value:
-        """Sequential composition of two program payloads."""
-        nested = self._map(None, lambda _res: second, first)
-        return self._mult(None, None, nested)
+        """Sequential composition of two program payloads: one row per middle
+        state of `second`, mixed by `first`.  It equals
+        `_mult(None, None, _map(None, lambda _: second, first))`."""
+        rows = {sv: self._row(d) for sv, d in second.entries}
+        return ordered_table((sv, self._mix(d, [rows[pr.fst] for pr, _ in d.atoms]))
+                             for sv, d in first.entries)
 
 
 _DEFAULT_DECLS = (VarDecl("x", 0, 2),)

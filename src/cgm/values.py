@@ -21,9 +21,7 @@ is cached at module level.
 
 `table` and `dist` check what they are given.  The trusted path
 (`ordered_table`, `dist_map_snd`, `dist_bind`) rebuilds
-from valid values and keeps the canonical form without re-checking it;
-`dist_bind` may sort by a caller's cheaper key that agrees with it (`ahl`
-ranks its states).
+from valid values and keeps the canonical form without re-checking it.
 A dist keeps int numerators over one denominator in lowest terms: the
 trusted path does int arithmetic per entry and reduces once, and
 `entries`, `weight` and `show()` build `Fraction`s when they are read.
@@ -300,14 +298,14 @@ def table(entries: Mapping[Value, Value] | Iterable[tuple[Value, Value]]) -> VTa
     return _new(VTable, (8, tuple(pairs)))
 
 
-def _merged(entries: list[tuple[Value, int]], key=None) -> tuple[tuple[Value, int], ...]:
-    """Equal values' numerators added, sorted by value or by `key(value)`; nothing is checked."""
+def _merged(entries: list[tuple[Value, int]]) -> tuple[tuple[Value, int], ...]:
+    """Equal values' numerators added, sorted by value; nothing is checked."""
     if len(entries) == 1:
         return tuple(entries)
     acc: dict[Value, int] = {}
     for v, n in entries:
         acc[v] = acc[v] + n if v in acc else n
-    return tuple(sorted(acc.items(), key=_by_key if key is None else lambda e: key(e[0])))
+    return tuple(sorted(acc.items(), key=_by_key))
 
 
 def point(v: Value) -> VDist:
@@ -370,15 +368,15 @@ def dist_map_snd(fn: Callable[[Value], Value], d: VDist) -> VDist:
     return _lowest(out, d.den)
 
 
-def dist_bind(d: VDist, k: Callable[[Value], VDist], key=None) -> VDist:
-    """k's dists mixed by d's weights; `key`, if given, must order values as `sort_key` does."""
+def dist_bind(d: VDist, k: Callable[[Value], VDist]) -> VDist:
+    """k's dists mixed by d's weights."""
     ds = _checked(d).atoms
     if len(ds) == 1:  # a point: the bind is k's dist
         return _checked(k(ds[0][0]))
     ks = [_checked(k(v)) for v, _ in ds]
     den = math.lcm(*(e.den for e in ks))  # each branch is scaled to it
     scaled = [(e.atoms, n * (den // e.den)) for (_, n), e in zip(ds, ks)]
-    return _lowest(_merged([(u, s * m) for us, s in scaled for u, m in us], key), d.den * den)
+    return _lowest(_merged([(u, s * m) for us, s in scaled for u, m in us]), d.den * den)
 
 
 def once_per_value(fn: Callable[[Value], Value]) -> Callable[[Value], Value]:

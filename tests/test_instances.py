@@ -464,6 +464,16 @@ def _mult_oracle(nested):
         for sv, d in nested.entries)
 
 
+def _seq_reference(inst, first, second):
+    """seq by its definition: mult after mapping every result to second."""
+    return inst._mult(None, None, inst._map(None, lambda _: second, first))
+
+
+def _assert_strictly_ordered(p):
+    for _, d in p.entries:
+        assert all(a < b for (a, _), (b, _) in zip(d.atoms, d.atoms[1:]))
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(_ahl_nested())
 def test_ahl_mult_by_state_rank_equals_native_order(case):
@@ -471,9 +481,17 @@ def test_ahl_mult_by_state_rank_equals_native_order(case):
     nested = _carry(first, inners)
     out = inst._mult(None, None, nested)
     assert out == _mult_oracle(nested)
-    for _, d in out.entries:
-        assert all(a < b for (a, _), (b, _) in zip(d.atoms, d.atoms[1:]))
-    assert inst.seq(first, inners[-1]) == _mult_oracle(_carry(first, inners[-1:]))
+    _assert_strictly_ordered(out)
+    # seq, chained in both associations, over multi-atom rows (first) and
+    # point rows (an assignment, which sends many middle states to one)
+    x = inst.decls[0]
+    a, b, c = first, inners[0], inners[-1]
+    for mid in (b, inst.assign(x.name, EInt(x.lo))):
+        for p, q in ((a, mid), (mid, c), (inst.seq(a, mid), c), (a, inst.seq(mid, c))):
+            out = inst.seq(p, q)
+            assert out == _seq_reference(inst, p, q) == _mult_oracle(_carry(p, [q]))
+            _assert_strictly_ordered(out)
+        assert inst.seq(inst.seq(a, mid), c) == inst.seq(a, inst.seq(mid, c))
 
 
 @pytest.mark.parametrize("bad", [vpair(vint(99), vunit), vint(99)],

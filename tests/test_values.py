@@ -369,16 +369,6 @@ def test_dist_bind_equals_checked_dist(d, k):
     assert sort_key(out) == sort_key(expected)
 
 
-@settings(max_examples=100, derandomize=True)
-@given(_any_dist(), st.sampled_from(_CONTINUATIONS))
-def test_dist_bind_by_a_strictly_monotone_key_equals_native_order(d, k):
-    # _reference_key orders values as the native order does (tested above)
-    # but is a different object: nested tuples of plain data
-    out = dist_bind(d, k, _reference_key)
-    assert out == dist_bind(d, k)
-    assert all(a < b for (a, _), (b, _) in zip(out.atoms, out.atoms[1:]))
-
-
 def test_once_per_value_calls_fn_once_per_distinct_argument():
     calls = []
     fn = once_per_value(lambda v: calls.append(v) or vtag("t", v))

@@ -324,8 +324,9 @@ class Runner:
         body(datum, rng) -> (indices, input_value, lhs, rhs).
         """
         run, base = 0, derive_seed(self.seed, name)  # derive_seed folds left
-        for run, datum in enumerate(islice(cycle(data), self.samples), 1):
-            rng = Rng(derive_seed(base, run - 1))
+        for datum in islice(cycle(data), self.samples):
+            rng = Rng(derive_seed(base, run))
+            run += 1
             try:
                 indices, inp, lhs, rhs = body(datum, rng)
             except CgmError as exc:

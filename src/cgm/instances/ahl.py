@@ -179,12 +179,8 @@ class AhlMonad:
                 raise MalformedPayload("carried value must be a state table")
             return pr.snd.get(pr.fst)
 
-        rows: dict[int, tuple] = {}  # by id of the carried dist, which `nested` keeps alive
-        def row(pr: Value) -> tuple:
-            e = step(pr)
-            return rows.get(id(e)) or rows.setdefault(id(e), self._row(e))
         try:
-            return ordered_table((sv, self._mix(d, [row(pr) for pr, _ in d.atoms]))
+            return ordered_table((sv, self._mix(d, [self._row(step(pr)) for pr, _ in d.atoms]))
                                  for sv, d in nested.entries)
         except (AttributeError, KeyError):  # an undeclared pair, which core.mult then rejects
             return ordered_table((sv, dist_bind(d, step)) for sv, d in nested.entries)

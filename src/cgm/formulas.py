@@ -11,7 +11,7 @@ import itertools
 from collections.abc import Callable, Collection, Iterable, Mapping
 
 from .errors import ParseError
-from .values import Record, Value, VInt, VStr, VTable, _new
+from .values import Record, Value, _new
 
 
 # --- expressions ---
@@ -170,17 +170,6 @@ def states(decls: Iterable[VarDecl]) -> list[dict[str, int]]:
     names = [d.name for d in decls]
     return [dict(zip(names, combo))
             for combo in itertools.product(*[d.values() for d in decls])]
-
-
-def state_dict(v: Value) -> dict[str, int]:
-    if not isinstance(v, VTable):
-        raise ValueError("state must be a table value")
-    out = {}
-    for k, x in v.entries:
-        if not isinstance(k, VStr) or not isinstance(x, VInt):
-            raise ValueError("state must map names to integers")
-        out[k.s] = x.n
-    return out
 
 
 def valid_implication(holds: Callable, pre: Formula, post: Formula) -> bool:

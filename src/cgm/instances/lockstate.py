@@ -13,10 +13,10 @@ from collections.abc import Iterable
 
 from ..core import CatGradedMonad, GradedComputation
 from ..errors import MalformedPayload, SpawnGradeError
-from ..indexcat import FreeCategory, Morphism, ObjectId, free_category
-from ..rng import Rng
-from ..values import Value, VPair, VTable, once_per_value, ordered_table, sort_key, table
+from ..indexcat import FreeCategory, ObjectId, free_category
+from ..values import Value, sort_key, table
 from ..values import unit as vunit, vint, vpair
+from .typedstate import state_passing
 
 FREE = ObjectId("free")
 CRITICAL = ObjectId("critical")
@@ -36,60 +36,19 @@ DEFAULT_STORES = tuple(vint(n) for n in range(8))
 
 
 def concst_instance(stores: Iterable[Value] = DEFAULT_STORES) -> CatGradedMonad:
-    cat = lock_category()
     domain = tuple(sorted(set(stores), key=sort_key))  # in table key order
     if not domain:
         raise MalformedPayload("store domain must be nonempty")
-    position = {s: i for i, s in enumerate(domain)}  # a total table's entry index
-
-    def total(entry) -> Value:
-        return ordered_table((s, entry(s)) for s in domain)
-
-    def unit_fn(_obj: ObjectId, a: Value) -> Value:
-        return total(lambda s: vpair(a, s))
-
-    def mult_fn(_f: Morphism, _g: Morphism, nested: Value) -> Value:
-        out = []
-        for s, step in nested.entries:
-            if not isinstance(step, VPair):
-                raise MalformedPayload("state step must be a (result, store) pair")
-            inner, s1 = step.fst, step.snd
-            if not isinstance(inner, VTable):
-                raise MalformedPayload("carried value must be a state table")
-            i = position.get(s1, len(domain))
-            hit = inner.entries[i:i + 1]
-            if hit and hit[0][0] == s1:
-                out.append((s, hit[0][1]))
-            elif inner.has(s1):  # a partial table, or one over other stores
-                out.append((s, inner.get(s1)))
-            # else: the branch escaped the domain; the composite is partial there
-        return ordered_table(out)
-
-    def map_fn(_f: Morphism, fn, p: Value) -> Value:
-        fn = once_per_value(fn)
-        out = []
-        for s, step in p.entries:
-            if not isinstance(step, VPair):
-                raise MalformedPayload("state step must be a (result, store) pair")
-            out.append((s, vpair(fn(step.fst), step.snd)))
-        return ordered_table(out)
-
-    def validator(_f: Morphism, p: Value) -> bool:
-        if not isinstance(p, VTable):
-            return False
-        return all(k in domain and isinstance(v, VPair) for k, v in p.entries)
-
-    def sampler(_f: Morphism, rng: Rng) -> Value:
-        return total(lambda s: vpair(vint(rng.randint(0, 9)), rng.choice(domain)))
-
+    unit_fn, mult, map_fn, validator, sampler = state_passing(
+        {FREE: domain, CRITICAL: domain}, partial=True)
     return CatGradedMonad(
         name="concst",
-        index_cat=cat,
+        index_cat=lock_category(),
         unit_fn=unit_fn,
-        mult_fn=mult_fn,
+        mult_fn=lambda f, g, nested: mult(f.src, f.tgt, g.tgt, nested),
         map_fn=map_fn,
-        validator=validator,
-        sampler=sampler,
+        validator=lambda f, p: validator(f.src, f.tgt, p),
+        sampler=lambda f, rng: sampler(f.src, f.tgt, rng),
     )
 
 
@@ -99,7 +58,7 @@ class LockPrims:
     def __init__(self, T: CatGradedMonad):
         self.T = T
         self.cat: FreeCategory = T.index_cat
-        self.domain = tuple(k for k, _ in T.unit_fn(FREE, vunit).entries)
+        self.domain = T.unit_fn(FREE, vunit).keys()
 
     def _total(self, entry) -> Value:
         return table({s: entry(s) for s in self.domain})

@@ -15,7 +15,6 @@ from ..core import CatGradedMonad, GeneralisedUnit
 from ..errors import DomainMismatch, MalformedPayload, NotInSubcategory
 from ..indexcat import (
     DiscreteCategory,
-    FuncCategory,
     IndexCategory,
     Morphism,
     ObjectId,
@@ -33,53 +32,93 @@ def _normalize_sets(state_sets: Mapping[str, int | Iterable[Value]]) -> dict[str
     out = {}
     for name, spec in state_sets.items():
         if isinstance(spec, int):
-            if spec < 1:
-                raise DomainMismatch("state sets must be nonempty")
-            out[name] = tuple(vint(i) for i in range(spec))
+            vs = tuple(vint(i) for i in range(spec))
         else:
             vs = tuple(sorted(set(spec), key=sort_key))  # in table key order
-            if not vs:
-                raise DomainMismatch("state sets must be nonempty")
-            out[name] = vs
+        if not vs:
+            raise DomainMismatch("state sets must be nonempty")
+        out[name] = vs
     return out
+
+
+class _Declared(dict):
+    """A dict keyed by object; an undeclared object is a domain mismatch."""
+
+    def __missing__(self, obj: ObjectId):
+        raise DomainMismatch(f"no state set named {obj.name}")
+
+
+def state_passing(carriers: Mapping[ObjectId, tuple[Value, ...]], partial: bool):
+    """The state-passing kernel of `concst` and `tstate` (Liang, Hudak &
+    Jones, POPL 1995): a payload at (I, J) is a table from I-states to
+    (result, J-state) pairs.  A partial kernel's tables may lack states
+    and write states outside J, and mult drops such a branch; a total
+    kernel's are total into J.  map_fn takes `CatGradedMonad`'s arguments;
+    unit, mult, validator and sampler take `ParameterisedMonad`'s."""
+    carrier = _Declared(carriers)
+    position = _Declared({o: {s: n for n, s in enumerate(vs)} for o, vs in carriers.items()})
+
+    def unit(obj: ObjectId, a: Value) -> Value:
+        return ordered_table((s, vpair(a, s)) for s in carrier[obj])
+
+    def mult(_i: ObjectId, j: ObjectId, _k: ObjectId, nested: Value) -> Value:
+        index = position[j]  # a state's entry index in a total table
+        out = []
+        for s, step in nested.entries:
+            if not isinstance(step, VPair):
+                raise MalformedPayload("state step must be a (result, store) pair")
+            inner, s1 = step.fst, step.snd
+            if not isinstance(inner, VTable):
+                raise MalformedPayload("carried value must be a state table")
+            entries = inner.entries
+            n = index.get(s1, len(entries))
+            if n < len(entries) and entries[n][0] == s1:
+                out.append((s, entries[n][1]))
+            elif not partial or inner.has(s1):  # a partial table, or one over other states
+                out.append((s, inner.get(s1)))  # a total kernel raises on a missing state
+            # else: the branch escaped the domain; the composite is partial there
+        return ordered_table(out)
+
+    def map_fn(_index, fn: Callable[[Value], Value], p: Value) -> Value:
+        # `concst` takes this function as its map_fn as it is: each bind's
+        # continuation runs inside it, so an adapter frame would cost a
+        # stack frame per statement of a `.gp` program
+        fn = once_per_value(fn)
+        out = []
+        for s, step in p.entries:
+            if not isinstance(step, VPair):
+                raise MalformedPayload("state step must be a (result, store) pair")
+            out.append((s, vpair(fn(step.fst), step.snd)))
+        return ordered_table(out)
+
+    def validator(i: ObjectId, j: ObjectId, p: Value) -> bool:
+        if not isinstance(p, VTable):
+            return False
+        keys, cod = position[i], position[j]
+        if not partial and len(p.entries) != len(keys):  # keys are unique
+            return False
+        return all(k in keys and isinstance(v, VPair) and (partial or v.snd in cod)
+                   for k, v in p.entries)
+
+    def sampler(i: ObjectId, j: ObjectId, rng: Rng) -> Value:
+        cod = carrier[j]
+        return ordered_table((s, vpair(vint(rng.randint(0, 9)), rng.choice(cod)))
+                             for s in carrier[i])
+
+    return unit, mult, map_fn, validator, sampler
 
 
 def typed_state_param(state_sets: Mapping[str, int | Iterable[Value]],
                       discrete: bool = False) -> ParameterisedMonad:
     sets = _normalize_sets(state_sets)
     carriers = {ObjectId(k): vs for k, vs in sets.items()}
-    cat: IndexCategory
-    if discrete:
-        cat = DiscreteCategory(tuple(carriers))
-    else:
-        cat = func_category(sets)
-
-    def carrier(obj: ObjectId) -> tuple[Value, ...]:
-        try:
-            return carriers[obj]
-        except KeyError:
-            raise DomainMismatch(f"no state set named {obj.name}")
-
-    def eta(i: ObjectId, a: Value) -> Value:
-        return ordered_table((s, vpair(a, s)) for s in carrier(i))
-
-    def mu(i: ObjectId, j: ObjectId, _k: ObjectId, nested: Value) -> Value:
-        out = []
-        for s, step in nested.entries:
-            inner, s1 = step.fst, step.snd
-            if not isinstance(inner, VTable):
-                raise MalformedPayload("carried value must be a state table")
-            out.append((s, inner.get(s1)))
-        return ordered_table(out)
-
-    def value_map(_i: ObjectId, _j: ObjectId, fn: Callable[[Value], Value], p: Value) -> Value:
-        fn = once_per_value(fn)
-        return ordered_table((s, vpair(fn(step.fst), step.snd)) for s, step in p.entries)
+    cat = DiscreteCategory(tuple(carriers)) if discrete else func_category(sets)
+    eta, mult, map_fn, validator, sampler = state_passing(carriers, partial=False)
 
     def morph_map(f: Morphism, g: Morphism, h: Callable[[Value], Value], p: Value) -> Value:
         # f : I' -> I re-keys the table, g : J -> J' re-targets the state
         out = []
-        for s in carrier(f.src):
+        for s in carriers[f.src]:
             step = p.get(_apply(f, s))
             out.append((s, vpair(h(step.fst), _apply(g, step.snd))))
         return ordered_table(out)
@@ -89,25 +128,12 @@ def typed_state_param(state_sets: Mapping[str, int | Iterable[Value]],
             return v
         return m.word.apply(v)
 
-    def validator(i: ObjectId, j: ObjectId, p: Value) -> bool:
-        if not isinstance(p, VTable):
-            return False
-        if set(p.keys()) != set(carrier(i)):
-            return False
-        cod = carrier(j)
-        return all(isinstance(v, VPair) and v.snd in cod for _, v in p.entries)
-
-    def sampler(i: ObjectId, j: ObjectId, rng: Rng) -> Value:
-        cod = carrier(j)
-        return table({s: vpair(vint(rng.randint(0, 9)), rng.choice(cod))
-                      for s in carrier(i)})
-
     return ParameterisedMonad(
         name="tstate",
         index_cat=cat,
         eta_fn=eta,
-        mu_fn=mu,
-        value_map_fn=value_map,
+        mu_fn=mult,
+        value_map_fn=lambda i, _j, fn, p: map_fn(i, fn, p),
         validator=validator,
         sampler=sampler,
         morph_map_fn=None if discrete else morph_map,
@@ -127,17 +153,7 @@ def tstate_store(P: ParameterisedMonad, src: str, tgt: str, v: Value) -> Value:
 
 
 def _carrier_of(P: ParameterisedMonad, obj: ObjectId) -> tuple[Value, ...]:
-    cat = P.index_cat
-    if isinstance(cat, FuncCategory):
-        return cat.carrier(obj)
-    # discrete variant: recover the carrier from the unit table
-    return typed_keys(P.eta_fn(obj, vunit))
-
-
-def typed_keys(p: Value) -> tuple[Value, ...]:
-    if not isinstance(p, VTable):
-        raise MalformedPayload("state table expected")
-    return p.keys()
+    return P.eta_fn(obj, vunit).keys()
 
 
 def constructive_param(P: ParameterisedMonad,

@@ -693,6 +693,16 @@ def test_laws_over_fuzzed_categories_exit_with_a_documented_code(tmp_path_factor
         assert out.getvalue().count("\n") == 1, out.getvalue()
 
 
+def test_run_150_statements(tmp_path, capsys):
+    # stack headroom: each bind's continuation runs inside the lock
+    # instance's map_fn, so a frame added on that path shows up here
+    gp = tmp_path / "long.gp"
+    gp.write_text("instance concst\nstart free\ndo {\n"
+                  + "lock; put(1); unlock;\n" * 50 + "pure ()\n}\n")
+    code, out = run_cli(capsys, "run", str(gp))
+    assert code == 0 and out.startswith("grade: ")
+
+
 # Grade inference and evaluation recurse once per statement, so long
 # programs overflow the interpreter stack.  This marks the defect until
 # the walkers are iterative; then it passes, and strict makes the suite

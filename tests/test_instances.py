@@ -17,7 +17,7 @@ from cgm.errors import (
     RangeError,
     SpawnGradeError,
 )
-from cgm.formulas import EInt, EVar, FCmp, TRUE, VarDecl, state_dict
+from cgm.formulas import EInt, EVar, FCmp, TRUE, VarDecl
 from cgm.indexcat import DiscreteCategory, ObjectId
 from cgm.instances import (
     LockPrims,
@@ -133,9 +133,44 @@ def test_concst_mult_reads_each_branch_by_its_store():
     carried = [(total, 5), (partial, 1), (partial, 2), (partial, 3), (foreign, 99),
                (foreign, 7), (total, 99), (total, 0)]
     nested = table({vint(s): vpair(t, vint(n)) for s, (t, n) in enumerate(carried)})
-    assert T.mult_fn(None, None, nested) == table(
+    get = T.index_cat.path(["get"])
+    assert T.mult_fn(get, get, nested) == table(
         {vint(0): step(15), vint(2): step(22), vint(3): step(23), vint(4): step(129),
          vint(7): step(10)})
+    # tstate's tables are total: a carried table that lacks the state is
+    # malformed, not a dropped branch
+    P = typed_state_param({"S": 8})
+    S = ObjectId("S")
+    with pytest.raises(MalformedPayload, match="table has no entry for 1"):
+        P.mu_fn(S, S, S, nested)
+
+
+def _concst_ops():
+    """(unit, map, mult) of concst at the identity on free."""
+    T = concst_instance((vint(0), vint(1)))
+    free = T.index_cat.identity(ObjectId("free"))
+    return (lambda a: T.unit_fn(free.src, a), lambda fn, p: T.map_fn(free, fn, p),
+            lambda p: T.mult_fn(free, free, p))
+
+
+def _tstate_ops():
+    """(unit, map, mult) of tstate at (S, S)."""
+    P = typed_state_param({"S": 2})
+    S = ObjectId("S")
+    return (lambda a: P.eta_fn(S, a), lambda fn, p: P.value_map_fn(S, S, fn, p),
+            lambda p: P.mu_fn(S, S, S, p))
+
+
+@pytest.mark.parametrize("ops", [_concst_ops, _tstate_ops], ids=["concst", "tstate"])
+def test_state_step_must_be_a_pair(ops):
+    unit_fn, map_fn, mult_fn = ops()
+    not_a_step = table({vint(0): vint(3), vint(1): vint(4)})
+    for op in (lambda: map_fn(lambda v: v, not_a_step), lambda: mult_fn(not_a_step)):
+        with pytest.raises(MalformedPayload, match=r"^state step must be a \(result, store\) pair$"):
+            op()
+    # a pair step carrying a non-table is caught after the pair check
+    with pytest.raises(MalformedPayload, match="carried value must be a state table"):
+        mult_fn(unit_fn(vint(5)))
 
 
 # --- typed state ---
@@ -164,6 +199,12 @@ def test_typed_state_validator_domains():
     assert P.validator(ObjectId("A"), ObjectId("B"), good)
     bad = table({vint(0): vpair(vint(1), vint(0))})  # missing key 1
     assert not P.validator(ObjectId("A"), ObjectId("B"), bad)
+    escaped = table({vint(0): vpair(vint(1), vint(0)), vint(1): vpair(vint(1), vint(3))})
+    assert not P.validator(ObjectId("A"), ObjectId("B"), escaped)  # 3 is outside B
+    # the lock instance's tables are partial: both are valid there
+    T = concst_instance((vint(0), vint(1), vint(2)))
+    get = T.index_cat.path(["get"])
+    assert T.validator(get, bad) and T.validator(get, escaped)
 
 
 def _enumerate_tables(src_vals, tgt_vals, alphabet):
@@ -256,6 +297,11 @@ def test_constructive_objects_must_match():
 
 
 # --- probabilistic triples ---
+
+def state_dict(v):
+    """An ahl state table as a dict from variable names to integers."""
+    return {k.s: x.n for k, x in v.entries}
+
 
 def test_ahl_unit_is_point_distribution():
     inst = ahl_instance()

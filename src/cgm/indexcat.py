@@ -422,6 +422,9 @@ class PairCompletionCategory(IndexCategory):
     def object_ids(self):
         return self.inner.object_ids()
 
+    def has_object(self, obj):
+        return self.inner.has_object(obj)
+
     def inj1(self, m: Morphism) -> Morphism:
         if not self.inner.contains(m):
             raise ForeignMorphism(f"{m} is not in the inner category")

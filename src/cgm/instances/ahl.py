@@ -49,6 +49,7 @@ from ..values import (
     VDist,
     VPair,
     VTable,
+    _checked,
     _lowest,
     dist_bind,
     dist_map_snd,
@@ -85,9 +86,11 @@ class AhlMonad:
                              for s in self.states)
         self._sorted_svalues = tuple(sorted(self.svalues, key=sort_key))
         self._rank = {sv: i for i, sv in enumerate(self._sorted_svalues)}
+        self._rank_by_id = {id(sv): i for sv, i in self._rank.items()}  # the instance keeps them
         self._svalue_of = {tuple(s.values()): sv for s, sv in zip(self.states, self.svalues)}
         self._formulas: dict[str, Formula] = {}
         self._truth: dict[Formula, tuple[bool, ...]] = {}
+        self._ranked_truth: dict[Formula, tuple[bool, ...]] = {}
         self._over_allocate = over_allocate
 
         self.beta_cat = MonoidCategory(op=sat_add, unit=Fraction(0),
@@ -196,29 +199,51 @@ class AhlMonad:
             truth = self._truth[phi] = tuple(eval_formula(phi, s) for s in self.states)
         return truth
 
+    def _ranked(self, phi: Formula) -> tuple[bool, ...]:
+        """`holds(phi)` in rank (`_sorted_svalues`) order."""
+        if phi not in self._ranked_truth:
+            truth = dict(zip(self.svalues, self.holds(phi)))
+            self._ranked_truth[phi] = tuple(truth[sv] for sv in self._sorted_svalues)
+        return self._ranked_truth[phi]
+
+    def _bad_mass(self, d: VDist, post: tuple[bool, ...]) -> int:
+        """The numerator of d's mass on final states where `post` (by rank)
+        is false.  An atom that is not a (declared state, result) pair raises."""
+        by_id, rank, m = self._rank_by_id, self._rank, 0
+        for pr, n in d.atoms:  # a state equal to a declared one, but not it, is hashed
+            if (not isinstance(pr, VPair) or (r := by_id.get(id(pr.fst))) is None
+                    and (r := rank.get(pr.fst)) is None):
+                raise MalformedPayload("an atom is not a (declared state, result) pair")
+            if not post[r]:
+                m += n
+        return m
+
     def failure_prob(self, payload: Value, pre: Formula, post: Formula) -> Fraction:
-        """Exact max over states satisfying pre of Pr[final state violates post]."""
-        starts = [sv for sv, ok in zip(self.svalues, self.holds(pre)) if ok]
-        if not starts:
-            return Fraction(0)
-        bad = {sv for sv, ok in zip(self.svalues, self.holds(post)) if not ok}
-        return max(Fraction(sum(n for prv, n in d.atoms if prv.fst in bad), d.den)
-                   for d in map(payload.get, starts))
+        """Exact max over states satisfying pre of Pr[final state violates post].
+        Cost: one pass over each start's dist (read through `payload.get`),
+        a final state's rank found by its identity, and one `Fraction`."""
+        post_ranked, worst, den = self._ranked(post), 0, 1
+        for sv, ok in zip(self.svalues, self.holds(pre)):
+            if ok:
+                d = _checked(payload.get(sv))
+                m = self._bad_mass(d, post_ranked)
+                if m * den > worst * d.den:
+                    worst, den = m, d.den
+        return Fraction(worst, den)
 
     def _validate(self, f: Morphism, p: Value) -> bool:
         if not isinstance(p, VTable) or p.keys() != self._sorted_svalues:
             return False
-        for _, d in p.entries:
-            if not isinstance(d, VDist):
-                return False
-            for prv, _n in d.atoms:
-                if not isinstance(prv, VPair) or prv.fst not in self._rank:
+        try:  # an unregistered formula or a malformed entry is invalid
+            starts, post = self._ranked(self.pre_of(f)), self._ranked(self.post_of(f))
+            bn, bd = self.beta_of(f).as_integer_ratio()
+            for (_, d), start in zip(p.entries, starts):
+                m = self._bad_mass(_checked(d), post)  # every entry's atoms are checked
+                if start and m * bd > bn * d.den:
                     return False
-        try:
-            pre, post = self.pre_of(f), self.post_of(f)
         except MalformedPayload:
             return False
-        return self.failure_prob(p, pre, post) <= self.beta_of(f)
+        return True
 
     def _geneta(self, m: Morphism, a: Value) -> Value:
         pre, post = self.pre_of(m), self.post_of(m)
@@ -228,7 +253,7 @@ class AhlMonad:
         return self._unit(m.src, a)
 
     def _sample(self, f: Morphism, rng: Rng) -> Value:
-        beta = self.beta_of(f)
+        bn, bd = self.beta_of(f).as_integer_ratio()
         pre, post = self.pre_of(f), self.post_of(f)
         holds_post = self.holds(post)
         good = [sv for sv, ok in zip(self.svalues, holds_post) if ok]
@@ -238,16 +263,15 @@ class AhlMonad:
             if not ok:
                 out[sv] = point(vpair(rng.choice(self.svalues), vint(rng.randint(0, 9))))
                 continue
+            # q = bad_n / den (not reduced): 1 - q to the good branches, q to a bad one
             if not good:
-                q = Fraction(1)
+                bad_n, den = 1, 1
             elif bad and self._over_allocate:
-                q = Fraction(1, 2)
-            elif bad and beta > 0:
-                q = beta * Fraction(rng.randint(0, 2), 2)
+                bad_n, den = 1, 2
+            elif bad and bn > 0:
+                bad_n, den = bn * rng.randint(0, 2), bd * 2
             else:
-                q = Fraction(0)
-            # numerators over den: 1 - q to the good branches, q to a bad one
-            bad_n, den = q.numerator, q.denominator
+                bad_n, den = 0, 1
             atoms: list[tuple[Value, int]] = []
             if bad_n < den:
                 g1 = rng.choice(good)

@@ -24,7 +24,7 @@ from ..indexcat import (
 )
 from ..rng import Rng
 from ..translations import ParameterisedMonad, param_over, pure_lift
-from ..values import Value, VPair, VTable, once_per_value, ordered_table, sort_key, table
+from ..values import Value, VPair, VTable, ordered_table, sort_key, table
 from ..values import unit as vunit, vint, vpair
 
 
@@ -80,15 +80,16 @@ def state_passing(carriers: Mapping[ObjectId, tuple[Value, ...]], partial: bool)
         return ordered_table(out)
 
     def map_fn(_index, fn: Callable[[Value], Value], p: Value) -> Value:
-        # `concst` takes this function as its map_fn as it is: each bind's
-        # continuation runs inside it, so an adapter frame would cost a
-        # stack frame per statement of a `.gp` program
-        fn = once_per_value(fn)
+        # `concst` takes this function as its map_fn as it is, and fn is
+        # memoised in a dict here: each bind's continuation runs inside fn, so
+        # an adapter or a memo wrapper would cost a frame per `.gp` statement
+        memo: dict[Value, Value] = {}  # fn once per distinct carried value
         out = []
         for s, step in p.entries:
             if not isinstance(step, VPair):
                 raise MalformedPayload("state step must be a (result, store) pair")
-            out.append((s, vpair(fn(step.fst), step.snd)))
+            a = step.fst
+            out.append((s, vpair(memo.get(a) or memo.setdefault(a, fn(a)), step.snd)))
         return ordered_table(out)
 
     def validator(i: ObjectId, j: ObjectId, p: Value) -> bool:

@@ -34,7 +34,7 @@ import math
 from collections import _tuplegetter  # namedtuple's field descriptor, in C
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, ne
 
 from .errors import InvalidValue, MalformedPayload
 
@@ -356,15 +356,16 @@ def _checked(d: Value) -> VDist:
 
 
 def dist_map_snd(fn: Callable[[Value], Value], d: VDist) -> VDist:
-    """The image of a dist of pairs under (a, b) -> (a, fn(b)).  Pairs order
-    by first component first, so only a run sharing one is merged: a value
-    alone in its run is not hashed, however big `fn` makes it."""
+    """The image of a dist of pairs under (a, b) -> (a, fn(b)), in one pass
+    when no two atoms share a first component.  Pairs order by it first, so
+    only a run sharing one is merged: a value alone in its run is not hashed."""
     atoms = _checked(d).atoms
+    firsts = [pr.fst for pr, _ in atoms]
+    if all(map(ne, firsts, firsts[1:])):  # d's order and numerators
+        return _new(VDist, (9, tuple([(vpair(pr.fst, fn(pr.snd)), n) for pr, n in atoms]), d.den))
     out: list[tuple[Value, int]] = []
     for _, run in itertools.groupby(atoms, lambda e: e[0].fst):
         out += _merged([(vpair(pr.fst, fn(pr.snd)), n) for pr, n in run])
-    if len(out) == len(atoms):  # nothing merged: d's numerators, in lowest terms
-        return _new(VDist, (9, tuple(out), d.den))
     return _lowest(out, d.den)
 
 

@@ -703,6 +703,15 @@ def test_run_150_statements(tmp_path, capsys):
     assert code == 0 and out.startswith("grade: ")
 
 
+def test_run_210_statements(tmp_path, capsys):
+    # the functor action's memo is inline, so a bind costs no memo frame
+    gp = tmp_path / "long.gp"
+    gp.write_text("instance concst\nstart free\ndo {\n"
+                  + "lock; put(1); unlock;\n" * 70 + "pure ()\n}\n")
+    code, out = run_cli(capsys, "run", str(gp))
+    assert code == 0 and out.startswith("grade: ")
+
+
 # Grade inference and evaluation recurse once per statement, so long
 # programs overflow the interpreter stack.  This marks the defect until
 # the walkers are iterative; then it passes, and strict makes the suite

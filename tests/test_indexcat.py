@@ -198,6 +198,23 @@ def test_pair_completion_inclusion_functorial():
         assert identity(pc, obj) == pc.inj1(identity(base, obj))
 
 
+@pytest.mark.parametrize("base", [
+    free_category(["a", "b"], [("f", "a", "b")]),
+    func_category({"a": [vint(0)], "b": [vint(0), vint(1)]}),
+], ids=["free", "func"])
+def test_pair_completion_objects_are_the_inner_ones(base, monkeypatch):
+    pc = pair_completion(base)
+    # answered by the inner category's own test, not by listing the objects
+    monkeypatch.setattr(pc, "object_ids", None)
+    a, z = ObjectId("a"), ObjectId("z")
+    assert pc.has_object(a) and pc.has_object(ObjectId("b")) and not pc.has_object(z)
+    assert pc.inj2(a, ObjectId("b")).src == a
+    for build in (lambda: pc.inj2(a, z), lambda: pc.inj2(z, a), lambda: pc.identity(z)):
+        with pytest.raises(UnknownObject) as err:
+            build()
+        assert str(err.value) == "no object named z"
+
+
 def test_func_category():
     cat = func_category({"A": [vint(0), vint(1)], "B": [vint(0), vint(1), vint(2)]})
     ms = cat.morphisms()

@@ -17,7 +17,7 @@ from cgm.errors import (
     RangeError,
     SpawnGradeError,
 )
-from cgm.formulas import EInt, EVar, FCmp, TRUE, VarDecl
+from cgm.formulas import EInt, EVar, FAnd, FCmp, TRUE, VarDecl
 from cgm.indexcat import DiscreteCategory, ObjectId
 from cgm.instances import (
     LockPrims,
@@ -32,7 +32,8 @@ from cgm.instances import (
 )
 from cgm.rng import Rng
 from cgm.values import (
-    dist, ordered_table, point, table, uniform, unit as vunit, vint, vpair, vtag,
+    VDist, VPair, VTable,
+    dist, ordered_table, point, table, uniform, unit as vunit, vint, vpair, vstr, vtag,
 )
 
 
@@ -554,6 +555,135 @@ def test_ahl_mult_of_a_malformed_carried_atom_is_rejected_by_core(bad):
         mult(inst.monad.base, f, f, nested)
     assert str(err.value) == ("mult produced an invalid payload at "
                               "(0, true -> true) : <*|true> -> <*|true>")
+
+
+# --- validity and failure probability against the definitions they replaced ---
+
+def _reference_failure_prob(inst, payload, pre, post):
+    """`AhlMonad.failure_prob` as it was defined before it read states by rank:
+    a set of the violating states, each final state hashed into it."""
+    starts = [sv for sv, ok in zip(inst.svalues, inst.holds(pre)) if ok]
+    if not starts:
+        return Fraction(0)
+    bad = {sv for sv, ok in zip(inst.svalues, inst.holds(post)) if not ok}
+    return max(Fraction(sum(n for prv, n in d.atoms if prv.fst in bad), d.den)
+               for d in map(payload.get, starts))
+
+
+def _reference_validate(inst, f, p):
+    """`AhlMonad._validate` as it was defined then: every atom checked, then
+    the failure probability compared with the bound."""
+    if not isinstance(p, VTable) or p.keys() != inst._sorted_svalues:
+        return False
+    for _, d in p.entries:
+        if not isinstance(d, VDist):
+            return False
+        for prv, _n in d.atoms:
+            if not isinstance(prv, VPair) or prv.fst not in inst._rank:
+                return False
+    try:
+        pre, post = inst.pre_of(f), inst.post_of(f)
+    except MalformedPayload:
+        return False
+    return _reference_failure_prob(inst, p, pre, post) <= inst.beta_of(f)
+
+
+def _assert_same_as_reference(inst, f, p):
+    ok = inst.monad.base.validator(f, p)
+    assert type(ok) is bool and ok == _reference_validate(inst, f, p)
+    pre, post = inst.pre_of(f), inst.post_of(f)
+    fail = inst.failure_prob(p, pre, post)
+    assert type(fail) is Fraction and fail == _reference_failure_prob(inst, p, pre, post)
+    return ok
+
+
+@pytest.mark.parametrize("name", ["ahl", "broken-ahl"])
+def test_ahl_validity_matches_reference_over_drawn_payloads(name):
+    inst = build_instance(name).ahl
+    T = inst.monad.base
+    pool = index_pool(T)
+    payloads = [T.sampler(g, Rng(seed)) for g in pool for seed in range(4)]
+    x = inst.decls[0]
+    payloads += [inst.seq(payloads[0], inst.sample_uniform(x.name, x.lo, x.hi)),
+                 inst._map(None, lambda r: vpair(r, r), payloads[-1])]
+    seen = {_assert_same_as_reference(inst, f, p) for f in pool for p in payloads}
+    assert seen == {True, False}
+
+
+def _chain216():
+    inst = ahl_instance([VarDecl(f"x{i}", 0, 5) for i in range(3)])
+    step = [inst.sample_uniform(f"x{i}", 0, 5) for i in (2, 1, 0)]
+    return inst, inst.seq(inst.seq(step[0], step[1]), step[2])
+
+
+def test_ahl_validity_matches_reference_on_the_216_state_chain():
+    inst, p = _chain216()
+    # every final state is a declared state object, so its rank is found by identity
+    atoms = [pr for _, d in p.entries for pr, _ in d.atoms]
+    assert len(atoms) == 216 ** 2 and all(id(pr.fst) in inst._rank_by_id for pr in atoms)
+    post = FCmp("!=", EVar("x2"), EInt(3))
+    for phi in (post, FAnd(post, FCmp("!=", EVar("x0"), EInt(4)))):
+        for beta in (0, Fraction(1, 7), Fraction(1, 6), Fraction(11, 36), 1):
+            _assert_same_as_reference(inst, inst.make_index(beta, TRUE, phi), p)
+    assert inst.failure_prob(p, TRUE, post) == Fraction(1, 6)
+
+
+def _malformed(inst):
+    """(case, payload) pairs that fail `ahl`'s validity before its bound."""
+    sv0, svs = inst._sorted_svalues[0], inst._sorted_svalues
+    unit_p = inst.skip()
+
+    def at_first(d):  # unit_p with the first state's dist replaced
+        return ordered_table([(sv0, d)] + list(unit_p.entries[1:]))
+
+    return [
+        ("non-table", uniform([vpair(sv, vunit) for sv in svs])),
+        ("keys-missing", ordered_table(unit_p.entries[1:])),
+        ("keys-out-of-order", ordered_table(unit_p.entries[::-1])),
+        ("non-dist-entry", at_first(vpair(sv0, vunit))),
+        ("non-pair-atom", at_first(uniform([vint(3), vpair(sv0, vunit)]))),
+        ("undeclared-state", at_first(point(vpair(table({vstr("x"): vint(99)}), vunit)))),
+    ]
+
+
+def test_ahl_validity_matches_reference_on_malformed_payloads():
+    inst = ahl_instance()
+    T = inst.monad.base
+    for f in index_pool(T):
+        for case, p in _malformed(inst):
+            assert T.validator(f, p) is False and _reference_validate(inst, f, p) is False, case
+    # `failure_prob` reads each start's dist by key: under `true` every state
+    # is a start, so it reaches the malformed entry, and raises for it
+    for case, p in _malformed(inst):
+        if case == "non-table":  # no keys to read by
+            continue
+        if case == "keys-out-of-order":
+            assert inst.failure_prob(p, TRUE, TRUE) == _reference_failure_prob(inst, p, TRUE, TRUE)
+        else:
+            with pytest.raises(MalformedPayload):
+                inst.failure_prob(p, TRUE, TRUE)
+    # an index whose formula this instance never registered
+    other = ahl_instance()
+    f = other.make_index(0, TRUE, FCmp("==", EVar("x"), EInt(2)))
+    assert T.validator(f, inst.skip()) is False and _reference_validate(inst, f, inst.skip()) is False
+
+
+def test_ahl_validity_reads_a_state_equal_to_a_declared_one_by_value():
+    inst = ahl_instance()
+    T = inst.monad.base
+    copies = {sv: table([(vstr(k.s), vint(v.n)) for k, v in sv.entries]) for sv in inst.svalues}
+    assert all(c == sv and c is not sv for sv, c in copies.items())
+    pool = index_pool(T)
+    seen = set()
+    for i, g in enumerate(pool):
+        drawn = T.sampler(g, Rng(i))
+        p = ordered_table((sv, dist([(vpair(copies[pr.fst], pr.snd), w) for pr, w in d.entries]))
+                          for sv, d in drawn.entries)
+        for f in pool:
+            ok = _assert_same_as_reference(inst, f, p)
+            assert ok == T.validator(f, drawn)
+            seen.add(ok)
+    assert seen == {True, False}
 
 
 # --- map_fn calls fn once per distinct carried value ---

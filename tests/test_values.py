@@ -378,6 +378,37 @@ def test_once_per_value_calls_fn_once_per_distinct_argument():
     assert outs[0] is outs[1] is outs[3] and outs[2] == vtag("t", vint(1))
 
 
+def _pairs_dist(*atoms):
+    """A dist of (int, int) pairs from (first, second, weight) triples."""
+    return dist([(vpair(vint(a), vint(b)), Fraction(w)) for a, b, w in atoms])
+
+
+def _assert_maps_like_checked_dist(fn, d):
+    out = dist_map_snd(fn, d)
+    expected = dist([(vpair(pr.fst, fn(pr.snd)), w) for pr, w in d.entries])
+    assert out == expected and out.atoms == expected.atoms and out.den == expected.den
+    return out
+
+
+def test_dist_map_snd_with_distinct_first_components_keeps_d_order_and_numerators():
+    d = _pairs_dist((0, 1, "1/6"), (1, 0, "1/3"), (2, 2, "1/2"))
+    out = _assert_maps_like_checked_dist(lambda v: vint(-v.n), d)  # reverses result order
+    assert [n for _, n in out.atoms] == [n for _, n in d.atoms] and out.den == d.den == 6
+    assert [pr.snd for pr, _ in out.atoms] == [vint(-1), vint(0), vint(-2)]
+
+
+def test_dist_map_snd_merges_atoms_that_share_a_first_component():
+    d = _pairs_dist((0, 1, "1/4"), (0, 2, "1/4"), (1, 0, "1/2"))
+    out = _assert_maps_like_checked_dist(lambda v: vint(v.n // 3), d)  # 1 and 2 -> 0
+    assert out.atoms == ((vpair(vint(0), vint(0)), 1), (vpair(vint(1), vint(0)), 1))
+    assert out.den == 2  # numerators added, then lowest terms
+
+
+def test_dist_map_snd_to_one_value_is_a_point():
+    d = _pairs_dist((0, 1, "1/3"), (0, 2, "2/3"))
+    assert _assert_maps_like_checked_dist(lambda v: unit, d) == point(vpair(vint(0), unit))
+
+
 def test_trusted_dist_ops_reject_a_table():
     t = table({vint(0): vint(1)})
     with pytest.raises(MalformedPayload):

@@ -84,13 +84,13 @@ class AhlMonad:
         names = sorted(d.name for d in self.decls)
         self.svalues = tuple(ordered_table((vstr(k), vint(s[k])) for k in names)
                              for s in self.states)
-        self._sorted_svalues = tuple(sorted(self.svalues, key=sort_key))
+        self._state_at_rank = tuple(sorted(range(len(self.svalues)),  # indices into `states`
+                                           key=lambda i: sort_key(self.svalues[i])))
+        self._sorted_svalues = tuple(self.svalues[i] for i in self._state_at_rank)
         self._rank = {sv: i for i, sv in enumerate(self._sorted_svalues)}
-        self._rank_by_id = {id(sv): i for sv, i in self._rank.items()}  # the instance keeps them
         self._svalue_of = {tuple(s.values()): sv for s, sv in zip(self.states, self.svalues)}
         self._formulas: dict[str, Formula] = {}
         self._truth: dict[Formula, tuple[bool, ...]] = {}
-        self._ranked_truth: dict[Formula, tuple[bool, ...]] = {}
         self._over_allocate = over_allocate
 
         self.beta_cat = MonoidCategory(op=sat_add, unit=Fraction(0),
@@ -199,20 +199,17 @@ class AhlMonad:
             truth = self._truth[phi] = tuple(eval_formula(phi, s) for s in self.states)
         return truth
 
-    def _ranked(self, phi: Formula) -> tuple[bool, ...]:
+    def _ranked(self, phi: Formula) -> list[bool]:
         """`holds(phi)` in rank (`_sorted_svalues`) order."""
-        if phi not in self._ranked_truth:
-            truth = dict(zip(self.svalues, self.holds(phi)))
-            self._ranked_truth[phi] = tuple(truth[sv] for sv in self._sorted_svalues)
-        return self._ranked_truth[phi]
+        truth = self.holds(phi)
+        return [truth[i] for i in self._state_at_rank]
 
-    def _bad_mass(self, d: VDist, post: tuple[bool, ...]) -> int:
+    def _bad_mass(self, d: VDist, post: list[bool]) -> int:
         """The numerator of d's mass on final states where `post` (by rank)
         is false.  An atom that is not a (declared state, result) pair raises."""
-        by_id, rank, m = self._rank_by_id, self._rank, 0
-        for pr, n in d.atoms:  # a state equal to a declared one, but not it, is hashed
-            if (not isinstance(pr, VPair) or (r := by_id.get(id(pr.fst))) is None
-                    and (r := rank.get(pr.fst)) is None):
+        rank, m = self._rank, 0
+        for pr, n in d.atoms:
+            if not isinstance(pr, VPair) or (r := rank.get(pr.fst)) is None:
                 raise MalformedPayload("an atom is not a (declared state, result) pair")
             if not post[r]:
                 m += n
@@ -221,7 +218,7 @@ class AhlMonad:
     def failure_prob(self, payload: Value, pre: Formula, post: Formula) -> Fraction:
         """Exact max over states satisfying pre of Pr[final state violates post].
         Cost: one pass over each start's dist (read through `payload.get`),
-        a final state's rank found by its identity, and one `Fraction`."""
+        each final state hashed once to find its rank, and one `Fraction`."""
         post_ranked, worst, den = self._ranked(post), 0, 1
         for sv, ok in zip(self.svalues, self.holds(pre)):
             if ok:

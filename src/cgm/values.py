@@ -356,17 +356,18 @@ def _checked(d: Value) -> VDist:
 
 
 def dist_map_snd(fn: Callable[[Value], Value], d: VDist) -> VDist:
-    """The image of a dist of pairs under (a, b) -> (a, fn(b)), in one pass
-    when no two atoms share a first component.  Pairs order by it first, so
-    only a run sharing one is merged: a value alone in its run is not hashed."""
+    """The image of a dist of pairs under (a, b) -> (a, fn(b)), built in one
+    pass in d's order.  Pairs order by first component first, so only a run
+    sharing one is merged: a value alone in its run is not hashed."""
     atoms = _checked(d).atoms
+    out = [(vpair(pr.fst, fn(pr.snd)), n) for pr, n in atoms]
     firsts = [pr.fst for pr, _ in atoms]
-    if all(map(ne, firsts, firsts[1:])):  # d's order and numerators
-        return _new(VDist, (9, tuple([(vpair(pr.fst, fn(pr.snd)), n) for pr, n in atoms]), d.den))
-    out: list[tuple[Value, int]] = []
-    for _, run in itertools.groupby(atoms, lambda e: e[0].fst):
-        out += _merged([(vpair(pr.fst, fn(pr.snd)), n) for pr, n in run])
-    return _lowest(out, d.den)
+    if all(map(ne, firsts, firsts[1:])):  # no run to merge: d's numerators
+        return _new(VDist, (9, tuple(out), d.den))
+    merged: list[tuple[Value, int]] = []
+    for _, run in itertools.groupby(out, lambda e: e[0].fst):
+        merged += _merged(list(run))
+    return _lowest(merged, d.den)
 
 
 def dist_bind(d: VDist, k: Callable[[Value], VDist]) -> VDist:

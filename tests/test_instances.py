@@ -17,7 +17,7 @@ from cgm.errors import (
     RangeError,
     SpawnGradeError,
 )
-from cgm.formulas import EInt, EVar, FAnd, FCmp, TRUE, VarDecl
+from cgm.formulas import EInt, EVar, FAnd, FCmp, FNot, TRUE, VarDecl
 from cgm.indexcat import DiscreteCategory, ObjectId
 from cgm.instances import (
     LockPrims,
@@ -624,6 +624,21 @@ def test_ahl_validity_matches_reference_on_the_216_state_chain():
         for beta in (0, Fraction(1, 7), Fraction(1, 6), Fraction(11, 36), 1):
             _assert_same_as_reference(inst, inst.make_index(beta, TRUE, phi), p)
     assert inst.failure_prob(p, TRUE, post) == Fraction(1, 6)
+
+
+def test_ahl_validity_matches_reference_when_rank_and_state_order_differ():
+    inst = ahl_instance([VarDecl("y", 0, 2), VarDecl("x", 0, 1)])
+    # y is declared first, so it varies slowest in `states`; by rank x does
+    assert inst._state_at_rank == (0, 2, 4, 1, 3, 5)
+    T = inst.monad.base
+    x0, y2 = FCmp("==", EVar("x"), EInt(0)), FCmp("==", EVar("y"), EInt(2))
+    pool = [inst.make_index(beta, pre, post)
+            for beta in (0, Fraction(1, 3), Fraction(1, 2), 1)
+            for pre in (TRUE, x0, y2) for post in (x0, y2, FNot(y2))]
+    payloads = [T.sampler(g, Rng(seed)) for g in pool for seed in range(2)]
+    payloads += [inst.seq(inst.sample_uniform("x", 0, 1), inst.sample_uniform("y", 0, 2))]
+    seen = {_assert_same_as_reference(inst, f, p) for f in pool for p in payloads}
+    assert seen == {True, False}
 
 
 def _malformed(inst):

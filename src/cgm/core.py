@@ -174,18 +174,17 @@ class LawFailure(Record):
     rhs: Value | None
     note: str = ""
 
-    def render(self) -> str:
-        lines = [f"FAIL {self.law}"]
-        for i, m in enumerate(self.indices):
-            lines.append(f"  index[{i}]: {m}")
-        if self.input_value is not None:
-            lines.append(f"  input: {self.input_value.show()}")
-        if self.lhs is not None:
-            lines.append(f"  lhs: {self.lhs.show()}")
-        if self.rhs is not None:
-            lines.append(f"  rhs: {self.rhs.show()}")
+    def shown(self) -> Iterator[tuple[str, str]]:
+        """(name, text) of each optional field a report prints, in order."""
+        for name, v in (("input", self.input_value), ("lhs", self.lhs), ("rhs", self.rhs)):
+            if v is not None:
+                yield name, v.show()
         if self.note:
-            lines.append(f"  note: {self.note}")
+            yield "note", self.note
+
+    def render(self) -> str:
+        lines = [f"FAIL {self.law}", *(f"  index[{i}]: {m}" for i, m in enumerate(self.indices))]
+        lines.extend(f"  {name}: {text}" for name, text in self.shown())
         return "\n".join(lines)
 
 
@@ -224,14 +223,7 @@ class LawReport(Record):
             lines.append(f"failure.{i}.law={f.law}")
             lines.append("failure.%d.indices=%s"
                          % (i, "; ".join(str(m) for m in f.indices)))
-            if f.input_value is not None:
-                lines.append(f"failure.{i}.input={f.input_value.show()}")
-            if f.lhs is not None:
-                lines.append(f"failure.{i}.lhs={f.lhs.show()}")
-            if f.rhs is not None:
-                lines.append(f"failure.{i}.rhs={f.rhs.show()}")
-            if f.note:
-                lines.append(f"failure.{i}.note={f.note}")
+            lines.extend(f"failure.{i}.{name}={text}" for name, text in f.shown())
         lines.append(f"failures.total={len(self.failures)}")
         lines.append(f"status={'ok' if self.ok() else 'fail'}")
         return "\n".join(lines)

@@ -10,6 +10,11 @@ finite value sets, morphisms are all functions between them).
 Morphisms are plain data: a source, a target, and a word describing the
 arrow.  Equality is structural on the word, so free paths are equal iff
 their generator sequences are equal.
+
+A category trusts the morphisms it owns, those its own operations built
+or its `contains` verified: `compose` passes them on an `is` test, so a
+bind does not re-walk the path composed so far.  Any other morphism, one
+owned by an equal but distinct category too, goes through `contains`.
 """
 
 from __future__ import annotations
@@ -122,10 +127,10 @@ def word_str(w: Word) -> str:
 
 
 class Morphism(Record):
-    __slots__ = ()
     src: ObjectId
     tgt: ObjectId
     word: Word
+    owner = None  # the category that built or verified it, kept out of equality
 
     def __str__(self) -> str:
         return f"{word_str(self.word)} : {self.src.name} -> {self.tgt.name}"
@@ -167,7 +172,29 @@ class IndexCategory(ByValue):
     def identity(self, obj: ObjectId) -> Morphism:
         """The formal identity; kinds whose identities are other words override this."""
         _require_object(self, obj)
-        return _new(Morphism, ("Morphism", obj, obj, _new(WIdentity, ("WIdentity", obj))))
+        return self._arrow(obj, obj, _new(WIdentity, ("WIdentity", obj)))
+
+    def _arrow(self, src: ObjectId, tgt: ObjectId, word: Word) -> Morphism:
+        """A morphism built by this category's own operation, marked as its own."""
+        m = _new(Morphism, ("Morphism", src, tgt, word))
+        m.owner = self
+        return m
+
+    def _sorted(self, ms: Iterable[Morphism]) -> tuple[Morphism, ...]:
+        """Own morphisms, marked and deterministically sorted."""
+        out = sorted(ms, key=morphism_key)
+        for m in out:
+            m.owner = self
+        return tuple(out)
+
+    def _admit(self, m: Morphism) -> bool:
+        """Whether m is a morphism here: an owned one on an `is` test, any
+        other through `contains`, after which it is marked as owned."""
+        if m.owner is not self:
+            if not self.contains(m):
+                return False
+            m.owner = self
+        return True
 
     def _is_identity(self, m: Morphism) -> bool:
         return isinstance(m.word, WIdentity) and m.word.obj == m.src == m.tgt and self.has_object(m.src)
@@ -184,9 +211,10 @@ class IndexCategory(ByValue):
         raise NotImplementedError
 
     def _check_endpoints(self, g: Morphism, f: Morphism) -> None:
-        if not (self.contains(f) and self.contains(g)):
-            bad = f if not self.contains(f) else g
-            raise ForeignMorphism(f"{bad} is not a morphism of this {self.kind} category")
+        """The one gate of compose."""
+        for m in (f, g):
+            if not self._admit(m):
+                raise ForeignMorphism(f"{m} is not a morphism of this {self.kind} category")
         if f.tgt != g.src:
             raise CompositionMismatch(
                 f"cannot compose: target {f.tgt.name} of ({f}) differs from source {g.src.name} of ({g})")
@@ -195,10 +223,6 @@ class IndexCategory(ByValue):
 def _require_object(cat: IndexCategory, obj: ObjectId) -> None:
     if not cat.has_object(obj):
         raise UnknownObject(f"no object named {obj.name}")
-
-
-def _sorted_morphisms(ms: Iterable[Morphism]) -> tuple[Morphism, ...]:
-    return tuple(sorted(ms, key=morphism_key))
 
 
 class FiniteTableCategory(IndexCategory):
@@ -234,8 +258,7 @@ class FiniteTableCategory(IndexCategory):
             raise CompositionMismatch(f"composition table has no entry for ({g}) o ({f})")
 
     def morphisms(self, max_path_len: int = 4):
-        ids = [self.identity(o) for o in self.objects]
-        return _sorted_morphisms(list(self.arrows) + ids)
+        return self._sorted([*self.arrows, *map(self.identity, self.objects)])
 
 
 class FreeCategory(IndexCategory):
@@ -266,16 +289,13 @@ class FreeCategory(IndexCategory):
         gens = tuple(labels)
         if not gens:
             raise ForeignMorphism("empty path; use identity()")
-        src, cur = None, None
-        for name in gens:
+        src, cur = self.edge(gens[0])
+        for name in gens[1:]:
             s, t = self.edge(name)
-            if src is None:
-                src, cur = s, t
-            else:
-                if s != cur:
-                    raise CompositionMismatch(f"generator {name} does not chain at {cur.name}")
-                cur = t
-        return Morphism(src, cur, WPath(gens))
+            if s != cur:
+                raise CompositionMismatch(f"generator {name} does not chain at {cur.name}")
+            cur = t
+        return self._arrow(src, cur, WPath(gens))
 
     def contains(self, m):
         if isinstance(m.word, WIdentity):
@@ -296,23 +316,17 @@ class FreeCategory(IndexCategory):
             return g
         if isinstance(g.word, WIdentity):
             return f
-        return _new(Morphism, ("Morphism", f.src, g.tgt,
-                               _new(WPath, ("WPath", f.word.gens + g.word.gens))))
+        return self._arrow(f.src, g.tgt, _new(WPath, ("WPath", f.word.gens + g.word.gens)))
 
     def morphisms(self, max_path_len: int = 4):
         out = [self.identity(o) for o in self.objects]
         frontier = [self.path([name]) for name, _, _ in self.edges]
         out.extend(frontier)
         for _ in range(max_path_len - 1):
-            nxt = []
-            for m in frontier:
-                for name, s, _ in self.edges:
-                    if s == m.tgt:
-                        nxt.append(Morphism(m.src, self.edge(name)[1],
-                                            WPath(m.word.gens + (name,))))
-            out.extend(nxt)
-            frontier = nxt
-        return _sorted_morphisms(out)
+            frontier = [Morphism(m.src, t, WPath(m.word.gens + (name,)))
+                        for m in frontier for name, s, t in self.edges if s == m.tgt]
+            out.extend(frontier)
+        return self._sorted(out)
 
 
 STAR = ObjectId("*")
@@ -332,7 +346,7 @@ class MonoidCategory(IndexCategory):
         return (STAR,)
 
     def elem(self, x) -> Morphism:
-        return _new(Morphism, ("Morphism", STAR, STAR, _new(WElem, ("WElem", x))))
+        return self._arrow(STAR, STAR, _new(WElem, ("WElem", x)))
 
     def identity(self, obj):
         _require_object(self, obj)
@@ -369,7 +383,7 @@ class DiscreteCategory(IndexCategory):
         return f
 
     def morphisms(self, max_path_len: int = 4):
-        return _sorted_morphisms(self.identity(o) for o in self.objects)
+        return self._sorted(self.identity(o) for o in self.objects)
 
 
 class IndiscreteCategory(IndexCategory):
@@ -391,7 +405,7 @@ class IndiscreteCategory(IndexCategory):
     def pair(self, a: ObjectId, b: ObjectId) -> Morphism:
         _require_object(self, a)
         _require_object(self, b)
-        return _new(Morphism, ("Morphism", a, b, _new(WPair, ("WPair", a, b))))
+        return self._arrow(a, b, _new(WPair, ("WPair", a, b)))
 
     def identity(self, obj):
         return self.pair(obj, obj)
@@ -402,12 +416,12 @@ class IndiscreteCategory(IndexCategory):
 
     def compose(self, g, f):
         self._check_endpoints(g, f)
-        return self.pair(f.src, g.tgt)
+        return self._arrow(f.src, g.tgt, _new(WPair, ("WPair", f.src, g.tgt)))
 
     def morphisms(self, max_path_len: int = 4):
         if self.objects is None:
             raise SymbolicObjects("indiscrete category over a symbolic object set")
-        return _sorted_morphisms(self.pair(a, b) for a in self.objects for b in self.objects)
+        return self._sorted(self.pair(a, b) for a in self.objects for b in self.objects)
 
 
 class PairCompletionCategory(IndexCategory):
@@ -426,14 +440,14 @@ class PairCompletionCategory(IndexCategory):
         return self.inner.has_object(obj)
 
     def inj1(self, m: Morphism) -> Morphism:
-        if not self.inner.contains(m):
+        if not self.inner._admit(m):
             raise ForeignMorphism(f"{m} is not in the inner category")
-        return _new(Morphism, ("Morphism", m.src, m.tgt, _new(WInj1, ("WInj1", m))))
+        return self._arrow(m.src, m.tgt, _new(WInj1, ("WInj1", m)))
 
     def inj2(self, a: ObjectId, b: ObjectId) -> Morphism:
         _require_object(self, a)
         _require_object(self, b)
-        return _new(Morphism, ("Morphism", a, b, _new(WInj2, ("WInj2", a, b))))
+        return self._arrow(a, b, _new(WInj2, ("WInj2", a, b)))
 
     def identity(self, obj):
         _require_object(self, obj)
@@ -451,7 +465,7 @@ class PairCompletionCategory(IndexCategory):
         self._check_endpoints(g, f)
         if isinstance(f.word, WInj1) and isinstance(g.word, WInj1):
             return self.inj1(self.inner.compose(g.word.inner, f.word.inner))
-        return self.inj2(f.src, g.tgt)
+        return self._arrow(f.src, g.tgt, _new(WInj2, ("WInj2", f.src, g.tgt)))
 
     def morphisms(self, max_path_len: int = 4):
         objs = self.object_ids()
@@ -459,7 +473,7 @@ class PairCompletionCategory(IndexCategory):
             raise SymbolicObjects("pair completion of a symbolic category")
         out = [self.inj1(m) for m in self.inner.morphisms(max_path_len)]
         out.extend(self.inj2(a, b) for a in objs for b in objs)
-        return _sorted_morphisms(out)
+        return self._sorted(out)
 
 
 _ESC = str.maketrans({"\\": "\\\\", "|": "\\|", "<": "\\<", ">": "\\>"})
@@ -498,8 +512,12 @@ class ProductCategory(IndexCategory):
                 and self.left.has_object(obj.pair[0]) and self.right.has_object(obj.pair[1]))
 
     def tuple_morphism(self, l: Morphism, r: Morphism) -> Morphism:
-        return _new(Morphism, ("Morphism", self._object(l.src, r.src), self._object(l.tgt, r.tgt),
-                               _new(WTuple, ("WTuple", l, r))))
+        """Owned only when both components are owned by the component categories."""
+        m = _new(Morphism, ("Morphism", self._object(l.src, r.src), self._object(l.tgt, r.tgt),
+                            _new(WTuple, ("WTuple", l, r))))
+        if l.owner is self.left and r.owner is self.right:
+            m.owner = self
+        return m
 
     def identity(self, obj):
         if obj.pair is None:
@@ -521,7 +539,7 @@ class ProductCategory(IndexCategory):
     def morphisms(self, max_path_len: int = 4):
         ls = self.left.morphisms(max_path_len)
         rs = self.right.morphisms(max_path_len)
-        return _sorted_morphisms(self.tuple_morphism(l, r) for l in ls for r in rs)
+        return self._sorted(self.tuple_morphism(l, r) for l in ls for r in rs)
 
 
 class FuncCategory(IndexCategory):
@@ -533,7 +551,7 @@ class FuncCategory(IndexCategory):
     def __init__(self, sets: tuple[tuple[ObjectId, tuple[Value, ...]], ...]):
         self.sets = sets
         # per object: (carrier, carrier as a set, identity), built once
-        self._by_obj = {o: (vs, frozenset(vs), Morphism(o, o, WFn(tuple((v, v) for v in vs))))
+        self._by_obj = {o: (vs, frozenset(vs), self._arrow(o, o, WFn(tuple((v, v) for v in vs))))
                         for o, vs in sets}
 
     def _entry(self, obj: ObjectId):
@@ -560,7 +578,7 @@ class FuncCategory(IndexCategory):
             if out not in cod:
                 raise ForeignMorphism(f"{out.show()} is not in the target carrier")
             graph.append((v, out))
-        return Morphism(src, tgt, WFn(tuple(graph)))
+        return self._arrow(src, tgt, WFn(tuple(graph)))
 
     def identity(self, obj):
         return self._entry(obj)[2]
@@ -578,7 +596,7 @@ class FuncCategory(IndexCategory):
     def compose(self, g, f):
         self._check_endpoints(g, f)
         graph = tuple((a, g.word.apply(b)) for a, b in f.word.graph)
-        return _new(Morphism, ("Morphism", f.src, g.tgt, _new(WFn, ("WFn", graph))))
+        return self._arrow(f.src, g.tgt, _new(WFn, ("WFn", graph)))
 
     def morphisms(self, max_path_len: int = 4):
         out = []
@@ -586,7 +604,7 @@ class FuncCategory(IndexCategory):
             for tgt, cod in self.sets:
                 for image in itertools.product(cod, repeat=len(dom)):
                     out.append(Morphism(src, tgt, WFn(tuple(zip(dom, image)))))
-        return _sorted_morphisms(out)
+        return self._sorted(out)
 
 
 class TwoCategory(ByValue):
@@ -598,9 +616,7 @@ class TwoCategory(ByValue):
         self.base, self.cell = base, cell
 
     def leq(self, f: Morphism, g: Morphism) -> bool:
-        if f.src != g.src or f.tgt != g.tgt:
-            return False
-        return f == g or self.cell(f, g)
+        return f.src == g.src and f.tgt == g.tgt and (f == g or self.cell(f, g))
 
 
 class WideSubcategory(ByValue):
@@ -633,12 +649,9 @@ def monoid_to_category(op, unit, sample) -> MonoidCategory:
 
 
 def pomonoid_to_2category(op, unit, sample, leq) -> TwoCategory:
-    base = monoid_to_category(op, unit, sample)
-
-    def cell(f: Morphism, g: Morphism) -> bool:
-        return leq(f.word.value, g.word.value)
-
-    return TwoCategory(base, cell)
+    """2-cells f => g exactly when f's element is below g's."""
+    return TwoCategory(monoid_to_category(op, unit, sample),
+                       lambda f, g: leq(f.word.value, g.word.value))
 
 
 def discretise(cat: IndexCategory) -> DiscreteCategory:

@@ -41,7 +41,6 @@ from ..indexcat import (
     ProductCategory,
     TwoCategory,
     WideSubcategory,
-    WPair,
 )
 from ..rng import Rng
 from ..values import (
@@ -65,11 +64,12 @@ from ..values import (
 )
 
 
+_ONE = Fraction(1)
+BETA_SAMPLE = (Fraction(0), Fraction(1, 10), Fraction(3, 10), Fraction(1, 2), _ONE)
+
+
 def sat_add(a: Fraction, b: Fraction) -> Fraction:
-    return min(a + b, Fraction(1))
-
-
-BETA_SAMPLE = (Fraction(0), Fraction(1, 10), Fraction(3, 10), Fraction(1, 2), Fraction(1))
+    return min(a + b, _ONE)
 
 
 class AhlMonad:
@@ -137,7 +137,7 @@ class AhlMonad:
             raise InvalidValue(f"bound {beta} outside [0, 1]")
         po, qo = self.formula_object(pre), self.formula_object(post)
         left = self.beta_cat.elem(beta)
-        right = Morphism(po, qo, WPair(po, qo))
+        right = self.prop_cat.pair(po, qo)
         return self.cat.tuple_morphism(left, right)
 
     @staticmethod

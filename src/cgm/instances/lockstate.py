@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from ..core import CatGradedMonad, GradedComputation
 from ..errors import MalformedPayload, SpawnGradeError
 from ..indexcat import FreeCategory, ObjectId, free_category
-from ..values import Value, sort_key, table
+from ..values import Value, ordered_table, sort_key
 from ..values import unit as vunit, vint, vpair
 from .typedstate import state_passing
 
@@ -59,32 +59,32 @@ class LockPrims:
         self.T = T
         self.cat: FreeCategory = T.index_cat
         self.domain = T.unit_fn(FREE, vunit).keys()
+        self.index = {name: self.cat.path([name]) for name, _, _ in self.cat.edges}
 
-    def _total(self, entry) -> Value:
-        return table({s: entry(s) for s in self.domain})
+    def _prim(self, name: str, entry) -> GradedComputation:
+        """The primitive at its one-generator path, its table built in key order."""
+        return GradedComputation(self.index[name], ordered_table((s, entry(s)) for s in self.domain))
 
     def lock(self) -> GradedComputation:
-        return GradedComputation(self.cat.path(["lock"]), self._total(lambda s: vpair(vunit, s)))
+        return self._prim("lock", lambda s: vpair(vunit, s))
 
     def unlock(self) -> GradedComputation:
-        return GradedComputation(self.cat.path(["unlock"]), self._total(lambda s: vpair(vunit, s)))
+        return self._prim("unlock", lambda s: vpair(vunit, s))
 
     def get(self) -> GradedComputation:
-        return GradedComputation(self.cat.path(["get"]), self._total(lambda s: vpair(s, s)))
+        return self._prim("get", lambda s: vpair(s, s))
 
     def put(self, v: Value) -> GradedComputation:
         # The written value may fall outside the domain; downstream
         # composition then drops the branch.
-        return GradedComputation(self.cat.path(["put"]), self._total(lambda s: vpair(vunit, v)))
+        return self._prim("put", lambda s: vpair(vunit, v))
 
     def spawn(self, body: GradedComputation) -> GradedComputation:
         if not (body.index.src == FREE and body.index.tgt == FREE):
             raise SpawnGradeError(
                 f"spawn needs a free -> free body, got ({body.index})")
-        out = {}
-        for s, step in body.payload.entries:
-            out[s] = vpair(vunit, step.snd)
-        return GradedComputation(self.cat.identity(FREE), table(out))
+        return GradedComputation(self.cat.identity(FREE), ordered_table(
+            (s, vpair(vunit, step.snd)) for s, step in body.payload.entries))
 
 
 def run_table(c: GradedComputation, store: Value) -> tuple[Value, Value]:

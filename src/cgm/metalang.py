@@ -123,18 +123,13 @@ class Program(Record):
 Shape = object  # "unit" | "int" | "bool" | "str" | "any" | ("pair", s, s)
 
 
+_SHAPES = {VUnit: "unit", VInt: "int", VBool: "bool", VStr: "str"}
+
+
 def shape_of_value(v: Value) -> Shape:
-    if isinstance(v, VUnit):
-        return "unit"
-    if isinstance(v, VInt):
-        return "int"
-    if isinstance(v, VBool):
-        return "bool"
-    if isinstance(v, VStr):
-        return "str"
     if isinstance(v, VPair):
         return ("pair", shape_of_value(v.fst), shape_of_value(v.snd))
-    return "any"
+    return _SHAPES.get(type(v), "any")
 
 
 def _shape_ok(actual: Shape, wanted: Shape) -> bool:
@@ -175,7 +170,7 @@ def prims_for(bundle: InstanceBundle) -> tuple[dict[str, PrimSpec], Spawn | None
     lp = LockPrims(bundle.monad)
 
     def spec(name: str, args: tuple[Shape, ...], result: Shape, make) -> PrimSpec:
-        return PrimSpec(args, result, lp.cat.path([name]), make)
+        return PrimSpec(args, result, lp.index[name], make)
 
     return {
         "lock": spec("lock", (), "unit", lambda _a: lp.lock()),

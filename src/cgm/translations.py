@@ -279,15 +279,21 @@ def catgraded_to_discrete_param(T: CatGradedMonad) -> ParameterisedMonad:
     objs = cat.object_ids()
     if objs is None:
         raise NotIndiscrete("symbolic indiscrete categories cannot be read back")
+    return _read_back(T, DiscreteCategory(objs), cat.pair, lambda i, a: T.unit_fn(i, a), None)
+
+
+def _read_back(T: CatGradedMonad, index_cat: IndexCategory, at: Callable,
+               eta_fn: Callable, morph_map_fn: Callable | None) -> ParameterisedMonad:
+    """The doubly indexed family whose P(I, J) is T at the morphism at(I, J)."""
     return ParameterisedMonad(
         name=f"{T.name}-param",
-        index_cat=DiscreteCategory(objs),
-        eta_fn=lambda i, a: T.unit_fn(i, a),
-        mu_fn=lambda i, j, k, p: T.mult_fn(cat.pair(i, j), cat.pair(j, k), p),
-        value_map_fn=lambda i, j, fn, p: T.map_fn(cat.pair(i, j), fn, p),
-        validator=lambda i, j, p: T.validator(cat.pair(i, j), p),
-        sampler=lambda i, j, rng: T.sampler(cat.pair(i, j), rng),
-        morph_map_fn=None,
+        index_cat=index_cat,
+        eta_fn=eta_fn,
+        mu_fn=lambda i, j, k, p: T.mult_fn(at(i, j), at(j, k), p),
+        value_map_fn=lambda i, j, fn, p: T.map_fn(at(i, j), fn, p),
+        validator=lambda i, j, p: T.validator(at(i, j), p),
+        sampler=lambda i, j, rng: T.sampler(at(i, j), rng),
+        morph_map_fn=morph_map_fn,
     )
 
 
@@ -302,11 +308,15 @@ def param_to_catgraded_genunit(P: ParameterisedMonad) -> tuple[CatGradedMonad, G
     inner = P.index_cat
     comp = pair_completion(inner)
     T = param_over(P, comp, f"{P.name}^pc")
+    lifts: dict[tuple[Morphism, Value], Value] = {}  # pure_lift once per (f, a)
 
     def geneta(m: Morphism, a: Value) -> Value:
         if not isinstance(m.word, WInj1):
             raise NotInSubcategory(f"({m}) is not an inner morphism")
-        return pure_lift(P, m.word.inner, a)
+        lift = lifts.get(key := (m.word.inner, a))
+        if lift is None:
+            lift = lifts[key] = pure_lift(P, m.word.inner, a)
+        return lift
 
     if not P.discrete:
         rng = Rng(derive_seed(0, "geneta-elements"))
@@ -348,16 +358,8 @@ def catgraded_genunit_to_param(T: CatGradedMonad, G: GeneralisedUnit) -> Paramet
         x4 = T.mult_fn(kf, gb, x3)
         return T.map_fn(comp.compose(gb, kf), h, x4)
 
-    return ParameterisedMonad(
-        name=f"{T.name}-param",
-        index_cat=inner,
-        eta_fn=lambda i, a: G.geneta_fn(comp.inj1(inner.identity(i)), a),
-        mu_fn=lambda i, j, k, p: T.mult_fn(comp.inj2(i, j), comp.inj2(j, k), p),
-        value_map_fn=lambda i, j, fn, p: T.map_fn(comp.inj2(i, j), fn, p),
-        validator=lambda i, j, p: T.validator(comp.inj2(i, j), p),
-        sampler=lambda i, j, rng: T.sampler(comp.inj2(i, j), rng),
-        morph_map_fn=None if inner.kind == "discrete" else morph_map,
-    )
+    return _read_back(T, inner, comp.inj2, lambda i, a: G.geneta_fn(comp.inj1(inner.identity(i)), a),
+                      None if inner.kind == "discrete" else morph_map)
 
 
 def roundtrip_param(P: ParameterisedMonad, samples: int = 50, seed: int = 0) -> LawReport:
@@ -455,9 +457,7 @@ def end_graded_from_param(P: ParameterisedMonad,
         except KeyError:
             raise InfeasibleEnd(f"monoid operation undefined on ({a!r}, {b!r})")
 
-    def obj(name: str) -> ObjectId:
-        return ObjectId(name)
-
+    obj = ObjectId
     def unit_fn(a: Value) -> Value:
         return table({vstr(i): P.eta_fn(obj(i), a) for i in names})
 

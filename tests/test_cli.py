@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from cgm import core
 from cgm.cli import main
+from cgm.indexcat import FreeCategory, WPath
 from cgm.instances import instance_names, list_sort_homomorphism
 
 REPO = Path(__file__).resolve().parent.parent
@@ -725,6 +726,32 @@ def test_run_300_statements(tmp_path, capsys):
                   + "lock; put(1); unlock;\n" * 100 + "pure ()\n}\n")
     code, out = run_cli(capsys, "run", str(gp))
     assert code == 0 and out.startswith("grade: ")
+
+
+# A bind's compose trusts the paths the lock category built, so the
+# generators `FreeCategory.contains` walks do not grow with the path composed
+# so far: a count of work done, not a timing.
+
+def test_run_walks_generators_at_most_linearly(tmp_path, capsys, monkeypatch):
+    walked = [0]
+    contains = FreeCategory.contains
+
+    def counting(cat, m):
+        walked[0] += len(m.word.gens) if isinstance(m.word, WPath) else 0
+        return contains(cat, m)
+
+    monkeypatch.setattr(FreeCategory, "contains", counting)
+
+    def walk(rounds):
+        gp = tmp_path / f"r{rounds}.gp"
+        gp.write_text("instance concst\nstart free\ndo {\n"
+                      + "lock; put(1); unlock;\n" * rounds + "pure ()\n}\n")
+        walked[0] = 0
+        code, out = run_cli(capsys, "run", str(gp))
+        assert code == 0 and out.startswith("grade: ")
+        return walked[0]
+
+    assert walk(60) <= 3 * walk(20)
 
 
 # The expression parser keeps open parentheses on an explicit stack, so

@@ -4,21 +4,26 @@ from fractions import Fraction
 
 import pytest
 
+from cgm.catfile import parse_cat_file
 from cgm.errors import (
     CompositionMismatch,
     DanglingEdge,
+    ForeignMorphism,
     SymbolicObjects,
     UnknownObject,
 )
 from cgm.indexcat import (
     DiscreteCategory,
+    FreeCategory,
     IndiscreteCategory,
     Morphism,
     ObjectId,
     ProductCategory,
     STAR,
     WElem,
+    WFn,
     WIdentity,
+    WInj1,
     WPath,
     compose,
     discretise,
@@ -281,3 +286,87 @@ def test_free_category_contains():
 
 def test_free_category_law_suite():
     assert_category_laws(lock_category(), cap=3)
+
+
+# --- compose trusts what a category owns, and checks everything else ---
+
+def _foreign_cases():
+    """Per kind: a category, one of its morphisms, and a forged morphism."""
+    free, critical = ObjectId("free"), ObjectId("critical")
+    a, c = ObjectId("a"), ObjectId("c")
+    A, B = ObjectId("A"), ObjectId("B")
+    lock = lock_category()
+    func = func_category({"A": [vint(0), vint(1)], "B": [vint(0)]})
+    inner = free_category(["a", "b"], [("f", "a", "b")])
+    pc = pair_completion(inner)
+    nat = monoid_to_category(lambda x, y: x + y, 0, range(3))
+    prod = ProductCategory(nat, DiscreteCategory((a,)))
+    table = parse_cat_file("kind table\nobjects a b c\ngen f : a -> b\ngen g : b -> c\n")
+    return {
+        # a path whose chain breaks
+        "free": (lock, lock.path(["lock", "put"]),
+                 Morphism(free, critical, WPath(("lock", "lock")))),
+        # a function graph that leaves its target carrier
+        "func": (func, func.fn(A, B, {vint(0): vint(0), vint(1): vint(0)}),
+                 Morphism(A, B, WFn(((vint(0), vint(0)), (vint(1), vint(5)))))),
+        # an in1 whose endpoints differ from its inner morphism's
+        "pair_completion": (pc, pc.inj1(inner.path(["f"])),
+                            Morphism(a, a, WInj1(inner.path(["f"])))),
+        # a tuple over a component the monoid does not have
+        "product": (prod, prod.tuple_morphism(nat.elem(2), prod.right.identity(a)),
+                    prod.tuple_morphism(Morphism(STAR, STAR, WPath(("x",))),
+                                        prod.right.identity(a))),
+        # an arrow the table does not list
+        "table": (table, table.arrows[0], Morphism(a, c, WPath(("f", "f")))),
+    }
+
+
+@pytest.mark.parametrize("kind", ["free", "func", "pair_completion", "product", "table"])
+def test_compose_rejects_a_foreign_morphism(kind):
+    cat, valid, forged = _foreign_cases()[kind]
+    assert cat.kind == kind and cat.contains(valid) and not cat.contains(forged)
+    text = f"{forged} is not a morphism of this {kind} category"
+    copy = Morphism(valid.src, valid.tgt, valid.word)  # equal, built outside cat
+    for verified in (False, True):
+        if verified:  # the copy is checked once and then trusted
+            assert compose(cat, identity(cat, copy.tgt), copy) == valid
+        for g, f in ((forged, identity(cat, forged.src)), (identity(cat, forged.tgt), forged),
+                     (forged, forged)):
+            with pytest.raises(ForeignMorphism) as err:
+                compose(cat, g, f)
+            assert str(err.value) == text
+    assert compose(cat, valid, identity(cat, valid.src)) == valid
+
+
+def test_an_equal_but_distinct_category_checks_again(monkeypatch):
+    one, two = lock_category(), lock_category()
+    assert one == two and one is not two
+    lock, put = one.path(["lock"]), one.path(["put"])
+    expected = compose(one, put, lock)
+    checked = []
+    monkeypatch.setattr(two, "contains", lambda m: checked.append(m) or FreeCategory.contains(two, m))
+    assert compose(two, put, lock) == expected
+    assert checked == [lock, put]
+    checked.clear()
+    compose(two, put, lock)  # verified once, then owned by two
+    assert checked == []
+    # a path one built is no path of a category without its generator
+    small = free_category(["free", "critical"], [("lock", "free", "critical")])
+    with pytest.raises(ForeignMorphism, match="is not a morphism of this free category"):
+        compose(small, put, small.path(["lock"]))
+
+
+def test_composing_owned_morphisms_calls_contains_zero_times(monkeypatch):
+    lock = lock_category()
+    nat = monoid_to_category(lambda x, y: x + y, 0, range(3))
+    disc = DiscreteCategory((ObjectId("a"),))
+    cats = [lock, func_category({"A": [vint(0), vint(1)]}), pair_completion(lock), nat,
+            ProductCategory(nat, disc), tabulate_free(free_category(["a", "b"], [("f", "a", "b")]))]
+    for cat in cats + [disc]:
+        monkeypatch.setattr(cat, "contains", lambda m: pytest.fail(f"contains({m})"))
+    for cat in cats:
+        pool = cat.morphisms(2)
+        for f in pool:
+            for g in pool:
+                if f.tgt == g.src:
+                    compose(cat, compose(cat, g, f), identity(cat, f.src))

@@ -21,6 +21,7 @@ to check: that is a failed verification, so `ahl` prints
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .ahlcheck import check_ahl, parse_ahl_file
@@ -219,6 +220,10 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first `main` call and reused by every later one in the process
+_parser = functools.cache(make_parser)
+
+
 # (error classes, stdout prefix, exit code); the first matching row wins
 _ERRORS = (
     ((ParseError,), "parse error", 3),
@@ -228,7 +233,7 @@ _ERRORS = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (CgmError, OSError) as exc:

@@ -8,6 +8,7 @@ Validity of an implication is decided by brute-force enumeration of the
 from __future__ import annotations
 
 import itertools
+import re
 from collections.abc import Callable, Collection, Iterable, Mapping
 
 from .errors import ParseError
@@ -181,7 +182,17 @@ def valid_implication(holds: Callable, pre: Formula, post: Formula) -> bool:
 
 _TWO = ("==", "!=", "<=", ">=", "&&", "||", "<-", "<~", "->", "..", "=>", ":=")
 _ONE = "+-*/<>!(){};:=[],~"
-_DIGITS = "0123456789"
+# The `re` module's tokenizer idiom: one token after optional blanks, its
+# kind the named group that matched.  A comment and the end of the text
+# match no named group, and `bad` is any other character.  Digits are ASCII;
+# `\w` is `str.isalnum()` or `_`, and a name's first character must also be
+# `isalpha()` or `_`, which `tokenize` checks.  Names, the most frequent
+# tokens, are tried first, and two-character operators before one.  `re`
+# compiles the pattern on first use and caches it, so commands that parse
+# nothing do not pay for it.
+_TOKEN = (r"[ \t\r]*(?:(?P<name>[^\W\d]\w*)"
+          rf"|(?P<op>{'|'.join(map(re.escape, _TWO))}|[{re.escape(_ONE)}])"
+          r"|(?P<int>[0-9]+)|(?P<nl>\n)|#[^\n]*|(?P<bad>.)|\Z)")
 
 
 class Token(Record):
@@ -194,50 +205,19 @@ class Token(Record):
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
+    line, line_start = 1, 0
+    for m in re.finditer(_TOKEN, text):
+        kind = m.lastgroup
+        if kind is None:  # a comment, or blanks at the end
+            continue
+        if kind == "nl":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        two = text[i:i + 2]
-        if two in _TWO:
-            toks.append(_new(Token, ("Token", "op", two, line, col)))
-            i += 2
-            col += 2
-            continue
-        if c in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            toks.append(_new(Token, ("Token", "int", text[i:j], line, col)))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_new(Token, ("Token", "name", text[i:j], line, col)))
-            col += j - i
-            i = j
-            continue
-        if c in _ONE:
-            toks.append(_new(Token, ("Token", "op", c, line, col)))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
+        at = m.start(kind)
+        if kind == "bad" or kind == "name" and not (text[at].isalpha() or text[at] == "_"):
+            raise ParseError(f"unexpected character {text[at]!r}", line, at - line_start + 1)
+        toks.append(_new(Token, ("Token", kind, m.group(kind), line, at - line_start + 1)))
     return toks
 
 

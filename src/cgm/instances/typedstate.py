@@ -80,9 +80,7 @@ def state_passing(carriers: Mapping[ObjectId, tuple[Value, ...]], partial: bool)
         return ordered_table(out)
 
     def map_fn(_index, fn: Callable[[Value], Value], p: Value) -> Value:
-        # `concst` takes this function as its map_fn as it is, and fn is
-        # memoised in a dict here: each bind's continuation runs inside fn, so
-        # an adapter or a memo wrapper would cost a frame per `.gp` statement
+        # `concst` takes this function as its map_fn as it is
         memo: dict[Value, Value] = {}  # fn once per distinct carried value
         out = []
         for s, step in p.entries:

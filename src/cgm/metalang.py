@@ -6,12 +6,16 @@ so a program typechecks exactly when its effect trace is a path in the
 instance's index category.  Evaluation elaborates each bind as
 tensorial strength on the variables the continuation reads, functor map
 of the continuation, then multiplication, and always produces the
-inferred index.
+inferred index.  It keeps suspended binds on an explicit stack rather
+than the interpreter's: a bind's continuations run after its strength
+and before its functor map, in the order in which the instance's map_fn
+first reaches their carried values, and their payloads wait in one memo
+for the whole evaluation, keyed by (bind, object, live values).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Generator, Mapping
 
 from .core import CatGradedMonad, GradedComputation, fmap, mult, unit
 from .errors import (
@@ -424,12 +428,20 @@ def _infer(bundle: InstanceBundle, start: ObjectId, term: Term,
 # --- evaluation ---
 
 def strength(T: CatGradedMonad, f: Morphism, a: Value,
-             c: GradedComputation) -> GradedComputation:
+             c: GradedComputation) -> tuple[GradedComputation, list[VPair]]:
     """Thread a context value through a computation: payload values b
-    become pairs (a, b); the index is unchanged."""
+    become pairs (a, b); the index is unchanged.  Also returns the pairs
+    in the order the instance's map_fn built them."""
     if c.index != f:
         raise MalformedPayload(f"computation is at ({c.index}), not ({f})")
-    return GradedComputation(f, fmap(T, f, lambda b: vpair(a, b), c.payload))
+    pairs: list[VPair] = []
+
+    def pair(b: Value) -> VPair:
+        pr = vpair(a, b)
+        pairs.append(pr)
+        return pr
+
+    return GradedComputation(f, fmap(T, f, pair, c.payload)), pairs
 
 
 def eval_pexpr(e: PExpr, env: Mapping[str, Value]) -> Value:
@@ -455,48 +467,80 @@ def eval_term(bundle: InstanceBundle, term: Term, env: Mapping[str, Value],
 
     Grades come from one inference pass.  A let's continuation is
     computed once per (let, object, values of the body's free variables)
-    for the whole evaluation: those values are all the body can read, so
-    strength carries only them."""
+    for the whole evaluation, and kept in one memo under that key: those
+    values are all the body can read, so strength carries only them.
+
+    Evaluation does not grow the Python stack with the program (the
+    inference pass still does).  A let runs as a generator on an explicit
+    stack: it evaluates its bound term, then strength, whose map_fn
+    builds one pair per carried value.  Next it evaluates, in that order,
+    the continuations of the pairs whose keys the memo does not hold yet,
+    yielding each one that is not a leaf to the driver loop; this is the
+    order in which map_fn would first reach them.  Last, one fmap reads
+    the memo and mult flattens."""
     T = bundle.monad
     prims, spawn = prims_for(bundle)
     inferred, lets = _infer(bundle, start, term,
                             {k: shape_of_value(v) for k, v in env.items()})
     memo: dict[tuple, Value] = {}
 
-    def go(t: Term, obj: ObjectId, env: Mapping[str, Value]) -> GradedComputation:
+    def begin(t: Term, obj: ObjectId, env: Mapping[str, Value]) -> GradedComputation | Generator:
+        """A leaf's computation, or a generator that yields the generators
+        of the subterms it waits for and returns t's computation."""
+        if isinstance(t, TLet):
+            return let(t, obj, env)
         if isinstance(t, TVar):
             return unit(T, obj, env[t.name])
         if isinstance(t, TPure):
             return unit(T, obj, eval_pexpr(t.expr, env))
         if isinstance(t, TPrim):
             if t.name == "spawn":
-                body = go(t.body, ObjectId("free"), env)
-                return spawn(body)
+                return spawned(t, env)
             return prims[t.name].make([eval_pexpr(a, env) for a in t.args])
-        if isinstance(t, TLet):
-            c1 = go(t.bound, obj, env)
-            f = c1.index
-            site = (id(t), obj)
-            info = lets[site]
-            carried = strength(T, f, vseq(env[v] for v in info.carried), c1)
-
-            def cont(pr: Value) -> Value:
-                key = (site, pr if info.reads_var else pr.fst)
-                out = memo.get(key)
-                if out is None:
-                    env2 = dict(zip(info.carried, pr.fst.items))
-                    env2[t.var] = pr.snd
-                    c = go(t.body, f.tgt, env2)
-                    if c.index != info.cont:
-                        raise InconsistentContinuationIndex(
-                            f"{t.pos}: continuation at ({c.index}), inferred ({info.cont})")
-                    out = memo[key] = c.payload
-                return out
-
-            return mult(T, f, info.cont, fmap(T, f, cont, carried.payload))
         raise MalformedPayload(f"cannot evaluate {t!r}")
 
-    result = go(term, start, env)
+    def spawned(t: TPrim, env: Mapping[str, Value]) -> Generator:
+        body = begin(t.body, ObjectId("free"), env)
+        if not isinstance(body, GradedComputation):
+            body = yield body
+        return spawn(body)
+
+    def let(t: TLet, obj: ObjectId, env: Mapping[str, Value]) -> Generator:
+        c1 = begin(t.bound, obj, env)
+        if not isinstance(c1, GradedComputation):
+            c1 = yield c1
+        f = c1.index
+        site = (id(t), obj)
+        info = lets[site]
+        a = vseq(env[v] for v in info.carried)
+        carried, pairs = strength(T, f, a, c1)
+        for pr in pairs if info.reads_var else pairs[:1]:  # else one key, (site, a)
+            key = (site, pr if info.reads_var else a)
+            if key not in memo:
+                env2 = dict(zip(info.carried, a.items))
+                env2[t.var] = pr.snd
+                c = begin(t.body, f.tgt, env2)
+                if not isinstance(c, GradedComputation):
+                    c = yield c
+                if c.index != info.cont:
+                    raise InconsistentContinuationIndex(
+                        f"{t.pos}: continuation at ({c.index}), inferred ({info.cont})")
+                memo[key] = c.payload
+        cont = lambda pr: memo[site, pr if info.reads_var else a]
+        return mult(T, f, info.cont, fmap(T, f, cont, carried.payload))
+
+    result = begin(term, start, env)
+    if not isinstance(result, GradedComputation):
+        stack, result = [result], None  # the suspended lets and spawns, innermost last
+        while stack:
+            try:
+                sub = stack[-1].send(result)
+            except StopIteration as done:
+                stack.pop()
+                result = done.value
+            else:
+                stack.append(sub)
+                result = None
     if result.index != inferred.index:
         raise InconsistentContinuationIndex(
             f"evaluation produced ({result.index}), inference ({inferred.index})")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cgm import core
+from cgm import cli, core, metalang
 from cgm.cli import main
 from cgm.indexcat import FreeCategory, WPath
 from cgm.instances import instance_names, list_sort_homomorphism
@@ -280,6 +280,42 @@ def test_repeated_runs_byte_identical(capsys, argv):
     code2, out2 = run_cli(capsys, *argv)
     assert code1 == code2
     assert out1 == out2
+
+
+def test_main_reuses_one_parser_as_a_fresh_one_would_parse(tmp_path, capsys, monkeypatch):
+    gp = tmp_path / "lock.gp"
+    gp.write_text(LOCK_GP)
+    calls = [
+        ("run", str(gp), "--store", "3"),
+        ("laws",),                                   # usage errors exit 2 from argparse
+        ("laws", "identity", "--samples", "5", "--format", "machine"),
+        ("laws", "identity", "--samples", "many"),
+        ("roundtrip", "--states", "1", "--samples", "3"),
+        (),
+        ("run", str(gp)),
+        ("translate", "graded", "catgraded"),
+        ("laws", "nosuch", "--seed", "2"),
+        ("nosuch",),
+        ("roundtrip", "--states", "1", "--samples", "3", "--format", "machine"),
+    ]
+
+    def outcomes():
+        out = []
+        for argv in calls:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            seen = capsys.readouterr()
+            out.append((argv, code, seen.out, seen.err))
+        return out
+
+    reused = outcomes()
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.make_parser)  # a fresh parser per call
+    assert reused == outcomes()
+    assert [code for _, code, _, _ in reused] == [0, ("exit", 2), 0, ("exit", 2), 0, ("exit", 2),
+                                                  0, ("exit", 2), 2, ("exit", 2), 0]
 
 
 def test_file_commands_byte_identical(tmp_path, capsys):
@@ -695,8 +731,6 @@ def test_laws_over_fuzzed_categories_exit_with_a_documented_code(tmp_path_factor
 
 
 def test_run_150_statements(tmp_path, capsys):
-    # stack headroom: each bind's continuation runs inside the lock
-    # instance's map_fn, so a frame added on that path shows up here
     gp = tmp_path / "long.gp"
     gp.write_text("instance concst\nstart free\ndo {\n"
                   + "lock; put(1); unlock;\n" * 50 + "pure ()\n}\n")
@@ -705,7 +739,6 @@ def test_run_150_statements(tmp_path, capsys):
 
 
 def test_run_210_statements(tmp_path, capsys):
-    # the functor action's memo is inline, so a bind costs no memo frame
     gp = tmp_path / "long.gp"
     gp.write_text("instance concst\nstart free\ndo {\n"
                   + "lock; put(1); unlock;\n" * 70 + "pure ()\n}\n")
@@ -713,17 +746,53 @@ def test_run_210_statements(tmp_path, capsys):
     assert code == 0 and out.startswith("grade: ")
 
 
-# Grade inference and evaluation recurse once per statement, so long
-# programs overflow the interpreter stack.  This marks the defect until
-# the walkers are iterative; then it passes, and strict makes the suite
-# say so.
+# Evaluation keeps its suspended binds on an explicit stack, so program
+# length costs it no interpreter stack.
 
-@pytest.mark.xfail(strict=True, raises=RecursionError,
-                   reason="metalang walkers recurse once per statement")
 def test_run_300_statements(tmp_path, capsys):
     gp = tmp_path / "long.gp"
     gp.write_text("instance concst\nstart free\ndo {\n"
                   + "lock; put(1); unlock;\n" * 100 + "pure ()\n}\n")
+    code, out = run_cli(capsys, "run", str(gp))
+    assert code == 0 and out.startswith("grade: ")
+
+
+def test_run_never_nests_fmap(tmp_path, capsys, monkeypatch):
+    # a continuation that ran inside the functor map of its bind would nest
+    # one fmap per statement; a structural count, not a timing
+    depth = [0, 0]  # current, deepest
+    fmap = metalang.fmap
+
+    def counting(*args):
+        depth[0] += 1
+        depth[1] = max(depth[1], depth[0])
+        try:
+            return fmap(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(metalang, "fmap", counting)
+    for rounds in (20, 60):
+        gp = tmp_path / f"r{rounds}.gp"
+        gp.write_text("instance concst\nstart free\ndo {\n"
+                      + "lock; put(1); unlock;\n" * rounds + "pure ()\n}\n")
+        depth[1] = 0
+        code, out = run_cli(capsys, "run", str(gp))
+        assert code == 0 and out.startswith("grade: ")
+        assert depth[1] == 1, (rounds, depth[1])
+
+
+# Grade inference still recurses once per statement (`metalang._infer`'s
+# `go`), so longer programs overflow the interpreter stack there.  This
+# marks the defect until that walker is iterative; then it passes, and
+# strict makes the suite say so.
+
+@pytest.mark.xfail(strict=True, raises=RecursionError,
+                   reason="grade inference (metalang._infer) recurses once per statement")
+def test_run_1200_statements(tmp_path, capsys):
+    gp = tmp_path / "long.gp"
+    gp.write_text("instance concst\nstart free\ndo {\n"
+                  + "lock; put(1); unlock;\n" * 400 + "pure ()\n}\n")
     code, out = run_cli(capsys, "run", str(gp))
     assert code == 0 and out.startswith("grade: ")
 

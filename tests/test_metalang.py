@@ -382,6 +382,26 @@ def test_eval_work_is_linear_in_binds(monkeypatch):
     assert mults(4) <= 2 * mults(2) + 2
 
 
+def test_eval_runs_continuations_in_first_occurrence_order(monkeypatch):
+    """Continuations run depth first, each bind's in the order its map_fn
+    first reaches the carried values; `put` logs each value it writes."""
+    from cgm.instances import LockPrims
+    written = []
+    put = LockPrims.put
+
+    def logging_put(self, v):
+        written.append(v.n)
+        return put(self, v)
+
+    monkeypatch.setattr(LockPrims, "put", logging_put)
+    p = parse_program("instance concst\nstart free\ndo { lock; x <- get; put(x + 1); "
+                      "y <- get; put(y * 2); z <- get; put(z - x); unlock }")
+    c = eval_term(lock_bundle(4), p.body, {}, FREE)
+    assert c.payload.show() == "{0 -> ((), 2)}"
+    assert written == [1, 0, 0, 1, 2, 3, 2, 4, 6, 2, 0, -1, 0, 1, 2, 2, 4, 6, 3, 0, -2,
+                       -1, 0, 1, 2, 4, 6, 4, 0, -3, -2, -1, 0, 2, 4, 6]
+
+
 def test_eval_let_node_shared_between_objects():
     shared = TLet("_", TPure(PLit(vint(1))), TPure(PLit(vint(2))))
     term = TLet("_", shared, TLet("_", TPrim("lock"), TLet("_", shared, TPrim("unlock"))))
@@ -514,10 +534,11 @@ def test_strength_graded_list():
     T = two.base
     f = T.index_cat.elem(2)
     c = GradedComputation(f, vseq([vint(1), vint(2)]))
-    out = strength(T, f, vint(9), c)
+    out, pairs = strength(T, f, vint(9), c)
     # fmap-pairing oracle
     assert out.payload == vseq([vpair(vint(9), vint(1)), vpair(vint(9), vint(2))])
     assert out.index == f
+    assert pairs == list(out.payload.items)  # one per call of the pairing function
     # projection: strength then second == original
     from cgm.core import fmap
     back = fmap(T, f, lambda pr: pr.snd, out.payload)
@@ -530,7 +551,8 @@ def test_strength_identity_instance():
     T = identity_instance(lock_category())
     f = T.index_cat.identity(FREE)
     c = GradedComputation(f, vint(5))
-    assert strength(T, f, vint(1), c).payload == vpair(vint(1), vint(5))
+    out, pairs = strength(T, f, vint(1), c)
+    assert out.payload == vpair(vint(1), vint(5)) and pairs == [out.payload]
 
 
 # --- protocol completeness against a reference DFA ---

@@ -1,13 +1,18 @@
 """The one operator-precedence parser behind `.gp` expressions, `.ahl`
 arithmetic and formulas: it reads forward only, and printed formulas
-parse back to themselves."""
+parse back to themselves.  The scanner in front of it splits text as the
+character loop it replaced did."""
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import test_cli
 from cgm import ahlcheck, metalang
+from cgm.errors import ParseError
 from cgm.formulas import (
     EBin,
     EInt,
@@ -19,13 +24,15 @@ from cgm.formulas import (
     FNot,
     FOr,
     TRUE,
+    Token,
     TokenStream,
     formula_text,
     parse_formula,
     tokenize,
 )
 
-PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+REPO = Path(__file__).resolve().parent.parent
+PROGRAMS = REPO / "programs"
 NAMES = ("x", "y", "z")
 
 
@@ -116,3 +123,118 @@ def test_printed_formulas_parse_back(phi):
 ])
 def test_precedence_and_association(text, tree):
     assert _parse_all(text) == tree
+
+
+# --- the scanner against the character loop it replaced ---
+
+_TWO = ("==", "!=", "<=", ">=", "&&", "||", "<-", "<~", "->", "..", "=>", ":=")
+_ONE = "+-*/<>!(){};:=[],~"
+_DIGITS = "0123456789"
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    """The scanner as one Python iteration per character."""
+    toks: list[Token] = []
+    line, col, i = 1, 1, 0
+    while i < len(text):
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        two = text[i:i + 2]
+        if two in _TWO:
+            toks.append(Token("op", two, line, col))
+            i += 2
+            col += 2
+            continue
+        if c in _DIGITS:
+            j = i
+            while j < len(text) and text[j] in _DIGITS:
+                j += 1
+            toks.append(Token("int", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(Token("name", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c in _ONE:
+            toks.append(Token("op", c, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {c!r}", line, col)
+    return toks
+
+
+def _scan(scanner, text: str):
+    try:
+        return scanner(text)
+    except ParseError as exc:
+        return ("ParseError", exc.msg, exc.line, exc.col)
+
+
+def assert_scans_alike(text: str) -> None:
+    assert _scan(tokenize, text) == _scan(reference_tokenize, text), repr(text)
+
+
+def _workload_texts() -> list[str]:
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    mod = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(mod)
+    return [text for w in ("gp", "ahl") for it in mod.build(w, 0) for text in it.files.values()]
+
+
+_CORPUS = ([p.read_text(encoding="utf-8") for p in sorted(PROGRAMS.iterdir())]
+           + [test_cli.LOCK_GP, test_cli.TWO_SAMPLERS, test_cli.WEAK_TWO_SAMPLERS,
+              test_cli.COPRIME_SAMPLERS, test_cli._LATIN1.decode("latin-1")]
+           + [c[2] for c in test_cli._ERROR_CASES if isinstance(c[2], str)]
+           + _workload_texts())
+
+
+def test_scanner_matches_the_loop_on_the_corpora():
+    for text in _CORPUS:
+        assert_scans_alike(text)
+        assert_scans_alike(text.replace("\n", "\r\n").replace(" ", "\t"))
+
+
+@pytest.mark.parametrize("text", [
+    "é", "x é", "xé2_", "²", "x²", "x ²", "½", "x½", "٣", "1٣", "x٣", "x\u0301", "\u0301",
+    "Ⅻ", "xⅫ", "_", "__1", "0x1", "007", "a..b", "a.b", "...", "<-->", "=>=", "&|", "|",
+    "&&&", "# only a comment", "x # é\ny", "x\r\ny", "\t\tx", "x   ", "\n\n  \n",
+    "\f", "x\vy", "\u00a0", "$", "\"s\"", "",
+])
+def test_scanner_matches_the_loop_on_edge_cases(text):
+    assert_scans_alike(text)
+
+
+_ALPHABET = "ab_xyz019 \t\r\n#.&|$\"" + _ONE + "é²½٣Ⅻ\u0301\u00a0\f"
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(text=st.text(alphabet=_ALPHABET, max_size=30) | st.text(max_size=30))
+def test_scanner_matches_the_loop_on_drawn_text(text):
+    assert_scans_alike(text)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(gp=test_cli._gp_programs(), cat=test_cli._cat_files())
+def test_scanner_matches_the_loop_on_drawn_programs(gp, cat):
+    assert_scans_alike(gp[0])
+    assert_scans_alike(cat)

@@ -4,9 +4,9 @@ A derivation is a tree of rule applications (skip, assign, rand, seq,
 weak).  Checking is two-layered: each node's conclusion must fit its
 rule schema (seq adds bounds with saturation and requires the middle
 formulas to match; weak needs both implications valid and a
-non-decreasing bound), and the program the tree denotes is interpreted
-as a state-to-distribution table whose exact failure probability must
-stay within every node's claimed bound.
+non-decreasing bound), and each node's exact failure probability, the max
+of a violation vector pulled back through each seq's first part (Kozen
+1985), must stay within its bound; composites are built only as first parts.
 """
 
 from __future__ import annotations
@@ -165,41 +165,50 @@ def interpret(inst: AhlMonad, d: Derivation, _memo: dict | None = None) -> Value
     elif isinstance(d, DRand):
         out = inst.sample_uniform(d.var, d.lo, d.hi)
     elif isinstance(d, DSeq):
-        out = inst.seq(interpret(inst, d.first, memo),
-                               interpret(inst, d.second, memo))
+        out = inst.seq(interpret(inst, d.first, memo), interpret(inst, d.second, memo))
     else:
         out = interpret(inst, d.child, memo)
     memo[id(d)] = out
     return out
 
 
-def _postorder(d: Derivation) -> list[Derivation]:
-    """The nodes of a derivation, each after its children, left to right."""
-    out, todo = [], [d]
+def _postorder(d: Derivation) -> list[tuple[Derivation, bool]]:
+    """(node, on the root's spine) for each node, after its children, left to right."""
+    out, todo = [], [(d, True)]
     while todo:
-        node = todo.pop()
-        out.append(node)
+        node, spine = todo.pop()
+        out.append((node, spine))
         if isinstance(node, DSeq):
-            todo += (node.first, node.second)
+            todo += ((node.first, False), (node.second, spine))
         elif isinstance(node, DWeak):
-            todo.append(node.child)
+            todo.append((node.child, spine))
     return out[::-1]
 
 
 def check_ahl(inst: AhlMonad, d: Derivation,
               claimed: Judgement | None = None) -> AhlVerdict:
-    """Structural and semantic verification of one derivation tree."""
+    """Structural and semantic verification of one derivation tree.  A node's
+    violation vector is found down its spine to a leaf or memoised (node, post)."""
     nodes: list[NodeReport] = []
-    jmemo: dict = {}
-    pmemo: dict = {}
-    for node in _postorder(d):
+    jmemo, pmemo, vmemo = {}, {}, {}
+    for node, spine in _postorder(d):
         root = conclusion(inst, node, jmemo)
-        payload = interpret(inst, node, pmemo)
-        fail = inst.failure_prob(payload, root.pre, root.post)
-        nodes.append(NodeReport(_rule_name(node), root, fail))
-    if claimed is not None and (claimed.beta != root.beta
-                                or claimed.pre != root.pre
-                                or claimed.post != root.post):
+        if not spine:  # some seq's first part: its composite is needed
+            interpret(inst, node, pmemo)
+        path, n, post = [], node, root.post
+        while (id(n), post) not in vmemo:
+            path.append(n)
+            if not isinstance(n, (DSeq, DWeak)):
+                break
+            n = n.second if isinstance(n, DSeq) else n.child
+        vec = vmemo.get((id(n), post)) or (inst.violated(post), 1)
+        for n in reversed(path):
+            if not isinstance(n, DWeak):  # a leaf applies its payload, a seq its first part's
+                part = n.first if isinstance(n, DSeq) else n
+                vec = inst.expectation(interpret(inst, part, pmemo), vec)
+            vmemo[id(n), post] = vec
+        nodes.append(NodeReport(_rule_name(node), root, inst.worst(vec, root.pre)))
+    if claimed is not None and claimed != root:
         raise RuleMismatch(f"derivation concludes {root}, file claims {claimed}")
     for n in nodes:
         if n.failure > n.judgement.beta:

@@ -199,44 +199,49 @@ class AhlMonad:
             truth = self._truth[phi] = tuple(eval_formula(phi, s) for s in self.states)
         return truth
 
-    def _ranked(self, phi: Formula) -> list[bool]:
-        """`holds(phi)` in rank (`_sorted_svalues`) order."""
+    def violated(self, phi: Formula) -> list[bool]:
+        """By rank, whether phi fails in each state: phi's violation indicator."""
         truth = self.holds(phi)
-        return [truth[i] for i in self._state_at_rank]
+        return [not truth[i] for i in self._state_at_rank]
 
-    def _bad_mass(self, d: VDist, post: list[bool]) -> int:
-        """The numerator of d's mass on final states where `post` (by rank)
-        is false.  An atom that is not a (declared state, result) pair raises."""
+    def _expect(self, d: VDist, v: list[int]) -> int:
+        """Σ n · v[rank of the final state] over d's atoms; a non-(state, result) atom raises."""
         rank, m = self._rank, 0
         for pr, n in d.atoms:
             if not isinstance(pr, VPair) or (r := rank.get(pr.fst)) is None:
                 raise MalformedPayload("an atom is not a (declared state, result) pair")
-            if not post[r]:
-                m += n
+            m += n * v[r]
         return m
 
+    def expectation(self, payload: Value, vec: tuple[list[int], int]) -> tuple[list[int], int]:
+        """Each start's expectation of `vec` under payload, both as numerators by rank over
+        one denominator (in lowest terms); starts are read through `payload.get`."""
+        v, den = vec
+        ds = [_checked(payload.get(sv)) for sv in self._sorted_svalues]
+        lcm = math.lcm(*(d.den for d in ds))
+        w = [self._expect(d, v) * (lcm // d.den) for d in ds]
+        g = math.gcd(den * lcm, *w)
+        return [m // g for m in w], den * lcm // g
+
+    def worst(self, vec: tuple[list[int], int], pre: Formula) -> Fraction:
+        """The max of `vec` over the states satisfying pre (0 if none)."""
+        v, den = vec
+        return Fraction(max((m for m, out in zip(v, self.violated(pre)) if not out), default=0), den)
+
     def failure_prob(self, payload: Value, pre: Formula, post: Formula) -> Fraction:
-        """Exact max over states satisfying pre of Pr[final state violates post].
-        Cost: one pass over each start's dist (read through `payload.get`),
-        each final state hashed once to find its rank, and one `Fraction`."""
-        post_ranked, worst, den = self._ranked(post), 0, 1
-        for sv, ok in zip(self.svalues, self.holds(pre)):
-            if ok:
-                d = _checked(payload.get(sv))
-                m = self._bad_mass(d, post_ranked)
-                if m * den > worst * d.den:
-                    worst, den = m, d.den
-        return Fraction(worst, den)
+        """Exact max over states satisfying pre of Pr[final state violates post], by one
+        backward step; every start is read, so a malformed entry raises even where pre fails."""
+        return self.worst(self.expectation(payload, (self.violated(post), 1)), pre)
 
     def _validate(self, f: Morphism, p: Value) -> bool:
         if not isinstance(p, VTable) or p.keys() != self._sorted_svalues:
             return False
         try:  # an unregistered formula or a malformed entry is invalid
-            starts, post = self._ranked(self.pre_of(f)), self._ranked(self.post_of(f))
+            outside, bad = self.violated(self.pre_of(f)), self.violated(self.post_of(f))
             bn, bd = self.beta_of(f).as_integer_ratio()
-            for (_, d), start in zip(p.entries, starts):
-                m = self._bad_mass(_checked(d), post)  # every entry's atoms are checked
-                if start and m * bd > bn * d.den:
+            for (_, d), out in zip(p.entries, outside):
+                m = self._expect(_checked(d), bad)  # every entry's atoms are checked
+                if not out and m * bd > bn * d.den:
                     return False
         except MalformedPayload:
             return False

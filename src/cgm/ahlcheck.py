@@ -165,7 +165,8 @@ def interpret(inst: AhlMonad, d: Derivation, _memo: dict | None = None) -> Value
     elif isinstance(d, DRand):
         out = inst.sample_uniform(d.var, d.lo, d.hi)
     elif isinstance(d, DSeq):
-        out = inst.seq(interpret(inst, d.first, memo), interpret(inst, d.second, memo))
+        out = inst.seq(interpret(inst, d.first, memo),
+                               interpret(inst, d.second, memo))
     else:
         out = interpret(inst, d.child, memo)
     memo[id(d)] = out
@@ -187,15 +188,14 @@ def _postorder(d: Derivation) -> list[tuple[Derivation, bool]]:
 
 def check_ahl(inst: AhlMonad, d: Derivation,
               claimed: Judgement | None = None) -> AhlVerdict:
-    """Structural and semantic verification of one derivation tree.  A node's
-    violation vector is found down its spine to a leaf or memoised (node, post)."""
+    """Structural and semantic verification of one derivation tree."""
     nodes: list[NodeReport] = []
     jmemo, pmemo, vmemo = {}, {}, {}
     for node, spine in _postorder(d):
         root = conclusion(inst, node, jmemo)
         if not spine:  # some seq's first part: its composite is needed
             interpret(inst, node, pmemo)
-        path, n, post = [], node, root.post
+        path, n, post = [], node, root.post  # down to a leaf or a memoised (node, post)
         while (id(n), post) not in vmemo:
             path.append(n)
             if not isinstance(n, (DSeq, DWeak)):

@@ -207,10 +207,11 @@ class AhlMonad:
     def _expect(self, d: VDist, v: list[int]) -> int:
         """Σ n · v[rank of the final state] over d's atoms; a non-(state, result) atom raises."""
         rank, m = self._rank, 0
-        for pr, n in d.atoms:
-            if not isinstance(pr, VPair) or (r := rank.get(pr.fst)) is None:
-                raise MalformedPayload("an atom is not a (declared state, result) pair")
-            m += n * v[r]
+        try:  # only a pair has .fst; only a declared state has a rank
+            for pr, n in d.atoms:
+                m += n * v[rank[pr.fst]]
+        except (AttributeError, KeyError):
+            raise MalformedPayload("an atom is not a (declared state, result) pair") from None
         return m
 
     def expectation(self, payload: Value, vec: tuple[list[int], int]) -> tuple[list[int], int]:

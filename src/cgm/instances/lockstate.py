@@ -1,10 +1,10 @@
 """Mutual-exclusion lock protocol over one protected memory cell.
 
-The index category is the free category on the lock graph, so only
-protocol-respecting primitive sequences compose.  Payloads are finite
-state-transformer tables over a declared cell domain; composing through
-a store value outside the domain silently drops that branch, making the
-composite a partial transformer.
+The partial state-passing family over a declared cell domain, graded by
+the free category on the lock graph through `param_over`: only
+protocol-respecting primitive sequences compose, a payload reads only a
+path's endpoints, and composing through a store value outside the
+domain drops that branch, making the composite a partial transformer.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from collections.abc import Iterable
 
 from ..core import CatGradedMonad, GradedComputation
 from ..errors import MalformedPayload, SpawnGradeError
-from ..indexcat import FreeCategory, ObjectId, free_category
+from ..indexcat import DiscreteCategory, FreeCategory, ObjectId, free_category
+from ..translations import param_over
 from ..values import Value, ordered_table, sort_key
 from ..values import unit as vunit, vint, vpair
 from .typedstate import state_passing
@@ -39,17 +40,9 @@ def concst_instance(stores: Iterable[Value] = DEFAULT_STORES) -> CatGradedMonad:
     domain = tuple(sorted(set(stores), key=sort_key))  # in table key order
     if not domain:
         raise MalformedPayload("store domain must be nonempty")
-    unit_fn, mult, map_fn, validator, sampler = state_passing(
-        {FREE: domain, CRITICAL: domain}, partial=True)
-    return CatGradedMonad(
-        name="concst",
-        index_cat=lock_category(),
-        unit_fn=unit_fn,
-        mult_fn=lambda f, g, nested: mult(f.src, f.tgt, g.tgt, nested),
-        map_fn=map_fn,
-        validator=lambda f, p: validator(f.src, f.tgt, p),
-        sampler=lambda f, rng: sampler(f.src, f.tgt, rng),
-    )
+    family = state_passing("concst", DiscreteCategory((FREE, CRITICAL)),
+                           {FREE: domain, CRITICAL: domain}, partial=True)
+    return param_over(family, lock_category(), "concst")
 
 
 class LockPrims:

@@ -18,7 +18,6 @@ from ..indexcat import (
     IndexCategory,
     Morphism,
     ObjectId,
-    WIdentity,
     func_category,
     whole_category,
 )
@@ -48,13 +47,14 @@ class _Declared(dict):
         raise DomainMismatch(f"no state set named {obj.name}")
 
 
-def state_passing(carriers: Mapping[ObjectId, tuple[Value, ...]], partial: bool):
-    """The state-passing kernel of `concst` and `tstate` (Liang, Hudak &
+def state_passing(name: str, index_cat: IndexCategory,
+                  carriers: Mapping[ObjectId, tuple[Value, ...]],
+                  partial: bool) -> ParameterisedMonad:
+    """The state-passing family of `concst` and `tstate` (Liang, Hudak &
     Jones, POPL 1995): a payload at (I, J) is a table from I-states to
-    (result, J-state) pairs.  A partial kernel's tables may lack states
+    (result, J-state) pairs.  A partial family's tables may lack states
     and write states outside J, and mult drops such a branch; a total
-    kernel's are total into J.  map_fn takes `CatGradedMonad`'s arguments;
-    unit, mult, validator and sampler take `ParameterisedMonad`'s."""
+    family's are total into J.  No morphism action is set."""
     carrier = _Declared(carriers)
     position = _Declared({o: {s: n for n, s in enumerate(vs)} for o, vs in carriers.items()})
 
@@ -79,8 +79,7 @@ def state_passing(carriers: Mapping[ObjectId, tuple[Value, ...]], partial: bool)
             # else: the branch escaped the domain; the composite is partial there
         return ordered_table(out)
 
-    def map_fn(_index, fn: Callable[[Value], Value], p: Value) -> Value:
-        # `concst` takes this function as its map_fn as it is
+    def map_fn(_i: ObjectId, _j: ObjectId, fn: Callable[[Value], Value], p: Value) -> Value:
         memo: dict[Value, Value] = {}  # fn once per distinct carried value
         out = []
         for s, step in p.entries:
@@ -104,7 +103,7 @@ def state_passing(carriers: Mapping[ObjectId, tuple[Value, ...]], partial: bool)
         return ordered_table((s, vpair(vint(rng.randint(0, 9)), rng.choice(cod)))
                              for s in carrier[i])
 
-    return unit, mult, map_fn, validator, sampler
+    return ParameterisedMonad(name, index_cat, unit, mult, map_fn, validator, sampler)
 
 
 def typed_state_param(state_sets: Mapping[str, int | Iterable[Value]],
@@ -112,31 +111,20 @@ def typed_state_param(state_sets: Mapping[str, int | Iterable[Value]],
     sets = _normalize_sets(state_sets)
     carriers = {ObjectId(k): vs for k, vs in sets.items()}
     cat = DiscreteCategory(tuple(carriers)) if discrete else func_category(sets)
-    eta, mult, map_fn, validator, sampler = state_passing(carriers, partial=False)
+    P = state_passing("tstate", cat, carriers, partial=False)
 
     def morph_map(f: Morphism, g: Morphism, h: Callable[[Value], Value], p: Value) -> Value:
-        # f : I' -> I re-keys the table, g : J -> J' re-targets the state
+        # f : I' -> I re-keys the table, g : J -> J' re-targets the state;
+        # every morphism of a function category is a function graph
         out = []
         for s in carriers[f.src]:
-            step = p.get(_apply(f, s))
-            out.append((s, vpair(h(step.fst), _apply(g, step.snd))))
+            step = p.get(f.word.apply(s))
+            out.append((s, vpair(h(step.fst), g.word.apply(step.snd))))
         return ordered_table(out)
 
-    def _apply(m: Morphism, v: Value) -> Value:
-        if isinstance(m.word, WIdentity):
-            return v
-        return m.word.apply(v)
-
-    return ParameterisedMonad(
-        name="tstate",
-        index_cat=cat,
-        eta_fn=eta,
-        mu_fn=mult,
-        value_map_fn=lambda i, _j, fn, p: map_fn(i, fn, p),
-        validator=validator,
-        sampler=sampler,
-        morph_map_fn=None if discrete else morph_map,
-    )
+    if not discrete:
+        P.morph_map_fn = morph_map
+    return P
 
 
 def tstate_read(P: ParameterisedMonad, obj: str) -> Value:

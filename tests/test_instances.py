@@ -297,6 +297,51 @@ def test_constructive_objects_must_match():
         constructive_param(P, DiscreteCategory((ObjectId("A"),)))
 
 
+def _concst_endpoint_case():
+    """concst, two free -> free paths, and a path into and one out of free."""
+    T = concst_instance((vint(0), vint(1), vint(2)))
+    path = T.index_cat.path
+    return (T, path(["lock", "unlock"]), path(["lock", "put", "unlock"]),
+            path(["unlock"]), path(["lock"]))
+
+
+def _tstate_endpoint_case():
+    """Constructive tstate, two A -> B functions, and one B -> A function."""
+    T, _G = constructive_param(typed_state_param({"A": 2, "B": 2}))
+    A, B = ObjectId("A"), ObjectId("B")
+    morphs = T.index_cat.morphisms()
+    f1, f2 = [m for m in morphs if (m.src, m.tgt) == (A, B)][:2]
+    back = next(m for m in morphs if (m.src, m.tgt) == (B, A))
+    return T, f1, f2, back, back
+
+
+@pytest.mark.parametrize("case", [_concst_endpoint_case, _tstate_endpoint_case],
+                         ids=["concst", "tstate"])
+def test_payload_functions_read_only_endpoints(case):
+    # an instance graded through `param_over` cannot tell apart two
+    # morphisms with the same endpoints; an endpoint quotient of the law
+    # data relies on this
+    T, f1, f2, before, after = case()
+    assert f1 != f2 and (f1.src, f1.tgt) == (f2.src, f2.tgt)
+    assert before.tgt == f1.src and after.src == f1.tgt
+    p = T.sampler(f1, Rng(7))
+    assert T.sampler(f2, Rng(7)) == p
+    keys = p.keys()
+    candidates = (p, vint(0), table({keys[0]: vint(1)}),
+                  table({k: vpair(vint(0), k) for k in keys[:1]}),
+                  table({k: vpair(vint(0), vint(9)) for k in keys}))
+    assert T.validator(f1, p)
+    assert [T.validator(f1, q) for q in candidates] == [T.validator(f2, q) for q in candidates]
+    fn = lambda a: vpair(a, vint(a.n + 1))
+    assert T.map_fn(f1, fn, p) == T.map_fn(f2, fn, p)
+    # f as the outer grade of a nested payload, then as the inner one
+    inners = [T.sampler(after, Rng(n)) for n in range(10)]
+    nested = T.map_fn(f1, lambda a: inners[a.n], p)
+    assert T.mult_fn(f1, after, nested) == T.mult_fn(f2, after, nested)
+    outer = T.map_fn(before, lambda _a: p, T.sampler(before, Rng(8)))
+    assert T.mult_fn(before, f1, outer) == T.mult_fn(before, f2, outer)
+
+
 # --- probabilistic triples ---
 
 def state_dict(v):

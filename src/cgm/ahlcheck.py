@@ -12,11 +12,13 @@ of a violation vector pulled back through each seq's first part (Kozen
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 from .errors import InvalidImplication, ParseError, RuleMismatch
 from .formulas import (
     Expr,
     Formula,
+    Token,
     TokenStream,
     VarDecl,
     formula_text,
@@ -248,8 +250,7 @@ def _parse_var(ts: TokenStream, decls: dict[str, VarDecl]) -> VarDecl:
     return decls[t.text]
 
 
-def _parse_derivation(ts: TokenStream, decls: dict[str, VarDecl]) -> Derivation:
-    t = ts.next("rule name")
+def _parse_leaf(t: Token, ts: TokenStream, decls: dict[str, VarDecl]) -> Derivation:
     if t.text == "skip":
         ts.expect(":")
         return DSkip(parse_formula(ts, decls))
@@ -274,29 +275,41 @@ def _parse_derivation(ts: TokenStream, decls: dict[str, VarDecl]) -> Derivation:
         ts.expect(":")
         pre, post = _parse_judgement_tail(ts, decls)
         return DRand(decl.name, lo, hi, beta, pre, post)
-    if t.text == "seq":
-        ts.expect("{")
-        parts = [_parse_derivation(ts, decls)]
-        while ts.eat(";"):
-            if ts.at("}"):
-                break
-            parts.append(_parse_derivation(ts, decls))
-        ts.expect("}")
-        if len(parts) < 2:
-            raise ParseError("seq needs at least two derivations", t.line, t.col)
-        out = parts[0]
-        for nxt in parts[1:]:
-            out = DSeq(out, nxt)
-        return out
-    if t.text == "weak":
-        beta = _parse_fraction(ts)
-        ts.expect(":")
-        pre, post = _parse_judgement_tail(ts, decls)
-        ts.expect("{")
-        child = _parse_derivation(ts, decls)
-        ts.expect("}")
-        return DWeak(child, beta, pre, post)
     raise ParseError(f"unknown rule {t.text!r}", t.line, t.col)
+
+
+def _parse_derivation(ts: TokenStream, decls: dict[str, VarDecl]) -> Derivation:
+    opened: list[tuple[Token, list | tuple]] = []  # a stack: (seq, parts) or (weak, judgement)
+    while True:
+        t = ts.next("rule name")
+        if t.text == "seq":
+            ts.expect("{")
+            opened.append((t, []))
+            continue
+        if t.text == "weak":
+            beta = _parse_fraction(ts)
+            ts.expect(":")
+            pre, post = _parse_judgement_tail(ts, decls)
+            ts.expect("{")
+            opened.append((t, (beta, pre, post)))
+            continue
+        out = _parse_leaf(t, ts, decls)
+        while opened:  # close every node that `out` completes
+            t, held = opened[-1]
+            if t.text == "seq":
+                held.append(out)
+                if ts.eat(";") and not ts.at("}"):
+                    break  # the seq's next part
+            ts.expect("}")
+            opened.pop()
+            if t.text == "weak":
+                out = DWeak(out, *held)
+            elif len(held) < 2:
+                raise ParseError("seq needs at least two derivations", t.line, t.col)
+            else:
+                out = reduce(DSeq, held)
+        else:
+            return out
 
 
 class AhlFile(Record):

@@ -82,13 +82,17 @@ class AhlMonad:
             raise InvalidValue("at least one variable must be declared")
         self.states = states(self.decls)
         names = sorted(d.name for d in self.decls)
-        self.svalues = tuple(ordered_table((vstr(k), vint(s[k])) for k in names)
-                             for s in self.states)
+        cells = {d.name: {v: (vstr(d.name), vint(v)) for v in d.values()} for d in self.decls}
+        self.svalues = tuple(ordered_table(cells[k][s[k]] for k in names) for s in self.states)
+        # `states` varies the last declared variable fastest: the state at index
+        # i with var moved to v is at i + (v - s[var]) * stride[var]
+        self._stride, n = {}, 1
+        for d in reversed(self.decls):
+            self._stride[d.name], n = n, n * len(d.values())
         self._state_at_rank = tuple(sorted(range(len(self.svalues)),  # indices into `states`
                                            key=lambda i: sort_key(self.svalues[i])))
         self._sorted_svalues = tuple(self.svalues[i] for i in self._state_at_rank)
         self._rank = {sv: i for i, sv in enumerate(self._sorted_svalues)}
-        self._svalue_of = {tuple(s.values()): sv for s, sv in zip(self.states, self.svalues)}
         self._formulas: dict[str, Formula] = {}
         self._truth: dict[Formula, tuple[bool, ...]] = {}
         self._over_allocate = over_allocate
@@ -316,28 +320,33 @@ class AhlMonad:
     def skip(self) -> Value:
         return self._unit(None, vunit)
 
-    def _successor(self, s: dict[str, int], var: str, v: int) -> Value:
-        return self._svalue_of[tuple({**s, var: v}.values())]
-
     def assign(self, var: str, expr: Expr) -> Value:
-        decl = self.range_of(var)
-        out = {}
-        for s, sv in zip(self.states, self.svalues):
+        decl, st, svs = self.range_of(var), self._stride[var], self.svalues
+        out = []
+        for i, s in enumerate(self.states):
             v = eval_expr(expr, s)
-            if not decl.lo <= v <= decl.hi:
+            if not decl.lo <= v <= decl.hi:  # first: an out-of-range v could index another state
                 raise RangeError(
                     f"{var} := {v} leaves the declared range [{decl.lo}..{decl.hi}]")
-            out[sv] = point(vpair(self._successor(s, var, v), vunit))
-        return ordered_table((sv, out[sv]) for sv in self._sorted_svalues)
+            out.append(point(vpair(svs[i + (v - s[var]) * st], vunit)))
+        return ordered_table((svs[i], out[i]) for i in self._state_at_rank)
 
     def sample_uniform(self, var: str, lo: int, hi: int) -> Value:
         decl = self.range_of(var)
         if lo > hi or lo < decl.lo or hi > decl.hi:
             raise RangeError(
                 f"uniform({lo},{hi}) is not within [{decl.lo}..{decl.hi}] for {var}")
-        out = {sv: uniform([vpair(self._successor(s, var, v), vunit) for v in range(lo, hi + 1)])
-               for s, sv in zip(self.states, self.svalues)}
-        return ordered_table((sv, out[sv]) for sv in self._sorted_svalues)
+        st, svs, rows = self._stride[var], self.svalues, {}
+
+        def row(k: int) -> VDist:
+            """The states k + v * st, which differ only in var, share one successor dist."""
+            d = rows.get(k)
+            if d is None:
+                d = rows[k] = uniform([vpair(svs[k + v * st], vunit) for v in range(lo, hi + 1)])
+            return d
+
+        return ordered_table((svs[i], row(i - self.states[i][var] * st))
+                             for i in self._state_at_rank)
 
     def seq(self, first: Value, second: Value) -> Value:
         """Sequential composition of two program payloads: one row per middle

@@ -246,3 +246,19 @@ def test_a_flat_seq_of_a_thousand_rands_checks_without_recursion(tmp_path, capsy
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 1999 + 2 and out[-1] == "verdict: valid"
     assert out[-3] == "node seq: beta 1/2, pre true, post (x != 0), failure 1/2"
+
+
+# The derivation parser keeps open seq and weak nodes on an explicit stack,
+# so nesting depth costs no interpreter stack.
+
+@pytest.mark.parametrize("depth", [2_000, 10_000])
+def test_deeply_nested_seqs_check(tmp_path, capsys, depth):
+    body = "skip : true"
+    for _ in range(depth):
+        body = f"seq {{ skip : true; {body} }}"
+    path = tmp_path / "deep.ahl"
+    path.write_text(f"var x : int[0..1]\nconclude 0 : true => true\n{body}\n")
+    assert cli.main(["ahl", str(path)]) == 0
+    node = "node {}: beta 0, pre true, post true, failure 0\n"
+    assert capsys.readouterr().out == (node.format("skip") * (depth + 1) + node.format("seq") * depth
+                                       + "conclusion: |-0 : true => true\nverdict: valid\n")

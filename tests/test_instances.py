@@ -17,7 +17,7 @@ from cgm.errors import (
     RangeError,
     SpawnGradeError,
 )
-from cgm.formulas import EInt, EVar, FAnd, FCmp, FNot, TRUE, VarDecl
+from cgm.formulas import EBin, EInt, EVar, FAnd, FCmp, FNot, TRUE, VarDecl, eval_expr
 from cgm.indexcat import DiscreteCategory, ObjectId
 from cgm.instances import (
     LockPrims,
@@ -525,16 +525,21 @@ def _ahl_payloads(draw, inst, decl, tag, kinds=("sampler", "assign", "uniform"))
 
 
 @st.composite
+def _ahl_decls(draw):
+    """1-3 variables with 2-3 values each, from -1 up, whose names sort in
+    any order against their declarations."""
+    names = draw(st.permutations("xyz"))[:draw(st.integers(1, 3))]
+    return [VarDecl(x, lo, lo + draw(st.integers(1, 2)))
+            for x, lo in zip(names, draw(st.lists(st.integers(-1, 1), min_size=3, max_size=3)))]
+
+
+@st.composite
 def _ahl_nested(draw):
-    """An instance over 1-3 variables with 2-3 values each, whose names sort
-    in any order against their declarations; a first payload that samples
+    """An instance over `_ahl_decls`; a first payload that samples
     (no point where `sample_uniform` made it); and 1-3 payloads to carry
     after it, each tagged with its position.  All but the sampler's change
     one variable, so different middle states often reach one final state."""
-    names = draw(st.permutations("xyz"))[:draw(st.integers(1, 3))]
-    decls = [VarDecl(x, lo, lo + draw(st.integers(1, 2)))
-             for x, lo in zip(names, draw(st.lists(st.integers(-1, 1), min_size=3, max_size=3)))]
-    inst = ahl_instance(decls)
+    inst = ahl_instance(draw(_ahl_decls()))
     decl = draw(st.sampled_from(inst.decls))
     first = draw(_ahl_payloads(inst, decl, 0, ("sampler", "uniform")))
     return inst, first, [draw(_ahl_payloads(inst, decl, i)) for i in range(draw(st.integers(1, 3)))]
@@ -600,6 +605,68 @@ def test_ahl_mult_of_a_malformed_carried_atom_is_rejected_by_core(bad):
         mult(inst.monad.base, f, f, nested)
     assert str(err.value) == ("mult produced an invalid payload at "
                               "(0, true -> true) : <*|true> -> <*|true>")
+
+
+# --- primitive payloads against their definitions ---
+
+def _leaf_reference(inst, var, values, build):
+    """A payload by the definition: each state's row is `build` over its
+    successors with var set to each of `values(s)`, every successor found by
+    searching `svalues` for the state `{**s, var: v}`."""
+    def find(s):  # a ValueError if s is not a declared state
+        return inst.svalues[inst.svalues.index(table({vstr(k): vint(v) for k, v in s.items()}))]
+
+    return table({sv: build([vpair(find({**s, var: v}), vunit) for v in values(s)])
+                  for s, sv in zip(inst.states, inst.svalues)})
+
+
+def _error_text(fn, *args):
+    with pytest.raises(RangeError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_ahl_decls(), st.data())
+def test_ahl_leaf_payloads_equal_their_definitions(decls, data):
+    inst = ahl_instance(decls)
+    decl = data.draw(st.sampled_from(decls))
+    x, other = decl.name, data.draw(st.sampled_from(decls)).name
+    lo = data.draw(st.integers(decl.lo, decl.hi))
+    hi = data.draw(st.integers(lo, decl.hi))
+    assert inst.sample_uniform(x, lo, hi) == _leaf_reference(
+        inst, x, lambda s: range(lo, hi + 1), uniform)
+    for bad in ((lo, decl.hi + 1), (decl.lo - 1, hi), (hi, lo - 1)):
+        assert _error_text(inst.sample_uniform, x, *bad) == (
+            f"uniform({bad[0]},{bad[1]}) is not within [{decl.lo}..{decl.hi}] for {x}")
+    # a constant, another variable, or a step that may leave the range
+    expr = data.draw(st.sampled_from([EInt(lo), EVar(other), EBin("+", EVar(x), EInt(1)),
+                                      EBin("-", EVar(other), EInt(1))]))
+    values = [eval_expr(expr, s) for s in inst.states]
+    out = [v for v in values if not decl.lo <= v <= decl.hi]
+    if out:  # the first state, in declaration order, that leaves the range
+        assert _error_text(inst.assign, x, expr) == (
+            f"{x} := {out[0]} leaves the declared range [{decl.lo}..{decl.hi}]")
+    else:
+        assert inst.assign(x, expr) == _leaf_reference(
+            inst, x, lambda s: [eval_expr(expr, s)], lambda prs: point(*prs))
+    assert _error_text(inst.assign, "w", EInt(0)) == "undeclared variable 'w'"
+
+
+def test_ahl_sample_uniform_builds_one_row_per_class(monkeypatch):
+    import cgm.instances.ahl as ahl_module
+
+    inst = ahl_instance((VarDecl("y", 0, 2), VarDecl("x", -1, 2), VarDecl("z", 1, 2)))
+    built = []
+    monkeypatch.setattr(ahl_module, "uniform", lambda vs: built.append(1) or uniform(vs))
+    for var, k in (("y", 3), ("x", 4), ("z", 2)):
+        built.clear()
+        p = inst.sample_uniform(var, inst.range_of(var).lo, inst.range_of(var).hi)
+        assert len(built) == len(inst.states) // k  # one per class of k states
+        rows = {}
+        for s, sv in zip(inst.states, inst.svalues):
+            d = rows.setdefault(tuple(v for n, v in s.items() if n != var), p.get(sv))
+            assert d is p.get(sv)  # every member holds the class's one dist
 
 
 # --- validity and failure probability against the definitions they replaced ---

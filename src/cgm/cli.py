@@ -139,6 +139,8 @@ def cmd_roundtrip(args) -> int:
     n = args.states
     if not 1 <= n <= 3:
         raise ConfigError(f"--states must be between 1 and 3, got {n}")
+    if args.samples < 1:
+        raise ConfigError("--samples must be at least 1")
     P = typed_state_param({"A": n, "B": max(1, n - 1) if n > 1 else 1})
     report = roundtrip_param(P, samples=args.samples, seed=args.seed)
     _emit(f"states: {n}")

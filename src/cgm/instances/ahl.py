@@ -52,7 +52,6 @@ from ..values import (
     _lowest,
     dist_bind,
     dist_map_snd,
-    once_per_value,
     ordered_table,
     point,
     sort_key,
@@ -95,6 +94,7 @@ class AhlMonad:
         self._rank = {sv: i for i, sv in enumerate(self._sorted_svalues)}
         self._formulas: dict[str, Formula] = {}
         self._truth: dict[Formula, tuple[bool, ...]] = {}
+        self._split: dict[Formula, tuple[list[int], list[int]]] = {}  # `_sample`'s, by post
         self._over_allocate = over_allocate
 
         self.beta_cat = MonoidCategory(op=sat_add, unit=Fraction(0),
@@ -186,15 +186,32 @@ class AhlMonad:
                 raise MalformedPayload("carried value must be a state table")
             return pr.snd.get(pr.fst)
 
-        try:
-            return ordered_table((sv, self._mix(d, [self._row(step(pr)) for pr, _ in d.atoms]))
-                                 for sv, d in nested.entries)
-        except (AttributeError, KeyError):  # an undeclared pair, which core.mult then rejects
+        rank, rows = self._rank, []
+        try:  # a carried table is read by rank, where its key there is the state itself
+            for sv, d in nested.entries:
+                es = []
+                for pr, _ in d.atoms:
+                    k, e = pr.snd.entries[rank[pr.fst]]
+                    es.append(e if k is pr.fst else step(pr))
+                den = math.lcm(*(e.den for e in es))  # each row is scaled to it
+                if len(es) == 1:  # a point: the row's dist as it is
+                    rows.append((sv, es[0]))
+                    continue
+                acc: dict[tuple[int, Value], list] = {}  # (final rank, result) -> [pair, numerator]
+                for (_, n), e in zip(d.atoms, es):
+                    sc = n * (den // e.den)
+                    for pr, m in e.atoms:
+                        acc.setdefault((rank[pr.fst], pr.snd), [pr, 0])[1] += sc * m
+                rows.append((sv, _lowest([(pr, m) for _, (pr, m) in sorted(acc.items())],
+                                         d.den * den)))
+        except (AttributeError, IndexError, KeyError, MalformedPayload):  # a malformed atom:
+            # dist_bind, in the same order, raises the same error or keeps an undeclared pair
             return ordered_table((sv, dist_bind(d, step)) for sv, d in nested.entries)
+        return ordered_table(rows)
 
     def _map(self, _f: Morphism, fn, p: Value) -> Value:
-        fn = once_per_value(fn)
-        return ordered_table((sv, dist_map_snd(fn, d)) for sv, d in p.entries)
+        memo: dict[Value, Value] = {}
+        return ordered_table([(sv, dist_map_snd(fn, d, memo)) for sv, d in p.entries])
 
     def holds(self, phi: Formula) -> tuple[bool, ...]:
         """Whether phi holds in each of `states`, evaluated once per formula."""
@@ -262,13 +279,15 @@ class AhlMonad:
     def _sample(self, f: Morphism, rng: Rng) -> Value:
         bn, bd = self.beta_of(f).as_integer_ratio()
         pre, post = self.pre_of(f), self.post_of(f)
-        holds_post = self.holds(post)
-        good = [sv for sv, ok in zip(self.svalues, holds_post) if ok]
-        bad = [sv for sv, ok in zip(self.svalues, holds_post) if not ok]
-        out = {}
-        for sv, ok in zip(self.svalues, self.holds(pre)):
+        if post not in self._split:  # once per post: ranks, in `states` order, where it holds/fails
+            truth, rank = self.holds(post), self._rank
+            self._split[post] = ([rank[sv] for sv, ok in zip(self.svalues, truth) if ok],
+                                 [rank[sv] for sv, ok in zip(self.svalues, truth) if not ok])
+        good, bad = self._split[post]
+        svs, at_rank, out = self.svalues, self._sorted_svalues, []
+        for ok in self.holds(pre):
             if not ok:
-                out[sv] = point(vpair(rng.choice(self.svalues), vint(rng.randint(0, 9))))
+                out.append(point(vpair(rng.choice(svs), vint(rng.randint(0, 9)))))
                 continue
             # q = bad_n / den (not reduced): 1 - q to the good branches, q to a bad one
             if not good:
@@ -279,20 +298,16 @@ class AhlMonad:
                 bad_n, den = bn * rng.randint(0, 2), bd * 2
             else:
                 bad_n, den = 0, 1
-            atoms: list[tuple[Value, int]] = []
-            if bad_n < den:
-                g1 = rng.choice(good)
-                g2 = rng.choice(good)
-                if g1 != g2:
-                    atoms.append((vpair(g1, vint(rng.randint(0, 9))), den - bad_n))
-                    atoms.append((vpair(g2, vint(rng.randint(0, 9))), den - bad_n))
-                    bad_n, den = 2 * bad_n, 2 * den
-                else:
-                    atoms.append((vpair(g1, vint(rng.randint(0, 9))), den - bad_n))
+            atoms: list[tuple[int, Value, int]] = []  # (final rank, result, numerator)
+            if bad_n < den:  # one or two distinct good ranks, in draw order
+                picks = dict.fromkeys((rng.choice(good), rng.choice(good)))
+                atoms += [(r, vint(rng.randint(0, 9)), den - bad_n) for r in picks]
+                bad_n, den = len(picks) * bad_n, len(picks) * den
             if bad_n > 0:
-                atoms.append((vpair(rng.choice(bad), vint(rng.randint(0, 9))), bad_n))
-            out[sv] = _lowest(sorted(atoms), den)  # the values are distinct
-        return ordered_table((sv, out[sv]) for sv in self._sorted_svalues)
+                atoms.append((rng.choice(bad), vint(rng.randint(0, 9)), bad_n))
+            # the ranks differ, so their order is the pairs' native order
+            out.append(_lowest([(vpair(at_rank[r], v), n) for r, v, n in sorted(atoms)], den))
+        return ordered_table((svs[i], out[i]) for i in self._state_at_rank)
 
     def _default_samples(self) -> tuple[Morphism, ...]:
         x = self.decls[0].name

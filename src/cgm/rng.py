@@ -12,8 +12,7 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def _mix64(z: int) -> int:
-    z &= _MASK
+def _mix64(z: int) -> int:  # z < 2**64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
@@ -41,8 +40,10 @@ class Rng:
         self._state = seed & _MASK
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK
-        return _mix64(self._state)
+        self._state = z = (self._state + _GAMMA) & _MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK  # _mix64, in this frame
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return z ^ (z >> 31)
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform-ish integer in [lo, hi] (modulo bias is irrelevant here)."""

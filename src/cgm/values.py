@@ -21,7 +21,8 @@ is cached at module level.
 
 `table` and `dist` check what they are given.  The trusted path
 (`ordered_table`, `dist_map_snd`, `dist_bind`) rebuilds
-from valid values and keeps the canonical form without re-checking it.
+from valid values and keeps the canonical form without re-checking it;
+`dist_map_snd` reads and fills its caller's memo, one dict per payload.
 A dist keeps int numerators over one denominator in lowest terms: the
 trusted path does int arithmetic per entry and reduces once, and
 `entries`, `weight` and `show()` build `Fraction`s when they are read.
@@ -34,7 +35,7 @@ import math
 from collections import _tuplegetter  # namedtuple's field descriptor, in C
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
-from operator import itemgetter, ne
+from operator import itemgetter, lt
 
 from .errors import InvalidValue, MalformedPayload
 
@@ -355,14 +356,16 @@ def _checked(d: Value) -> VDist:
     return d
 
 
-def dist_map_snd(fn: Callable[[Value], Value], d: VDist) -> VDist:
-    """The image of a dist of pairs under (a, b) -> (a, fn(b)), built in one
-    pass in d's order.  Pairs order by first component first, so only a run
-    sharing one is merged: a value alone in its run is not hashed."""
-    atoms = _checked(d).atoms
-    out = [(vpair(pr.fst, fn(pr.snd)), n) for pr, n in atoms]
-    firsts = [pr.fst for pr, _ in atoms]
-    if all(map(ne, firsts, firsts[1:])):  # no run to merge: d's numerators
+def dist_map_snd(fn: Callable[[Value], Value], d: VDist, memo: dict[Value, Value]) -> VDist:
+    """The image of a dist of pairs under (a, b) -> (a, fn(b)), built in one pass in
+    d's order.  fn runs once per carried value not yet in `memo`, which keeps its result
+    (no value is falsy).  Image pairs that still ascend (as they do when no two share a
+    first component) keep d's numerators; otherwise only runs that share a first
+    component are merged and sorted, so a value alone in its run is not hashed."""
+    atoms = (d if type(d) is VDist else _checked(d)).atoms
+    out = [(_new(VPair, (5, pr.fst, memo.get(b := pr.snd) or memo.setdefault(b, fn(b)))), n)
+           for pr, n in atoms]
+    if len(out) == 1 or all(map(lt, map(_by_key, out), map(_by_key, out[1:]))):
         return _new(VDist, (9, tuple(out), d.den))
     merged: list[tuple[Value, int]] = []
     for _, run in itertools.groupby(out, lambda e: e[0].fst):
@@ -379,12 +382,6 @@ def dist_bind(d: VDist, k: Callable[[Value], VDist]) -> VDist:
     den = math.lcm(*(e.den for e in ks))  # each branch is scaled to it
     scaled = [(e.atoms, n * (den // e.den)) for (_, n), e in zip(ds, ks)]
     return _lowest(_merged([(u, s * m) for us, s in scaled for u, m in us]), d.den * den)
-
-
-def once_per_value(fn: Callable[[Value], Value]) -> Callable[[Value], Value]:
-    """fn, called once per distinct argument (no value is falsy)."""
-    memo: dict[Value, Value] = {}
-    return lambda v: memo.get(v) or memo.setdefault(v, fn(v))
 
 
 def uniform(values: Iterable[Value]) -> VDist:

@@ -605,6 +605,11 @@ _ERROR_CASES = [
      "parse error: 4:1: expected ')', found end of input\n"),
     ("triple-in-gp", ("run", "{}"), "instance concst\ndo { pure (1, 2, 3) }\n", 3,
      "parse error: 2:16: expected ')', found ','\n"),
+    # the input file is not read: these refuse a sample count, as `laws` does
+    ("roundtrip-zero-samples", ("roundtrip", "--states", "2", "--samples", "0"), "", 2,
+     "error: --samples must be at least 1\n"),
+    ("roundtrip-negative-samples", ("roundtrip", "--states", "2", "--samples", "-3"), "", 2,
+     "error: --samples must be at least 1\n"),
 ]
 
 

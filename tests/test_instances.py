@@ -8,7 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cgm.core import GradedComputation, bind, check_laws, fmap, gen_unit, index_pool, mult, unit
+from cgm.core import (
+    GradedComputation, _composable_pairs, _composable_triples, _nested2, _nested3,
+    bind, check_laws, fmap, gen_unit, index_pool, mult, unit,
+)
 from cgm.errors import (
     CompositionMismatch,
     DomainMismatch,
@@ -33,7 +36,8 @@ from cgm.instances import (
 from cgm.rng import Rng
 from cgm.values import (
     VDist, VPair, VTable,
-    dist, ordered_table, point, table, uniform, unit as vunit, vint, vpair, vstr, vtag,
+    dist, dist_bind, ordered_table, point, table, uniform, unit as vunit, vint, vpair, vstr,
+    vtag,
 )
 
 
@@ -605,6 +609,114 @@ def test_ahl_mult_of_a_malformed_carried_atom_is_rejected_by_core(bad):
         mult(inst.monad.base, f, f, nested)
     assert str(err.value) == ("mult produced an invalid payload at "
                               "(0, true -> true) : <*|true> -> <*|true>")
+
+
+# --- mult's rank read against its definition, a bind through each carried table ---
+
+def _mult_by_bind(nested):
+    """mult by its definition: each row bound through its carried tables' `get`."""
+    def step(pr):
+        if not isinstance(pr, VPair) or not isinstance(pr.snd, VTable):
+            raise MalformedPayload("carried value must be a state table")
+        return pr.snd.get(pr.fst)
+
+    return ordered_table((sv, dist_bind(d, step)) for sv, d in nested.entries)
+
+
+def _outcome(fn, nested):
+    """fn's payload, or the text of the MalformedPayload it raises."""
+    try:
+        return fn(nested)
+    except MalformedPayload as exc:
+        return f"MalformedPayload: {exc}"
+
+
+def _recarried(nested, fn):
+    """nested with each carried atom (s, t) replaced by the value fn(s, t)."""
+    return table({sv: dist([(fn(pr.fst, pr.snd), w) for pr, w in d.entries])
+                  for sv, d in nested.entries})
+
+
+def _rebuilt(sv):
+    """A state equal to sv but not identical to it, nor sharing its entries."""
+    return table({vstr(k.s): vint(v.n) for k, v in sv.entries})
+
+
+_UNDECLARED = table({vstr("x"): vint(99)})
+
+
+def _bad_carriers():
+    """(name, fn) rewrites of a carried atom (s, t) that the rank read must not trust."""
+    other = ahl_instance((VarDecl("x", 5, 7),)).svalues
+    return [
+        ("equal-not-identical", lambda s, t: vpair(
+            _rebuilt(s), table({_rebuilt(k): e for k, e in t.entries}))),
+        ("equal-not-identical-keys", lambda s, t: vpair(
+            s, table({_rebuilt(k): e for k, e in t.entries}))),
+        ("table-over-other-states", lambda s, t: vpair(
+            s, table({o: e for o, (_, e) in zip(other, t.entries)}))),
+        ("table-missing-a-state", lambda s, t: vpair(s, table(dict(t.entries[:-1])))),
+        ("carried-int", lambda s, t: vpair(s, vint(3))),
+        ("carried-dist", lambda s, t: vpair(s, point(s))),
+        ("not-a-pair", lambda s, t: s),
+        ("entry-not-a-dist", lambda s, t: vpair(s, table({k: vint(0) for k, _ in t.entries}))),
+        ("undeclared-final-state", lambda s, t: vpair(s, table(
+            {k: dist([(vpair(_UNDECLARED, pr.snd), w) for pr, w in e.entries])
+             for k, e in t.entries}))),
+        ("undeclared-middle-state", lambda s, t: vpair(
+            _UNDECLARED, table({**dict(t.entries), _UNDECLARED: t.entries[0][1]}))),
+    ]
+
+
+def _law_shaped_nested(inst):
+    """Nested payloads as the law harness draws them: `_nested2` at composable
+    pairs, and `_nested3` at triples with both of its mult inputs."""
+    T, pool = inst.monad.base, inst.monad.base.index_samples
+    out = [_nested2(T, f, g, Rng(i)) for i, (f, g) in enumerate(_composable_pairs(pool))]
+    for i, (f, g, h) in enumerate(itertools.islice(_composable_triples(pool), 0, None, 7)):
+        p3 = _nested3(T, f, g, h, Rng(i))
+        out += [p3, T.map_fn(f, lambda q: T.mult_fn(g, h, q), p3)]
+    return out
+
+
+def test_ahl_mult_by_rank_equals_a_bind_through_each_carried_table(monkeypatch):
+    inst = ahl_instance()
+    nesteds = _law_shaped_nested(inst)
+    expected = [_mult_by_bind(n) for n in nesteds]
+    gets = []
+    real_get = VTable.get
+    monkeypatch.setattr(VTable, "get", lambda t, k: gets.append(k) or real_get(t, k))
+    assert [inst._mult(None, None, n) for n in nesteds] == expected
+    assert gets == []  # every carried table was read by rank
+    seen = set()
+    for name, fn in _bad_carriers():
+        for nested in nesteds[::5]:
+            bad = _recarried(nested, fn)
+            out = _outcome(lambda n: inst._mult(None, None, n), bad)
+            assert out == _outcome(_mult_by_bind, bad), name
+            seen.add((name, type(out).__name__))
+    # each rewrite was met: errors where the table cannot answer, payloads where it can
+    assert seen >= {
+        ("equal-not-identical", "VTable"), ("equal-not-identical-keys", "VTable"),
+        ("table-over-other-states", "str"), ("table-missing-a-state", "str"),
+        ("carried-int", "str"), ("carried-dist", "str"), ("not-a-pair", "str"),
+        ("entry-not-a-dist", "str"), ("undeclared-final-state", "VTable"),
+        ("undeclared-middle-state", "VTable")}
+
+
+def test_ahl_mult_reports_the_first_malformed_atom_in_bind_order():
+    # a row whose first carried table holds a non-dist and whose second has no
+    # entry for its state: bind checks the first atom's dist before reading the second
+    inst = ahl_instance()
+    s0, s1 = inst._sorted_svalues[:2]
+    good = inst.skip()
+    first = table({k: vint(0) for k, _ in good.entries})
+    second = table({k: e for k, e in good.entries if k is not s1})  # s2 at s1's rank
+    nested = table({sv: dist({vpair(s0, first): Fraction(1, 2), vpair(s1, second): Fraction(1, 2)})
+                    for sv in inst.svalues})
+    assert _outcome(lambda n: inst._mult(None, None, n), nested) == _outcome(_mult_by_bind, nested)
+    assert _outcome(_mult_by_bind, nested) == (
+        "MalformedPayload: distribution expected, got a VInt")
 
 
 # --- primitive payloads against their definitions ---

@@ -25,7 +25,6 @@ from cgm.values import (
     dist,
     dist_bind,
     dist_map_snd,
-    once_per_value,
     ordered_table,
     point,
     sort_key,
@@ -355,7 +354,7 @@ def test_deep_pair_chain_hashes_and_compares_without_a_crash():
        st.sampled_from(_IMAGES))
 def test_dist_map_snd_equals_checked_dist(d, fn):
     expected = dist([(vpair(pr.fst, fn(pr.snd)), w) for pr, w in d.entries])
-    out = dist_map_snd(fn, d)
+    out = dist_map_snd(fn, d, {})
     assert out == expected and hash(out) == hash(expected)
     assert sort_key(out) == sort_key(expected)
 
@@ -369,11 +368,18 @@ def test_dist_bind_equals_checked_dist(d, k):
     assert sort_key(out) == sort_key(expected)
 
 
-def test_once_per_value_calls_fn_once_per_distinct_argument():
-    calls = []
-    fn = once_per_value(lambda v: calls.append(v) or vtag("t", v))
+def test_dist_map_snd_calls_fn_once_per_distinct_carried_value_across_a_shared_memo():
+    calls, memo = [], {}
+
+    def fn(v):
+        calls.append(v)
+        return vtag("t", v)
+
     a = vpair(vint(1), vseq([vint(2)]))
-    outs = [fn(a), fn(clone(a)), fn(vint(1)), fn(a)]
+    ds = [dist({vpair(vint(0), a): 1}),
+          dist({vpair(vint(0), clone(a)): Fraction(1, 2), vpair(vint(1), vint(1)): Fraction(1, 2)}),
+          dist({vpair(vint(2), a): 1})]
+    outs = [pr.snd for d in ds for pr, _ in dist_map_snd(fn, d, memo).atoms]
     assert calls == [a, vint(1)]
     assert outs[0] is outs[1] is outs[3] and outs[2] == vtag("t", vint(1))
 
@@ -384,7 +390,7 @@ def _pairs_dist(*atoms):
 
 
 def _assert_maps_like_checked_dist(fn, d):
-    out = dist_map_snd(fn, d)
+    out = dist_map_snd(fn, d, {})
     expected = dist([(vpair(pr.fst, fn(pr.snd)), w) for pr, w in d.entries])
     assert out == expected and out.atoms == expected.atoms and out.den == expected.den
     return out
@@ -414,7 +420,7 @@ def test_trusted_dist_ops_reject_a_table():
     with pytest.raises(MalformedPayload):
         dist_bind(t, point)
     with pytest.raises(MalformedPayload):
-        dist_map_snd(lambda v: v, t)
+        dist_map_snd(lambda v: v, t, {})
     with pytest.raises(MalformedPayload):
         dist_bind(uniform([vint(0), vint(1)]), lambda v: t)
     with pytest.raises(MalformedPayload):
@@ -493,7 +499,7 @@ def test_dist_bind_of_points_matches_fraction_oracle(ps, fn):
                  weighted(pairs(st.integers(0, 2).map(vint), leaves()))),
        st.sampled_from(_IMAGES))
 def test_dist_map_snd_matches_fraction_oracle(ps, fn):
-    _assert_is(dist_map_snd(fn, dist(ps)), _oracle((vpair(pr.fst, fn(pr.snd)), w) for pr, w in ps))
+    _assert_is(dist_map_snd(fn, dist(ps), {}), _oracle((vpair(pr.fst, fn(pr.snd)), w) for pr, w in ps))
 
 
 @settings(max_examples=60, derandomize=True)

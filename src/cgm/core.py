@@ -14,6 +14,7 @@ from itertools import cycle, islice
 
 from .errors import (
     CgmError,
+    ConfigError,
     InconsistentContinuationIndex,
     MalformedPayload,
     NoTwoCell,
@@ -303,6 +304,8 @@ class Runner:
     """Collects per-law instantiation counts and failures."""
 
     def __init__(self, samples: int, seed: int):
+        if samples < 1:  # every law entry point builds one, so each refuses
+            raise ConfigError(f"samples must be at least 1, not {samples}")
         self.samples = samples
         self.seed = seed
         self.counts: list[tuple[str, int]] = []

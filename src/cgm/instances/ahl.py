@@ -54,7 +54,6 @@ from ..values import (
     dist_map_snd,
     ordered_table,
     point,
-    sort_key,
     uniform,
     unit as vunit,
     vint,
@@ -76,22 +75,19 @@ class AhlMonad:
     registry that names in morphism endpoints decode through."""
 
     def __init__(self, decls: Iterable[VarDecl], over_allocate: bool = False):
-        self.decls = tuple(decls)
-        if not self.decls:
-            raise InvalidValue("at least one variable must be declared")
-        self.states = states(self.decls)
-        names = sorted(d.name for d in self.decls)
-        cells = {d.name: {v: (vstr(d.name), vint(v)) for v in d.values()} for d in self.decls}
-        self.svalues = tuple(ordered_table(cells[k][s[k]] for k in names) for s in self.states)
-        # `states` varies the last declared variable fastest: the state at index
-        # i with var moved to v is at i + (v - s[var]) * stride[var]
-        self._stride, n = {}, 1
-        for d in reversed(self.decls):
-            self._stride[d.name], n = n, n * len(d.values())
-        self._state_at_rank = tuple(sorted(range(len(self.svalues)),  # indices into `states`
-                                           key=lambda i: sort_key(self.svalues[i])))
-        self._sorted_svalues = tuple(self.svalues[i] for i in self._state_at_rank)
-        self._rank = {sv: i for i, sv in enumerate(self._sorted_svalues)}
+        self.decls = tuple(decls)  # declaration order: `range_of`, default samples, errors
+        by_name = sorted(self.decls, key=lambda d: d.name)
+        # states vary the last sorted name fastest, and tables compare values by sorted name, so
+        # a state's index is its rank; state i with var moved to v is i + (v - s[var]) * stride[var]
+        self.states = states(by_name)
+        cells = {d.name: {v: (vstr(d.name), vint(v)) for v in d.values()} for d in by_name}
+        # no variable; an empty range, so no state; a repeated name, so fewer cells than decls
+        if not self.decls or not self.states or len(cells) < len(by_name):
+            raise InvalidValue("declare one or more variables, each once, over a non-empty range")
+        self.svalues = tuple(ordered_table(cells[k][v] for k, v in s.items()) for s in self.states)
+        sizes = [len(d.values()) for d in by_name]
+        self._stride = {d.name: math.prod(sizes[i + 1:]) for i, d in enumerate(by_name)}
+        self._rank = {sv: i for i, sv in enumerate(self.svalues)}
         self._formulas: dict[str, Formula] = {}
         self._truth: dict[Formula, tuple[bool, ...]] = {}
         self._split: dict[Formula, tuple[list[int], list[int]]] = {}  # `_sample`'s, by post
@@ -162,7 +158,7 @@ class AhlMonad:
     # --- payload semantics ---
 
     def _unit(self, _obj: ObjectId, a: Value) -> Value:
-        return ordered_table((sv, point(vpair(sv, a))) for sv in self._sorted_svalues)
+        return ordered_table((sv, point(vpair(sv, a))) for sv in self.svalues)
 
     def _row(self, d: VDist) -> tuple[VDist, list[tuple[tuple[int, Value], Value, int]]]:
         """d, each atom keyed once by (final state's rank, result): the native order."""
@@ -214,7 +210,7 @@ class AhlMonad:
         return ordered_table([(sv, dist_map_snd(fn, d, memo)) for sv, d in p.entries])
 
     def holds(self, phi: Formula) -> tuple[bool, ...]:
-        """Whether phi holds in each of `states`, evaluated once per formula."""
+        """By rank, whether phi holds in each state, evaluated once per formula."""
         truth = self._truth.get(phi)
         if truth is None:
             truth = self._truth[phi] = tuple(eval_formula(phi, s) for s in self.states)
@@ -222,8 +218,7 @@ class AhlMonad:
 
     def violated(self, phi: Formula) -> list[bool]:
         """By rank, whether phi fails in each state: phi's violation indicator."""
-        truth = self.holds(phi)
-        return [not truth[i] for i in self._state_at_rank]
+        return [not t for t in self.holds(phi)]
 
     def _expect(self, d: VDist, v: list[int]) -> int:
         """Σ n · v[rank of the final state] over d's atoms; a non-(state, result) atom raises."""
@@ -239,7 +234,7 @@ class AhlMonad:
         """Each start's expectation of `vec` under payload, both as numerators by rank over
         one denominator (in lowest terms); starts are read through `payload.get`."""
         v, den = vec
-        ds = [_checked(payload.get(sv)) for sv in self._sorted_svalues]
+        ds = [_checked(payload.get(sv)) for sv in self.svalues]
         lcm = math.lcm(*(d.den for d in ds))
         w = [self._expect(d, v) * (lcm // d.den) for d in ds]
         g = math.gcd(den * lcm, *w)
@@ -248,7 +243,7 @@ class AhlMonad:
     def worst(self, vec: tuple[list[int], int], pre: Formula) -> Fraction:
         """The max of `vec` over the states satisfying pre (0 if none)."""
         v, den = vec
-        return Fraction(max((m for m, out in zip(v, self.violated(pre)) if not out), default=0), den)
+        return Fraction(max((m for m, ok in zip(v, self.holds(pre)) if ok), default=0), den)
 
     def failure_prob(self, payload: Value, pre: Formula, post: Formula) -> Fraction:
         """Exact max over states satisfying pre of Pr[final state violates post], by one
@@ -256,14 +251,14 @@ class AhlMonad:
         return self.worst(self.expectation(payload, (self.violated(post), 1)), pre)
 
     def _validate(self, f: Morphism, p: Value) -> bool:
-        if not isinstance(p, VTable) or p.keys() != self._sorted_svalues:
+        if not isinstance(p, VTable) or p.keys() != self.svalues:
             return False
         try:  # an unregistered formula or a malformed entry is invalid
-            outside, bad = self.violated(self.pre_of(f)), self.violated(self.post_of(f))
+            starts, bad = self.holds(self.pre_of(f)), self.violated(self.post_of(f))
             bn, bd = self.beta_of(f).as_integer_ratio()
-            for (_, d), out in zip(p.entries, outside):
+            for (_, d), ok in zip(p.entries, starts):
                 m = self._expect(_checked(d), bad)  # every entry's atoms are checked
-                if not out and m * bd > bn * d.den:
+                if ok and m * bd > bn * d.den:
                     return False
         except MalformedPayload:
             return False
@@ -279,12 +274,12 @@ class AhlMonad:
     def _sample(self, f: Morphism, rng: Rng) -> Value:
         bn, bd = self.beta_of(f).as_integer_ratio()
         pre, post = self.pre_of(f), self.post_of(f)
-        if post not in self._split:  # once per post: ranks, in `states` order, where it holds/fails
-            truth, rank = self.holds(post), self._rank
-            self._split[post] = ([rank[sv] for sv, ok in zip(self.svalues, truth) if ok],
-                                 [rank[sv] for sv, ok in zip(self.svalues, truth) if not ok])
+        if post not in self._split:  # once per post: the ranks where it holds and fails
+            truth = self.holds(post)
+            self._split[post] = ([i for i, ok in enumerate(truth) if ok],
+                                 [i for i, ok in enumerate(truth) if not ok])
         good, bad = self._split[post]
-        svs, at_rank, out = self.svalues, self._sorted_svalues, []
+        svs, out = self.svalues, []
         for ok in self.holds(pre):
             if not ok:
                 out.append(point(vpair(rng.choice(svs), vint(rng.randint(0, 9)))))
@@ -306,8 +301,8 @@ class AhlMonad:
             if bad_n > 0:
                 atoms.append((rng.choice(bad), vint(rng.randint(0, 9)), bad_n))
             # the ranks differ, so their order is the pairs' native order
-            out.append(_lowest([(vpair(at_rank[r], v), n) for r, v, n in sorted(atoms)], den))
-        return ordered_table((svs[i], out[i]) for i in self._state_at_rank)
+            out.append(_lowest([(vpair(svs[r], v), n) for r, v, n in sorted(atoms)], den))
+        return ordered_table(zip(svs, out))
 
     def _default_samples(self) -> tuple[Morphism, ...]:
         x = self.decls[0].name
@@ -341,10 +336,12 @@ class AhlMonad:
         for i, s in enumerate(self.states):
             v = eval_expr(expr, s)
             if not decl.lo <= v <= decl.hi:  # first: an out-of-range v could index another state
+                v = next(w for t in states(self.decls)  # the first out of range by declaration
+                         if not decl.lo <= (w := eval_expr(expr, t)) <= decl.hi)
                 raise RangeError(
                     f"{var} := {v} leaves the declared range [{decl.lo}..{decl.hi}]")
             out.append(point(vpair(svs[i + (v - s[var]) * st], vunit)))
-        return ordered_table((svs[i], out[i]) for i in self._state_at_rank)
+        return ordered_table(zip(svs, out))
 
     def sample_uniform(self, var: str, lo: int, hi: int) -> Value:
         decl = self.range_of(var)
@@ -360,8 +357,7 @@ class AhlMonad:
                 d = rows[k] = uniform([vpair(svs[k + v * st], vunit) for v in range(lo, hi + 1)])
             return d
 
-        return ordered_table((svs[i], row(i - self.states[i][var] * st))
-                             for i in self._state_at_rank)
+        return ordered_table((svs[i], row(i - s[var] * st)) for i, s in enumerate(self.states))
 
     def seq(self, first: Value, second: Value) -> Value:
         """Sequential composition of two program payloads: one row per middle

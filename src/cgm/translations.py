@@ -364,13 +364,13 @@ def catgraded_genunit_to_param(T: CatGradedMonad, G: GeneralisedUnit) -> Paramet
 
 def roundtrip_param(P: ParameterisedMonad, samples: int = 50, seed: int = 0) -> LawReport:
     """Translate forward and back, comparing both structures extensionally."""
+    r = Runner(samples, seed)
     try:
         T, G = param_to_catgraded_genunit(P)
         Q = catgraded_genunit_to_param(T, G)
     except DinaturalityFailure as exc:
         return LawReport((("roundtrip.build", 1),),
                          (LawFailure("roundtrip.build", (), None, None, None, str(exc)),))
-    r = Runner(samples, seed)
     objs = P.objects()
     cat = P.index_cat
     pairs = IndiscreteCategory(objs)

@@ -405,6 +405,18 @@ def test_ahl_rand_ranges_with_coprime_sizes(tmp_path, capsys):
         f"conclusion: |-71/105 : true => {xyz}\nverdict: valid\n")
 
 
+def test_ahl_assign_range_error_names_the_first_state_in_declaration_order(tmp_path, capsys):
+    # y varies slowest in declaration order, so (y, x) = (1, 1) leaves the
+    # range first, with x := 3; by name x varies slowest and (0, 2) gives 4
+    f = tmp_path / "order.ahl"
+    f.write_text("var y : int[0..2]\nvar x : int[0..2]\nconclude 0 : true => true\n"
+                 "assign x := 2 * y + x : true\n")
+    code, out = run_cli(capsys, "ahl", str(f))
+    assert code == 1
+    assert out == ("RangeError: x := 3 leaves the declared range [0..2]\n"
+                   "verdict: invalid\n")
+
+
 CHAIN216 = """
 var x0 : int[0..5]
 var x1 : int[0..5]

@@ -16,11 +16,12 @@ from cgm.errors import (
     CompositionMismatch,
     DomainMismatch,
     InvalidImplication,
+    InvalidValue,
     MalformedPayload,
     RangeError,
     SpawnGradeError,
 )
-from cgm.formulas import EBin, EInt, EVar, FAnd, FCmp, FNot, TRUE, VarDecl, eval_expr
+from cgm.formulas import EBin, EInt, EVar, FAnd, FCmp, FNot, TRUE, VarDecl, eval_expr, states
 from cgm.indexcat import DiscreteCategory, ObjectId
 from cgm.instances import (
     LockPrims,
@@ -708,7 +709,7 @@ def test_ahl_mult_reports_the_first_malformed_atom_in_bind_order():
     # a row whose first carried table holds a non-dist and whose second has no
     # entry for its state: bind checks the first atom's dist before reading the second
     inst = ahl_instance()
-    s0, s1 = inst._sorted_svalues[:2]
+    s0, s1 = inst.svalues[:2]
     good = inst.skip()
     first = table({k: vint(0) for k, _ in good.entries})
     second = table({k: e for k, e in good.entries if k is not s1})  # s2 at s1's rank
@@ -751,10 +752,12 @@ def test_ahl_leaf_payloads_equal_their_definitions(decls, data):
     for bad in ((lo, decl.hi + 1), (decl.lo - 1, hi), (hi, lo - 1)):
         assert _error_text(inst.sample_uniform, x, *bad) == (
             f"uniform({bad[0]},{bad[1]}) is not within [{decl.lo}..{decl.hi}] for {x}")
-    # a constant, another variable, or a step that may leave the range
+    # a constant, another variable, a step that may leave the range, or `2 * other - x`,
+    # whose first value out of the range can differ between declaration and name order
     expr = data.draw(st.sampled_from([EInt(lo), EVar(other), EBin("+", EVar(x), EInt(1)),
-                                      EBin("-", EVar(other), EInt(1))]))
-    values = [eval_expr(expr, s) for s in inst.states]
+                                      EBin("-", EVar(other), EInt(1)),
+                                      EBin("-", EBin("*", EInt(2), EVar(other)), EVar(x))]))
+    values = [eval_expr(expr, s) for s in states(decls)]
     out = [v for v in values if not decl.lo <= v <= decl.hi]
     if out:  # the first state, in declaration order, that leaves the range
         assert _error_text(inst.assign, x, expr) == (
@@ -763,6 +766,18 @@ def test_ahl_leaf_payloads_equal_their_definitions(decls, data):
         assert inst.assign(x, expr) == _leaf_reference(
             inst, x, lambda s: [eval_expr(expr, s)], lambda prs: point(*prs))
     assert _error_text(inst.assign, "w", EInt(0)) == "undeclared variable 'w'"
+
+
+@pytest.mark.parametrize("decls", [
+    [],
+    [VarDecl("x", 0, 1), VarDecl("x", 0, 2)],
+    [VarDecl("y", 0, 1), VarDecl("x", 0, 2), VarDecl("y", 1, 1)],
+    [VarDecl("x", 0, -1)],
+    [VarDecl("y", 0, 1), VarDecl("x", 3, 2)],
+], ids=["none", "repeated", "repeated-apart", "empty", "empty-second"])
+def test_ahl_refuses_repeated_names_and_empty_ranges(decls):
+    with pytest.raises(InvalidValue, match="declare one or more variables, each once"):
+        ahl_instance(decls)
 
 
 def test_ahl_sample_uniform_builds_one_row_per_class(monkeypatch):
@@ -797,7 +812,7 @@ def _reference_failure_prob(inst, payload, pre, post):
 def _reference_validate(inst, f, p):
     """`AhlMonad._validate` as it was defined then: every atom checked, then
     the failure probability compared with the bound."""
-    if not isinstance(p, VTable) or p.keys() != inst._sorted_svalues:
+    if not isinstance(p, VTable) or p.keys() != inst.svalues:
         return False
     for _, d in p.entries:
         if not isinstance(d, VDist):
@@ -850,10 +865,29 @@ def test_ahl_validity_matches_reference_on_the_216_state_chain():
     assert inst.failure_prob(p, TRUE, post) == Fraction(1, 6)
 
 
+def _assert_index_is_rank(inst):
+    """`svalues` strictly ascends, each state's index is its rank, and
+    `states[i]` is the state `svalues[i]` tables."""
+    svs = inst.svalues
+    assert all(a < b for a, b in zip(svs, svs[1:]))
+    assert all(inst._rank[sv] == i for i, sv in enumerate(svs))
+    assert [{k.s: v.n for k, v in sv.entries} for sv in svs] == inst.states
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_ahl_decls())
+def test_ahl_state_index_is_its_rank(decls):
+    inst = ahl_instance(decls)
+    _assert_index_is_rank(inst)
+    assert inst.decls == tuple(decls)  # kept in declaration order
+
+
 def test_ahl_validity_matches_reference_when_rank_and_state_order_differ():
     inst = ahl_instance([VarDecl("y", 0, 2), VarDecl("x", 0, 1)])
-    # y is declared first, so it varies slowest in `states`; by rank x does
-    assert inst._state_at_rank == (0, 2, 4, 1, 3, 5)
+    # y is declared first, yet x, the first name, varies slowest
+    _assert_index_is_rank(inst)
+    assert [(s["x"], s["y"]) for s in inst.states] == [
+        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
     T = inst.monad.base
     x0, y2 = FCmp("==", EVar("x"), EInt(0)), FCmp("==", EVar("y"), EInt(2))
     pool = [inst.make_index(beta, pre, post)
@@ -867,7 +901,7 @@ def test_ahl_validity_matches_reference_when_rank_and_state_order_differ():
 
 def _malformed(inst):
     """(case, payload) pairs that fail `ahl`'s validity before its bound."""
-    sv0, svs = inst._sorted_svalues[0], inst._sorted_svalues
+    sv0, svs = inst.svalues[0], inst.svalues
     unit_p = inst.skip()
 
     def at_first(d):  # unit_p with the first state's dist replaced

@@ -6,6 +6,7 @@ import pytest
 
 from cgm.core import GradedComputation, check_laws, gen_unit, mult, unit
 from cgm.errors import (
+    ConfigError,
     DinaturalityFailure,
     InfeasibleEnd,
     NotBottom,
@@ -15,6 +16,7 @@ from cgm.errors import (
 )
 from cgm.indexcat import ObjectId, STAR
 from cgm.instances import (
+    build_instance,
     graded_list_graded_monad,
     graded_list_instance,
     list_monad,
@@ -231,6 +233,17 @@ def test_roundtrip_reports_broken_source():
     report = roundtrip_param(_broken_typed_state())
     assert not report.ok()
     assert report.failures[0].law == "roundtrip.build"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_instance("ahl").law_report(samples=0),
+    lambda: roundtrip_param(typed_state_param({"A": 2}), samples=0),
+    lambda: roundtrip_param(typed_state_param({"A": 2}), samples=-3),
+    lambda: roundtrip_param(_broken_typed_state(), samples=0),
+], ids=["law_report-0", "roundtrip-0", "roundtrip-negative", "roundtrip-broken-0"])
+def test_law_entry_points_refuse_sample_counts_below_1(call):
+    with pytest.raises(ConfigError, match="samples must be at least 1"):
+        call()
 
 
 def test_roundtrip_param_sizes():

@@ -105,9 +105,9 @@ def cmd_run(args) -> int:
     else:
         raise ConfigError(f"a store header applies only to instance concst, "
                           f"not {program.instance}")
-    start = start_object(bundle, program)
-    _emit(f"grade: {infer_program(bundle, program).index}")
-    payload = eval_term(bundle, program.body, {}, start).payload
+    start, inferred = start_object(bundle, program), infer_program(bundle, program)
+    _emit(f"grade: {inferred.index}")
+    payload = eval_term(bundle, program.body, {}, start, inferred).payload
     if args.store is None:
         _emit(f"result: {payload.show()}")
         return 0

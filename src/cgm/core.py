@@ -10,6 +10,7 @@ structural equality; there is no numeric tolerance anywhere.
 from __future__ import annotations
 
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
+from functools import partial
 from itertools import cycle, islice
 
 from .errors import (
@@ -237,11 +238,11 @@ _FN_POOL: tuple[tuple[str, Callable[[Value], Value]], ...] = (
     ("pair1", lambda v: vpair(v, vint(1))),
     ("const7", lambda v: vint(7)),
 )
+DIGITS = tuple(vint(n) for n in range(10))  # carried values 0..9, as samplers draw them
 
 
-def sample_element(rng: Rng) -> Value:
-    """A carried value for the laws that start from one: 0..9."""
-    return vint(rng.randint(0, 9))
+def sample_element(rng: Rng) -> Value:  # a carried value for the laws that start from one
+    return DIGITS[rng.randint(0, 9)]
 
 
 def index_pool(T: CatGradedMonad) -> tuple[Morphism, ...]:
@@ -272,19 +273,15 @@ def _nested2(T: CatGradedMonad, f: Morphism, g: Morphism, rng: Rng) -> Value:
     """A T_f payload whose carried values are T_g payloads, value-dependent."""
     outer = T.sampler(f, rng.fork(0))
     base = T.sampler(g, rng.fork(1))
-    return T.map_fn(f, lambda a: T.map_fn(g, lambda b: vpair(a, b), base), outer)
+    return T.map_fn(f, lambda a: T.map_fn(g, partial(vpair, a), base), outer)
 
 
 def _nested3(T: CatGradedMonad, f: Morphism, g: Morphism, h: Morphism, rng: Rng) -> Value:
     outer = T.sampler(f, rng.fork(0))
     mid = T.sampler(g, rng.fork(1))
     inner = T.sampler(h, rng.fork(2))
-
-    def mk_mid(a: Value) -> Value:
-        return T.map_fn(
-            g, lambda b: T.map_fn(h, lambda c: vpair(vpair(a, b), c), inner), mid)
-
-    return T.map_fn(f, mk_mid, outer)
+    return T.map_fn(f, lambda a: T.map_fn(  # each (a, b) is built once per inner map
+        g, lambda b: T.map_fn(h, partial(vpair, vpair(a, b)), inner), mid), outer)
 
 
 # One coherence diagram: its name, the lazy pool of index tuples it is
@@ -377,7 +374,7 @@ def _monad_laws(T: CatGradedMonad) -> Iterator[Law]:
         # wrap each carried value with the unit at tgt(f), then flatten
         p = T.sampler(f, rng)
         idt = cat.identity(f.tgt)
-        wrapped = T.map_fn(f, lambda a: T.unit_fn(f.tgt, a), p)
+        wrapped = T.map_fn(f, partial(T.unit_fn, f.tgt), p)
         lhs = T.mult_fn(f, idt, wrapped)
         return (f,), p, lhs, p
 
@@ -389,7 +386,7 @@ def _monad_laws(T: CatGradedMonad) -> Iterator[Law]:
         gf = cat.compose(g, f)
         hg = cat.compose(h, g)
         lhs = T.mult_fn(gf, h, T.mult_fn(f, g, p3))
-        rhs = T.mult_fn(f, hg, T.map_fn(f, lambda q: T.mult_fn(g, h, q), p3))
+        rhs = T.mult_fn(f, hg, T.map_fn(f, partial(T.mult_fn, g, h), p3))
         return (f, g, h), p3, lhs, rhs
 
     yield "assoc", _composable_triples(pool), assoc
@@ -410,7 +407,7 @@ def _monad_laws(T: CatGradedMonad) -> Iterator[Law]:
         p2 = _nested2(T, f, g, rng)
         gf = cat.compose(g, f)
         lhs = T.map_fn(gf, fn, T.mult_fn(f, g, p2))
-        rhs = T.mult_fn(f, g, T.map_fn(f, lambda q: T.map_fn(g, fn, q), p2))
+        rhs = T.mult_fn(f, g, T.map_fn(f, partial(T.map_fn, g, fn), p2))
         return (f, g), p2, lhs, rhs
 
     numbered = enumerate(_composable_pairs(pool))
@@ -421,7 +418,7 @@ def _monad_laws(T: CatGradedMonad) -> Iterator[Law]:
         template = T.sampler(g, rng.fork(0))
 
         def k(x: Value) -> GradedComputation:
-            return GradedComputation(g, T.map_fn(g, lambda b: vpair(x, b), template))
+            return GradedComputation(g, T.map_fn(g, partial(vpair, x), template))
 
         c = unit(T, g.src, a)
         lhs = bind(T, c, k, cont_index=g)
@@ -447,10 +444,10 @@ def _monad_laws(T: CatGradedMonad) -> Iterator[Law]:
         c = GradedComputation(f, p)
 
         def k1(x: Value) -> GradedComputation:
-            return GradedComputation(g, T.map_fn(g, lambda b: vpair(x, b), tg))
+            return GradedComputation(g, T.map_fn(g, partial(vpair, x), tg))
 
         def k2(y: Value) -> GradedComputation:
-            return GradedComputation(h, T.map_fn(h, lambda c2: vpair(y, c2), th))
+            return GradedComputation(h, T.map_fn(h, partial(vpair, y), th))
 
         hg = cat.compose(h, g)
         lhs = bind(T, bind(T, c, k1, cont_index=g), k2, cont_index=h)
@@ -495,7 +492,7 @@ def _approx_laws(T2: TwoCatGradedMonad) -> Iterator[Law]:
     def approx_horizontal(datum, rng: Rng):
         (f, f2), (g, g2) = datum
         p2 = _nested2(T, f, g, rng)
-        inner = T.map_fn(f, lambda q: T2.approx_fn(g, g2, q), p2)
+        inner = T.map_fn(f, partial(T2.approx_fn, g, g2), p2)
         lhs = T.mult_fn(f2, g2, T2.approx_fn(f, f2, inner))
         gf = cat.compose(g, f)
         g2f2 = cat.compose(g2, f2)
@@ -514,7 +511,7 @@ def _genunit_laws(G: GeneralisedUnit) -> Iterator[Law]:
         f, g = datum
         a = sample_element(rng)
         gf = cat.compose(g, f)
-        staged = T.map_fn(f, lambda b: G.geneta_fn(g, b), G.geneta_fn(f, a))
+        staged = T.map_fn(f, partial(G.geneta_fn, g), G.geneta_fn(f, a))
         lhs = T.mult_fn(f, g, staged)
         rhs = G.geneta_fn(gf, a)
         return (f, g), a, lhs, rhs
@@ -557,7 +554,7 @@ def _hom_laws(H: Homomorphism) -> Iterator[Law]:
         p2 = _nested2(T, f, g, rng)
         gf = T.index_cat.compose(g, f)
         lhs = H.gamma_fn(gf, T.mult_fn(f, g, p2))
-        rhs = S.mult_fn(f, g, H.gamma_fn(f, T.map_fn(f, lambda q: H.gamma_fn(g, q), p2)))
+        rhs = S.mult_fn(f, g, H.gamma_fn(f, T.map_fn(f, partial(H.gamma_fn, g), p2)))
         return (f, g), p2, lhs, rhs
 
     yield "hom.mult", _composable_pairs(pool), hom_mult

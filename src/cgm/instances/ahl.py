@@ -17,7 +17,7 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
-from ..core import CatGradedMonad, GeneralisedUnit, TwoCatGradedMonad
+from ..core import DIGITS, CatGradedMonad, GeneralisedUnit, TwoCatGradedMonad
 from ..errors import InvalidImplication, InvalidValue, MalformedPayload, RangeError
 from ..formulas import (
     EInt,
@@ -49,11 +49,12 @@ from ..values import (
     VPair,
     VTable,
     _checked,
+    _den,
     _lowest,
     dist_bind,
-    dist_map_snd,
     ordered_table,
     point,
+    table_map_snd,
     uniform,
     unit as vunit,
     vint,
@@ -158,7 +159,7 @@ class AhlMonad:
     # --- payload semantics ---
 
     def _unit(self, _obj: ObjectId, a: Value) -> Value:
-        return ordered_table((sv, point(vpair(sv, a))) for sv in self.svalues)
+        return ordered_table([(sv, point(vpair(sv, a))) for sv in self.svalues])
 
     def _row(self, d: VDist) -> tuple[VDist, list[tuple[tuple[int, Value], Value, int]]]:
         """d, each atom keyed once by (final state's rank, result): the native order."""
@@ -189,7 +190,7 @@ class AhlMonad:
                 for pr, _ in d.atoms:
                     k, e = pr.snd.entries[rank[pr.fst]]
                     es.append(e if k is pr.fst else step(pr))
-                den = math.lcm(*(e.den for e in es))  # each row is scaled to it
+                den = math.lcm(*map(_den, es))  # each row is scaled to it
                 if len(es) == 1:  # a point: the row's dist as it is
                     rows.append((sv, es[0]))
                     continue
@@ -206,8 +207,7 @@ class AhlMonad:
         return ordered_table(rows)
 
     def _map(self, _f: Morphism, fn, p: Value) -> Value:
-        memo: dict[Value, Value] = {}
-        return ordered_table([(sv, dist_map_snd(fn, d, memo)) for sv, d in p.entries])
+        return table_map_snd(fn, p)
 
     def holds(self, phi: Formula) -> tuple[bool, ...]:
         """By rank, whether phi holds in each state, evaluated once per formula."""
@@ -235,7 +235,7 @@ class AhlMonad:
         one denominator (in lowest terms); starts are read through `payload.get`."""
         v, den = vec
         ds = [_checked(payload.get(sv)) for sv in self.svalues]
-        lcm = math.lcm(*(d.den for d in ds))
+        lcm = math.lcm(*map(_den, ds))
         w = [self._expect(d, v) * (lcm // d.den) for d in ds]
         g = math.gcd(den * lcm, *w)
         return [m // g for m in w], den * lcm // g
@@ -282,7 +282,7 @@ class AhlMonad:
         svs, out = self.svalues, []
         for ok in self.holds(pre):
             if not ok:
-                out.append(point(vpair(rng.choice(svs), vint(rng.randint(0, 9)))))
+                out.append(point(vpair(rng.choice(svs), DIGITS[rng.randint(0, 9)])))
                 continue
             # q = bad_n / den (not reduced): 1 - q to the good branches, q to a bad one
             if not good:
@@ -296,10 +296,10 @@ class AhlMonad:
             atoms: list[tuple[int, Value, int]] = []  # (final rank, result, numerator)
             if bad_n < den:  # one or two distinct good ranks, in draw order
                 picks = dict.fromkeys((rng.choice(good), rng.choice(good)))
-                atoms += [(r, vint(rng.randint(0, 9)), den - bad_n) for r in picks]
+                atoms += [(r, DIGITS[rng.randint(0, 9)], den - bad_n) for r in picks]
                 bad_n, den = len(picks) * bad_n, len(picks) * den
             if bad_n > 0:
-                atoms.append((rng.choice(bad), vint(rng.randint(0, 9)), bad_n))
+                atoms.append((rng.choice(bad), DIGITS[rng.randint(0, 9)], bad_n))
             # the ranks differ, so their order is the pairs' native order
             out.append(_lowest([(vpair(svs[r], v), n) for r, v, n in sorted(atoms)], den))
         return ordered_table(zip(svs, out))

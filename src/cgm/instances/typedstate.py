@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
 
-from ..core import CatGradedMonad, GeneralisedUnit
+from ..core import DIGITS, CatGradedMonad, GeneralisedUnit
 from ..errors import DomainMismatch, MalformedPayload, NotInSubcategory
 from ..indexcat import (
     DiscreteCategory,
@@ -23,7 +23,7 @@ from ..indexcat import (
 )
 from ..rng import Rng
 from ..translations import ParameterisedMonad, param_over, pure_lift
-from ..values import Value, VPair, VTable, ordered_table, sort_key, table
+from ..values import Value, VPair, VTable, _new, ordered_table, sort_key, table
 from ..values import unit as vunit, vint, vpair
 
 
@@ -59,7 +59,7 @@ def state_passing(name: str, index_cat: IndexCategory,
     position = _Declared({o: {s: n for n, s in enumerate(vs)} for o, vs in carriers.items()})
 
     def unit(obj: ObjectId, a: Value) -> Value:
-        return ordered_table((s, vpair(a, s)) for s in carrier[obj])
+        return ordered_table([(s, _new(VPair, (5, a, s))) for s in carrier[obj]])
 
     def mult(_i: ObjectId, j: ObjectId, _k: ObjectId, nested: Value) -> Value:
         index = position[j]  # a state's entry index in a total table
@@ -80,13 +80,12 @@ def state_passing(name: str, index_cat: IndexCategory,
         return ordered_table(out)
 
     def map_fn(_i: ObjectId, _j: ObjectId, fn: Callable[[Value], Value], p: Value) -> Value:
-        memo: dict[Value, Value] = {}  # fn once per distinct carried value
-        out = []
+        memo, out = {}, []  # memo: fn once per distinct carried value
         for s, step in p.entries:
             if not isinstance(step, VPair):
                 raise MalformedPayload("state step must be a (result, store) pair")
             a = step.fst
-            out.append((s, vpair(memo.get(a) or memo.setdefault(a, fn(a)), step.snd)))
+            out.append((s, _new(VPair, (5, memo.get(a) or memo.setdefault(a, fn(a)), step.snd))))
         return ordered_table(out)
 
     def validator(i: ObjectId, j: ObjectId, p: Value) -> bool:
@@ -95,13 +94,13 @@ def state_passing(name: str, index_cat: IndexCategory,
         keys, cod = position[i], position[j]
         if not partial and len(p.entries) != len(keys):  # keys are unique
             return False
-        return all(k in keys and isinstance(v, VPair) and (partial or v.snd in cod)
-                   for k, v in p.entries)
+        return all([k in keys and isinstance(v, VPair) and (partial or v.snd in cod)
+                    for k, v in p.entries])
 
     def sampler(i: ObjectId, j: ObjectId, rng: Rng) -> Value:
         cod = carrier[j]
-        return ordered_table((s, vpair(vint(rng.randint(0, 9)), rng.choice(cod)))
-                             for s in carrier[i])
+        return ordered_table([(s, _new(VPair, (5, DIGITS[rng.randint(0, 9)], rng.choice(cod))))
+                              for s in carrier[i]])
 
     return ParameterisedMonad(name, index_cat, unit, mult, map_fn, validator, sampler)
 

@@ -147,7 +147,6 @@ def shape_text(s: Shape) -> str:
 
 
 class GradedType(Record):
-    __slots__ = ()
     index: Morphism
     shape: Shape
 
@@ -356,13 +355,13 @@ LetTable = dict[tuple[int, ObjectId], _LetInfo]
 
 def infer_grade(bundle: InstanceBundle, start: ObjectId, term: Term,
                 env: Mapping[str, Shape] | None = None) -> GradedType:
-    return _infer(bundle, start, term, env or {})[0]
+    return _infer(bundle, start, term, env or {})
 
 
 def _infer(bundle: InstanceBundle, start: ObjectId, term: Term,
-           env: Mapping[str, Shape]) -> tuple[GradedType, LetTable]:
-    """Grade inference.  Also records, for every let it visits, keyed by
-    (id of the let, object the let starts at), what `eval_term` needs."""
+           env: Mapping[str, Shape]) -> GradedType:
+    """Grade inference.  Also records in the result's `_lets`, for every let it
+    visits, keyed by (id of the let, object the let starts at), what `eval_term` needs."""
     prims, spawn = prims_for(bundle)
     cat = bundle.monad.index_cat
     lets: LetTable = {}
@@ -422,7 +421,8 @@ def _infer(bundle: InstanceBundle, start: ObjectId, term: Term,
     if result.index.src != start:
         raise GradeMismatch(
             f"program grade starts at {result.index.src.name}, not {start.name}")
-    return result, lets
+    result._lets = lets
+    return result
 
 
 # --- evaluation ---
@@ -462,13 +462,14 @@ def eval_pexpr(e: PExpr, env: Mapping[str, Value]) -> Value:
 
 
 def eval_term(bundle: InstanceBundle, term: Term, env: Mapping[str, Value],
-              start: ObjectId) -> GradedComputation:
+              start: ObjectId, inferred: GradedType | None = None) -> GradedComputation:
     """Evaluate; the resulting index always equals the inferred one.
 
-    Grades come from one inference pass.  A let's continuation is
-    computed once per (let, object, values of the body's free variables)
-    for the whole evaluation, and kept in one memo under that key: those
-    values are all the body can read, so strength carries only them.
+    Grades come from one inference pass: `inferred` if it is `infer_grade`'s
+    result for this term, start and env, else one run here.  A let's
+    continuation is computed once per (let, object, values of the body's free
+    variables) for the whole evaluation, and kept in one memo under that key:
+    those values are all the body can read, so strength carries only them.
 
     Evaluation does not grow the Python stack with the program (the
     inference pass still does).  A let runs as a generator on an explicit
@@ -480,9 +481,9 @@ def eval_term(bundle: InstanceBundle, term: Term, env: Mapping[str, Value],
     the memo and mult flattens."""
     T = bundle.monad
     prims, spawn = prims_for(bundle)
-    inferred, lets = _infer(bundle, start, term,
-                            {k: shape_of_value(v) for k, v in env.items()})
-    memo: dict[tuple, Value] = {}
+    if not hasattr(inferred, "_lets"):
+        inferred = _infer(bundle, start, term, {k: shape_of_value(v) for k, v in env.items()})
+    lets, memo = inferred._lets, {}
 
     def begin(t: Term, obj: ObjectId, env: Mapping[str, Value]) -> GradedComputation | Generator:
         """A leaf's computation, or a generator that yields the generators

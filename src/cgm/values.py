@@ -20,9 +20,9 @@ its first lookup on the object, and a dist its comparison key; nothing
 is cached at module level.
 
 `table` and `dist` check what they are given.  The trusted path
-(`ordered_table`, `dist_map_snd`, `dist_bind`) rebuilds
+(`ordered_table`, `table_map_snd`, `dist_bind`) rebuilds
 from valid values and keeps the canonical form without re-checking it;
-`dist_map_snd` reads and fills its caller's memo, one dict per payload.
+`table_map_snd` maps a whole payload in one frame, with one memo dict.
 A dist keeps int numerators over one denominator in lowest terms: the
 trusted path does int arithmetic per entry and reduces once, and
 `entries`, `weight` and `show()` build `Fraction`s when they are read.
@@ -35,7 +35,7 @@ import math
 from collections import _tuplegetter  # namedtuple's field descriptor, in C
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
-from operator import itemgetter, lt
+from operator import attrgetter, itemgetter, lt
 
 from .errors import InvalidValue, MalformedPayload
 
@@ -186,7 +186,7 @@ class VTable(Value, tag=8):
         return "{" + body + "}"
 
     def keys(self) -> tuple[Value, ...]:
-        return tuple(k for k, _ in self.entries)
+        return tuple(map(_by_key, self.entries))
 
     def get(self, key: Value) -> Value:
         try:
@@ -282,7 +282,7 @@ def sort_key(v: Value) -> Value:
     raise InvalidValue(f"foreign value {v!r}")
 
 
-_by_key = itemgetter(0)
+_by_key, _by_num, _fst, _den = itemgetter(0), itemgetter(1), attrgetter("fst"), attrgetter("den")
 
 
 def _by_checked_key(entry: tuple[Value, object]) -> Value:
@@ -317,11 +317,9 @@ def _lowest(atoms: Iterable[tuple[Value, int]], den: int) -> VDist:
     """The dist of numerators `atoms` over `den`, reduced to lowest terms.
     Numerators sum to `den`, so one atom (as with `den == 1`) is a point."""
     atoms = tuple(atoms)
-    if len(atoms) == 1:
-        return point(atoms[0][0])
-    g = math.gcd(den, *(n for _, n in atoms))
+    g = math.gcd(den, *map(_by_num, atoms))
     if g > 1:
-        return _new(VDist, (9, tuple((v, n // g) for v, n in atoms), den // g))
+        return _new(VDist, (9, tuple([(v, n // g) for v, n in atoms]), den // g))
     return _new(VDist, (9, atoms, den))
 
 
@@ -356,30 +354,35 @@ def _checked(d: Value) -> VDist:
     return d
 
 
-def dist_map_snd(fn: Callable[[Value], Value], d: VDist, memo: dict[Value, Value]) -> VDist:
-    """The image of a dist of pairs under (a, b) -> (a, fn(b)), built in one pass in
-    d's order.  fn runs once per carried value not yet in `memo`, which keeps its result
-    (no value is falsy).  Image pairs that still ascend (as they do when no two share a
-    first component) keep d's numerators; otherwise only runs that share a first
-    component are merged and sorted, so a value alone in its run is not hashed."""
-    atoms = (d if type(d) is VDist else _checked(d)).atoms
-    out = [(_new(VPair, (5, pr.fst, memo.get(b := pr.snd) or memo.setdefault(b, fn(b)))), n)
-           for pr, n in atoms]
-    if len(out) == 1 or all(map(lt, map(_by_key, out), map(_by_key, out[1:]))):
-        return _new(VDist, (9, tuple(out), d.den))
-    merged: list[tuple[Value, int]] = []
-    for _, run in itertools.groupby(out, lambda e: e[0].fst):
-        merged += _merged(list(run))
-    return _lowest(merged, d.den)
+def table_map_snd(fn: Callable[[Value], Value], t: VTable) -> VTable:
+    """t's dists of pairs mapped by (a, b) -> (a, fn(b)) in one pass, fn once per distinct
+    carried value (no value is falsy).  Image pairs that still ascend keep their numerators;
+    else only runs that share a first component are merged, so a value alone is not hashed."""
+    memo: dict[Value, Value] = {}
+    get, put, rows, entries = memo.get, memo.setdefault, [], t.entries
+    try:
+        for k, d in entries:
+            out = []
+            for pr, n in (d if type(d) is VDist else _checked(d)).atoms:
+                out.append((_new(VPair, (5, pr.fst, get(b := pr.snd) or put(b, fn(b)))), n))
+            if len(out) == 1 or all(map(lt, map(_by_key, out), map(_by_key, out[1:]))):
+                rows.append((k, _new(VDist, (9, tuple(out), d.den))))
+            else:  # rare (a frame per run): the first components pick the runs
+                runs = itertools.groupby(zip(map(_fst, map(_by_key, out)), out), _by_key)
+                merged = [e for _, run in runs for e in _merged(list(map(_by_num, run)))]
+                rows.append((k, _lowest(merged, d.den)))
+    except AttributeError:
+        if type(pr) is VPair:  # raised by fn
+            raise
+        raise MalformedPayload(f"pair expected, got a {type(pr).__name__}") from None
+    return _new(VTable, (8, tuple(rows)))
 
 
 def dist_bind(d: VDist, k: Callable[[Value], VDist]) -> VDist:
     """k's dists mixed by d's weights."""
     ds = _checked(d).atoms
-    if len(ds) == 1:  # a point: the bind is k's dist
-        return _checked(k(ds[0][0]))
     ks = [_checked(k(v)) for v, _ in ds]
-    den = math.lcm(*(e.den for e in ks))  # each branch is scaled to it
+    den = math.lcm(*map(_den, ks))  # each branch is scaled to it
     scaled = [(e.atoms, n * (den // e.den)) for (_, n), e in zip(ds, ks)]
     return _lowest(_merged([(u, s * m) for us, s in scaled for u, m in us]), d.den * den)
 

@@ -89,6 +89,25 @@ def test_run_lock_program(tmp_path, capsys):
     assert "final 6" in out
 
 
+def test_run_infers_grades_once(capsys, monkeypatch):
+    calls = []
+    infer = metalang._infer
+    monkeypatch.setattr(metalang, "_infer", lambda *args: calls.append(args[2]) or infer(*args))
+    code, out = run_cli(capsys, "run", str(REPO / "programs" / "lock.gp"))
+    assert code == 0 and out.startswith("grade: ")
+    assert len(calls) == 1
+
+
+def test_eval_term_alone_infers_for_itself():
+    program = metalang.parse_program(LOCK_GP)
+    bundle = cli.build_instance(program.instance)
+    start = metalang.start_object(bundle, program)
+    inferred = metalang.infer_program(bundle, program)
+    alone = metalang.eval_term(bundle, program.body, {}, start)
+    assert alone == metalang.eval_term(bundle, program.body, {}, start, inferred)
+    assert alone.index == inferred.index
+
+
 def test_run_protocol_violation_exit_2(tmp_path, capsys):
     gp = tmp_path / "bad.gp"
     gp.write_text("instance concst\nstart free\ndo { get; pure () }")

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import sys
 import weakref
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from cgm.errors import (
 )
 from cgm.formulas import EBin, EInt, EVar, FAnd, FCmp, FNot, TRUE, VarDecl, eval_expr, states
 from cgm.indexcat import DiscreteCategory, ObjectId
+from cgm.instances.typedstate import state_passing
 from cgm.instances import (
     LockPrims,
     ahl_instance,
@@ -36,7 +38,7 @@ from cgm.instances import (
 )
 from cgm.rng import Rng
 from cgm.values import (
-    VDist, VPair, VTable,
+    VDist, VPair, VTable, _lowest,
     dist, dist_bind, ordered_table, point, table, uniform, unit as vunit, vint, vpair, vstr,
     vtag,
 )
@@ -436,6 +438,17 @@ def test_ahl_fmap_matches_distribution_oracle():
             expected[key] = expected.get(key, Fraction(0)) + w
         got = mapped.get(sv)
         assert {p: w for p, w in got.entries} == expected
+
+
+@pytest.mark.parametrize("bad", [vint(99), vtag("t", vunit)], ids=["before-the-pairs", "after"])
+def test_ahl_map_of_a_non_pair_atom_is_malformed(bad):
+    # as mult, expectation and state_passing's map_fn do: a MalformedPayload, not an AttributeError
+    inst = ahl_instance()
+    payload = table({sv: dist({bad: Fraction(1, 2), vpair(sv, vunit): Fraction(1, 2)})
+                     for sv in inst.svalues})
+    m = inst.make_index(0, TRUE, TRUE)
+    with pytest.raises(MalformedPayload, match=f"^pair expected, got a {type(bad).__name__}$"):
+        inst.monad.base.map_fn(m, lambda v: v, payload)
 
 
 def test_ahl_geneta_requires_valid_implication():
@@ -999,3 +1012,56 @@ def test_dropped_ahl_instance_is_freed_without_a_collection():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# --- the payload kernels open no Python frame per entry, atom or draw ---
+
+def _calls(run, *skip) -> int:
+    """The Python-level calls made while run() runs, leaving out calls to the functions
+    in skip (those are the caller's work: its fn, or the rng's draws).  The collector is
+    paused, so no `gc.callbacks` hook (hypothesis installs one) runs inside."""
+    codes, n, enabled = {f.__code__ for f in skip}, 0, gc.isenabled()
+
+    def count(frame, event, _arg):
+        nonlocal n
+        n += event == "call" and frame.f_code not in codes
+
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        if enabled:
+            gc.enable()
+    return n
+
+
+def _kernel_calls(decls, stores):
+    """Calls made by each payload kernel on payloads over decls' states and over stores."""
+    ident, const = (lambda v: v), (lambda v: vunit)  # the sampled pairs ascend under ident
+    draws = (Rng.randint, Rng.choice, Rng.next_u64)
+    inst = ahl_instance(decls)
+    m = inst.make_index(0, TRUE, TRUE)
+    sampled = inst.monad.base.sampler(m, Rng(0))
+    o = ObjectId("s")
+    P = state_passing("t", DiscreteCategory((o,)), {o: stores}, partial=False)
+    p = P.sampler(o, o, Rng(0))
+    atoms = [(v, 2) for v in stores]  # over 4 * len(stores): reduced by 2
+    calls = {
+        "ahl._map": _calls(lambda: inst.monad.base.map_fn(m, ident, sampled), ident),
+        "unit": _calls(lambda: P.eta_fn(o, vunit)),
+        "map_fn": _calls(lambda: P.value_map_fn(o, o, const, p), const),
+        "validator": _calls(lambda: P.validator(o, o, p)),
+        "sampler": _calls(lambda: P.sampler(o, o, Rng(1)), *draws),
+        "VTable.keys": _calls(p.keys),
+        "_lowest": _calls(lambda: _lowest(atoms, 4 * len(stores))),
+    }
+    assert P.validator(o, o, p) and len(sampled.entries) == len(inst.states)
+    return calls
+
+
+def test_payload_kernel_calls_do_not_grow_with_the_payload():
+    small = _kernel_calls([VarDecl("x", 0, 2)], tuple(vint(i) for i in range(2)))
+    large = _kernel_calls([VarDecl(v, 0, 9) for v in "xyz"], tuple(vint(i) for i in range(200)))
+    assert small == large

@@ -24,11 +24,11 @@ from cgm.values import (
     VUnit,
     dist,
     dist_bind,
-    dist_map_snd,
     ordered_table,
     point,
     sort_key,
     table,
+    table_map_snd,
     uniform,
     unit,
     vbool,
@@ -347,6 +347,13 @@ def test_deep_pair_chain_hashes_and_compares_without_a_crash():
     assert hashed == "True" and compared in ("True", "RecursionError")
 
 
+# The map of a dist of pairs under (a, b) -> (a, fn(b)) is `table_map_snd` over the
+# dists of one table; `dist_map_snd` maps one dist as the one entry of a table.
+
+def dist_map_snd(fn, d):
+    return table_map_snd(fn, ordered_table([(unit, d)])).entries[0][1]
+
+
 @settings(max_examples=100, derandomize=True)
 @given(st.one_of(dists(pairs(leaves(), values())),
                  # few first components: runs of entries that share one
@@ -354,7 +361,7 @@ def test_deep_pair_chain_hashes_and_compares_without_a_crash():
        st.sampled_from(_IMAGES))
 def test_dist_map_snd_equals_checked_dist(d, fn):
     expected = dist([(vpair(pr.fst, fn(pr.snd)), w) for pr, w in d.entries])
-    out = dist_map_snd(fn, d, {})
+    out = dist_map_snd(fn, d)
     assert out == expected and hash(out) == hash(expected)
     assert sort_key(out) == sort_key(expected)
 
@@ -369,7 +376,8 @@ def test_dist_bind_equals_checked_dist(d, k):
 
 
 def test_dist_map_snd_calls_fn_once_per_distinct_carried_value_across_a_shared_memo():
-    calls, memo = [], {}
+    """One memo serves every dist of a table."""
+    calls = []
 
     def fn(v):
         calls.append(v)
@@ -379,7 +387,8 @@ def test_dist_map_snd_calls_fn_once_per_distinct_carried_value_across_a_shared_m
     ds = [dist({vpair(vint(0), a): 1}),
           dist({vpair(vint(0), clone(a)): Fraction(1, 2), vpair(vint(1), vint(1)): Fraction(1, 2)}),
           dist({vpair(vint(2), a): 1})]
-    outs = [pr.snd for d in ds for pr, _ in dist_map_snd(fn, d, memo).atoms]
+    out = table_map_snd(fn, ordered_table([(vint(i), d) for i, d in enumerate(ds)]))
+    outs = [pr.snd for _, d in out.entries for pr, _ in d.atoms]
     assert calls == [a, vint(1)]
     assert outs[0] is outs[1] is outs[3] and outs[2] == vtag("t", vint(1))
 
@@ -390,7 +399,7 @@ def _pairs_dist(*atoms):
 
 
 def _assert_maps_like_checked_dist(fn, d):
-    out = dist_map_snd(fn, d, {})
+    out = dist_map_snd(fn, d)
     expected = dist([(vpair(pr.fst, fn(pr.snd)), w) for pr, w in d.entries])
     assert out == expected and out.atoms == expected.atoms and out.den == expected.den
     return out
@@ -420,11 +429,19 @@ def test_trusted_dist_ops_reject_a_table():
     with pytest.raises(MalformedPayload):
         dist_bind(t, point)
     with pytest.raises(MalformedPayload):
-        dist_map_snd(lambda v: v, t, {})
+        dist_map_snd(lambda v: v, t)
     with pytest.raises(MalformedPayload):
         dist_bind(uniform([vint(0), vint(1)]), lambda v: t)
     with pytest.raises(MalformedPayload):
         dist_bind(point(vint(0)), lambda v: t)
+
+
+def test_table_map_snd_rejects_a_non_pair_atom_and_passes_fn_errors_through():
+    t = ordered_table([(unit, dist({vint(1): Fraction(1, 2), vpair(vint(0), unit): Fraction(1, 2)}))])
+    with pytest.raises(MalformedPayload, match="^pair expected, got a VInt$"):
+        table_map_snd(lambda v: v, t)
+    with pytest.raises(AttributeError, match="fst"):  # fn's own error, from a pair's carried unit
+        table_map_snd(lambda v: v.fst, ordered_table([(unit, point(vpair(vint(0), unit)))]))
 
 
 @settings(max_examples=100, derandomize=True)
@@ -499,7 +516,7 @@ def test_dist_bind_of_points_matches_fraction_oracle(ps, fn):
                  weighted(pairs(st.integers(0, 2).map(vint), leaves()))),
        st.sampled_from(_IMAGES))
 def test_dist_map_snd_matches_fraction_oracle(ps, fn):
-    _assert_is(dist_map_snd(fn, dist(ps), {}), _oracle((vpair(pr.fst, fn(pr.snd)), w) for pr, w in ps))
+    _assert_is(dist_map_snd(fn, dist(ps)), _oracle((vpair(pr.fst, fn(pr.snd)), w) for pr, w in ps))
 
 
 @settings(max_examples=60, derandomize=True)

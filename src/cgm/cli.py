@@ -40,7 +40,6 @@ from .instances import (
     AhlMonad,
     InstanceBundle,
     build_instance,
-    concst_instance,
     graded_list_graded_monad,
     identity_instance,
     list_monad,
@@ -96,15 +95,7 @@ def cmd_laws(args) -> int:
 
 def cmd_run(args) -> int:
     program = parse_program(_read(args.path))
-    if program.store is None:
-        bundle = build_instance(program.instance)
-    elif program.instance == "concst":
-        lo, hi = program.store
-        bundle = InstanceBundle(
-            "concst", concst_instance(tuple(vint(n) for n in range(lo, hi + 1))))
-    else:
-        raise ConfigError(f"a store header applies only to instance concst, "
-                          f"not {program.instance}")
+    bundle = build_instance(program.instance, program.store)
     start, inferred = start_object(bundle, program), infer_program(bundle, program)
     _emit(f"grade: {inferred.index}")
     payload = eval_term(bundle, program.body, {}, start, inferred).payload

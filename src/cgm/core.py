@@ -591,3 +591,39 @@ def run_laws_as(r: Runner, subject, names: Collection[str], prefix: str) -> None
     for name, data, body in _laws(subject):
         if name in names:
             r.law(prefix + name, data, body)
+
+
+# --- instance bundles ---
+
+class PrimSpec:
+    """A `.gp` primitive: argument and result shapes, index, and `make`, which
+    builds its computation from the evaluated arguments.  A spawn is one at
+    the identity of the object it runs at; its `make` takes the body's computation."""
+
+    def __init__(self, arg_shapes: tuple, result_shape: object, index: Morphism,
+                 make: Callable):
+        self.arg_shapes, self.result_shape = arg_shapes, result_shape
+        self.index, self.make = index, make
+
+
+class InstanceBundle:
+    """Everything the harness and the metalanguage need for one instance,
+    its `.gp` primitives by name and its spawn (None without one) among them."""
+
+    def __init__(self, name: str,
+                 subject: CatGradedMonad | TwoCatGradedMonad,  # the structure the laws run on
+                 genunit: GeneralisedUnit | None = None, ahl=None,  # ahl: its AhlMonad, if any
+                 prims: dict[str, PrimSpec] | None = None, spawn: PrimSpec | None = None):
+        self.name, self.subject, self.genunit, self.ahl = name, subject, genunit, ahl
+        self.prims, self.spawn = prims or {}, spawn
+
+    @property
+    def monad(self) -> CatGradedMonad:
+        s = self.subject
+        return s.base if isinstance(s, TwoCatGradedMonad) else s
+
+    def law_report(self, samples: int = 200, seed: int = 0) -> LawReport:
+        report = check_laws(self.subject, samples=samples, seed=seed)
+        if self.genunit is not None:
+            report = report.merge(check_laws(self.genunit, samples=samples, seed=seed))
+        return report

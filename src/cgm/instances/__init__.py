@@ -4,16 +4,11 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from ..core import (
-    CatGradedMonad,
-    GeneralisedUnit,
-    LawReport,
-    TwoCatGradedMonad,
-    check_laws,
-)
+from ..core import InstanceBundle
 from ..errors import ConfigError
+from ..values import vint
 from .ahl import AhlMonad, ahl_instance, broken_ahl_instance, sat_add
-from .lockstate import LockPrims, concst_instance, lock_category, run_table
+from .lockstate import LockPrims, concst_bundle, concst_instance, lock_category, run_table
 from .simple import (
     broken_graded_list_instance,
     graded_list_graded_monad,
@@ -33,32 +28,12 @@ from .typedstate import (
 __all__ = [
     "AhlMonad", "InstanceBundle", "LockPrims", "ahl_instance",
     "broken_ahl_instance", "broken_graded_list_instance", "build_instance",
-    "concst_instance", "constructive_param", "graded_list_graded_monad",
-    "graded_list_instance", "identity_instance", "instance_names",
-    "list_monad", "list_sort_homomorphism", "lock_category", "run_table",
-    "sat_add", "sorted_list_instance", "tstate_read", "tstate_store",
+    "concst_bundle", "concst_instance", "constructive_param",
+    "graded_list_graded_monad", "graded_list_instance", "identity_instance",
+    "instance_names", "list_monad", "list_sort_homomorphism", "lock_category",
+    "run_table", "sat_add", "sorted_list_instance", "tstate_read", "tstate_store",
     "typed_state_param",
 ]
-
-
-class InstanceBundle:
-    """Everything the harness and the metalanguage need for one instance."""
-
-    def __init__(self, name: str,
-                 subject: CatGradedMonad | TwoCatGradedMonad,  # the structure the laws run on
-                 genunit: GeneralisedUnit | None = None, ahl: AhlMonad | None = None):
-        self.name, self.subject, self.genunit, self.ahl = name, subject, genunit, ahl
-
-    @property
-    def monad(self) -> CatGradedMonad:
-        s = self.subject
-        return s.base if isinstance(s, TwoCatGradedMonad) else s
-
-    def law_report(self, samples: int = 200, seed: int = 0) -> LawReport:
-        report = check_laws(self.subject, samples=samples, seed=seed)
-        if self.genunit is not None:
-            report = report.merge(check_laws(self.genunit, samples=samples, seed=seed))
-        return report
 
 
 def _build_identity() -> InstanceBundle:
@@ -71,10 +46,6 @@ def _build_glist() -> InstanceBundle:
 
 def _build_broken_glist() -> InstanceBundle:
     return InstanceBundle("broken-glist", broken_graded_list_instance())
-
-
-def _build_concst() -> InstanceBundle:
-    return InstanceBundle("concst", concst_instance())
 
 
 def _build_tstate() -> InstanceBundle:
@@ -97,7 +68,7 @@ _BUILDERS: dict[str, Callable[[], InstanceBundle]] = {
     "identity": _build_identity,
     "glist": _build_glist,
     "broken-glist": _build_broken_glist,
-    "concst": _build_concst,
+    "concst": concst_bundle,
     "tstate": _build_tstate,
     "ahl": _build_ahl,
     "broken-ahl": _build_broken_ahl,
@@ -108,7 +79,13 @@ def instance_names() -> tuple[str, ...]:
     return tuple(_BUILDERS)
 
 
-def build_instance(name: str) -> InstanceBundle:
+def build_instance(name: str, store: tuple[int, int] | None = None) -> InstanceBundle:
+    """The named instance; a `.gp` store header's range (lo, hi) sets concst's
+    store domain to the integers lo..hi, and no other instance takes one."""
+    if store is not None:
+        if name != "concst":
+            raise ConfigError(f"a store header applies only to instance concst, not {name}")
+        return concst_bundle(tuple(vint(n) for n in range(store[0], store[1] + 1)))
     if name not in _BUILDERS:
         raise ConfigError(f"unknown instance {name!r}; known: {', '.join(_BUILDERS)}")
     return _BUILDERS[name]()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from ..core import CatGradedMonad, GradedComputation
+from ..core import CatGradedMonad, GradedComputation, InstanceBundle, PrimSpec
 from ..errors import MalformedPayload, SpawnGradeError
 from ..indexcat import DiscreteCategory, FreeCategory, ObjectId, free_category
 from ..translations import param_over
@@ -78,6 +78,17 @@ class LockPrims:
                 f"spawn needs a free -> free body, got ({body.index})")
         return GradedComputation(self.cat.identity(FREE), ordered_table(
             (s, vpair(vunit, step.snd)) for s, step in body.payload.entries))
+
+
+def concst_bundle(stores: Iterable[Value] = DEFAULT_STORES) -> InstanceBundle:
+    """The lock instance over `stores`, with its `.gp` primitives and its spawn at free."""
+    lp = LockPrims(concst_instance(stores))
+    return InstanceBundle("concst", lp.T, prims={
+        "lock": PrimSpec((), "unit", lp.index["lock"], lambda _a: lp.lock()),
+        "unlock": PrimSpec((), "unit", lp.index["unlock"], lambda _a: lp.unlock()),
+        "get": PrimSpec((), "int", lp.index["get"], lambda _a: lp.get()),
+        "put": PrimSpec(("int",), "unit", lp.index["put"], lambda a: lp.put(a[0])),
+    }, spawn=PrimSpec((), "unit", lp.cat.identity(FREE), lp.spawn))
 
 
 def run_table(c: GradedComputation, store: Value) -> tuple[Value, Value]:

@@ -1,7 +1,9 @@
 """A small graded monadic metalanguage.
 
 Programs are do-blocks of `x <- t;` binds over instance primitives and
-pure expressions.  Grade inference composes the primitives' morphisms,
+pure expressions.  The instance bundle declares the primitives and the
+spawn, with the object the spawn runs at; this module names no instance
+and no object.  Grade inference composes the primitives' morphisms,
 so a program typechecks exactly when its effect trace is a path in the
 instance's index category.  Evaluation elaborates each bind as
 tensorial strength on the variables the continuation reads, functor map
@@ -15,9 +17,9 @@ for the whole evaluation, keyed by (bind, object, live values).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator, Mapping
+from collections.abc import Generator, Mapping
 
-from .core import CatGradedMonad, GradedComputation, fmap, mult, unit
+from .core import CatGradedMonad, GradedComputation, InstanceBundle, fmap, mult, unit
 from .errors import (
     GradeMismatch,
     InconsistentContinuationIndex,
@@ -28,7 +30,6 @@ from .errors import (
 )
 from .formulas import Token, TokenStream, parse_infix, parse_int_range, tokenize
 from .indexcat import Morphism, ObjectId
-from .instances import InstanceBundle, LockPrims
 from .values import (
     Record,
     Value,
@@ -152,35 +153,6 @@ class GradedType(Record):
 
     def __str__(self) -> str:
         return f"{self.index} [{shape_text(self.shape)}]"
-
-
-# --- primitive signatures per instance ---
-
-class PrimSpec:
-    def __init__(self, arg_shapes: tuple[Shape, ...], result_shape: Shape, index: Morphism,
-                 make: Callable[[list[Value]], GradedComputation]):
-        self.arg_shapes, self.result_shape = arg_shapes, result_shape
-        self.index, self.make = index, make
-
-
-Spawn = Callable[[GradedComputation], GradedComputation]
-
-
-def prims_for(bundle: InstanceBundle) -> tuple[dict[str, PrimSpec], Spawn | None]:
-    """The instance's primitives by name, and its spawn (None without one)."""
-    if not bundle.name.startswith("concst"):
-        return {}, None
-    lp = LockPrims(bundle.monad)
-
-    def spec(name: str, args: tuple[Shape, ...], result: Shape, make) -> PrimSpec:
-        return PrimSpec(args, result, lp.index[name], make)
-
-    return {
-        "lock": spec("lock", (), "unit", lambda _a: lp.lock()),
-        "unlock": spec("unlock", (), "unit", lambda _a: lp.unlock()),
-        "get": spec("get", (), "int", lambda _a: lp.get()),
-        "put": spec("put", ("int",), "unit", lambda a: lp.put(a[0])),
-    }, lp.spawn
 
 
 # --- parsing ---
@@ -362,7 +334,7 @@ def _infer(bundle: InstanceBundle, start: ObjectId, term: Term,
            env: Mapping[str, Shape]) -> GradedType:
     """Grade inference.  Also records in the result's `_lets`, for every let it
     visits, keyed by (id of the let, object the let starts at), what `eval_term` needs."""
-    prims, spawn = prims_for(bundle)
+    prims, spawn = bundle.prims, bundle.spawn
     cat = bundle.monad.index_cat
     lets: LetTable = {}
 
@@ -379,16 +351,16 @@ def _infer(bundle: InstanceBundle, start: ObjectId, term: Term,
             if t.name == "spawn":
                 if spawn is None:
                     raise UnknownPrim(f"{t.pos}: instance has no spawn")
-                free = ObjectId("free")
-                body, fv = go(t.body, free, env)
-                if not (body.index.src == free and body.index.tgt == free):
+                at = spawn.index.src
+                body, fv = go(t.body, at, env)
+                if not (body.index.src == at and body.index.tgt == at):
                     raise SpawnGradeError(
                         f"{t.pos}: spawn body has grade ({body.index}), "
-                        "needs free -> free")
-                if obj != free:
+                        f"needs {at.name} -> {at.name}")
+                if obj != at:
                     raise GradeMismatch(f"{t.pos}: spawn used at {obj.name}, "
-                                        "only available at free")
-                return GradedType(cat.identity(free), "unit"), fv
+                                        f"only available at {at.name}")
+                return GradedType(spawn.index, spawn.result_shape), fv
             spec = prims.get(t.name)
             if spec is None:
                 raise UnknownPrim(f"{t.pos}: no primitive named {t.name!r}")
@@ -479,8 +451,7 @@ def eval_term(bundle: InstanceBundle, term: Term, env: Mapping[str, Value],
     yielding each one that is not a leaf to the driver loop; this is the
     order in which map_fn would first reach them.  Last, one fmap reads
     the memo and mult flattens."""
-    T = bundle.monad
-    prims, spawn = prims_for(bundle)
+    T, prims, spawn = bundle.monad, bundle.prims, bundle.spawn
     if not hasattr(inferred, "_lets"):
         inferred = _infer(bundle, start, term, {k: shape_of_value(v) for k, v in env.items()})
     lets, memo = inferred._lets, {}
@@ -501,10 +472,10 @@ def eval_term(bundle: InstanceBundle, term: Term, env: Mapping[str, Value],
         raise MalformedPayload(f"cannot evaluate {t!r}")
 
     def spawned(t: TPrim, env: Mapping[str, Value]) -> Generator:
-        body = begin(t.body, ObjectId("free"), env)
+        body = begin(t.body, spawn.index.src, env)
         if not isinstance(body, GradedComputation):
             body = yield body
-        return spawn(body)
+        return spawn.make(body)
 
     def let(t: TLet, obj: ObjectId, env: Mapping[str, Value]) -> Generator:
         c1 = begin(t.bound, obj, env)

@@ -10,9 +10,7 @@ import time
 from cgm.cli import main as cli_main
 from cgm.indexcat import ObjectId
 from cgm.instances import (
-    InstanceBundle,
     build_instance,
-    concst_instance,
     graded_list_instance,
     typed_state_param,
 )
@@ -129,7 +127,7 @@ VIOLATIONS = {
 
 
 def test_criterion_3_lock_protocol(tmp_path, capsys):
-    bundle = InstanceBundle("concst", concst_instance())
+    bundle = build_instance("concst")
     program = parse_program(LOCK_GP)
     gt = infer_program(bundle, program)
     assert str(gt.index) == "lock;get;put;unlock : free -> free"

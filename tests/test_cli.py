@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from cgm import cli, core, metalang
 from cgm.cli import main
 from cgm.indexcat import FreeCategory, WPath
-from cgm.instances import instance_names, list_sort_homomorphism
+from cgm.instances import LockPrims, instance_names, list_sort_homomorphism
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -93,6 +93,16 @@ def test_run_infers_grades_once(capsys, monkeypatch):
     calls = []
     infer = metalang._infer
     monkeypatch.setattr(metalang, "_infer", lambda *args: calls.append(args[2]) or infer(*args))
+    code, out = run_cli(capsys, "run", str(REPO / "programs" / "lock.gp"))
+    assert code == 0 and out.startswith("grade: ")
+    assert len(calls) == 1
+
+
+def test_run_builds_the_lock_primitives_once(capsys, monkeypatch):
+    """The bundle carries its primitives: inference and evaluation share one set."""
+    calls = []
+    init = LockPrims.__init__
+    monkeypatch.setattr(LockPrims, "__init__", lambda self, T: calls.append(T) or init(self, T))
     code, out = run_cli(capsys, "run", str(REPO / "programs" / "lock.gp"))
     assert code == 0 and out.startswith("grade: ")
     assert len(calls) == 1
@@ -636,6 +646,15 @@ _ERROR_CASES = [
      "parse error: 4:1: expected ')', found end of input\n"),
     ("triple-in-gp", ("run", "{}"), "instance concst\ndo { pure (1, 2, 3) }\n", 3,
      "parse error: 2:16: expected ')', found ','\n"),
+    ("spawn-without-spawn", ("run", "{}"),
+     "instance tstate\ndo { spawn do { pure () }; pure () }\n", 2,
+     "grade error: 2:6: instance has no spawn\n"),
+    ("spawn-in-critical", ("run", "{}"),
+     "instance concst\ndo { lock; spawn do { pure () }; unlock }\n", 2,
+     "grade error: 2:12: spawn used at critical, only available at free\n"),
+    ("spawn-body-leaves-free", ("run", "{}"),
+     "instance concst\ndo { spawn do { lock; pure () }; pure () }\n", 2,
+     "grade error: 2:6: spawn body has grade (lock : free -> critical), needs free -> free\n"),
     # the input file is not read: these refuse a sample count, as `laws` does
     ("roundtrip-zero-samples", ("roundtrip", "--states", "2", "--samples", "0"), "", 2,
      "error: --samples must be at least 1\n"),

@@ -1,6 +1,9 @@
 """Metalanguage: parsing, grade inference, evaluation, derivation checking."""
 
+import ast
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +25,17 @@ from cgm.errors import (
     SpawnGradeError,
 )
 from cgm.formulas import FCmp, EVar, EInt, TRUE, VarDecl
-from cgm.indexcat import ObjectId
-from cgm.instances import AhlMonad, InstanceBundle, ahl_instance, concst_instance
+from cgm.core import GradedComputation, PrimSpec
+from cgm.indexcat import ObjectId, free_category
+from cgm.instances import (
+    AhlMonad,
+    InstanceBundle,
+    ahl_instance,
+    concst_bundle,
+    identity_instance,
+    instance_names,
+    lock_category,
+)
 from cgm import metalang
 from cgm.metalang import (
     TLet,
@@ -125,7 +137,7 @@ def lock_bundle(n=64):
 
 
 def lock_bundle_over(stores):
-    return InstanceBundle("concst", concst_instance(tuple(vint(i) for i in stores)))
+    return concst_bundle(tuple(vint(i) for i in stores))
 
 
 FREE = ObjectId("free")
@@ -229,6 +241,55 @@ def test_spawn_of_critical_body_rejected():
         "instance concst\nstart free\ndo { spawn do { lock; get; pure () }; pure () }")
     with pytest.raises(SpawnGradeError):
         infer_program(bundle, bad)
+
+
+def _ab_bundle(spawned):
+    """The identity monad over a free category a <-> b, with primitives
+    `tick : a -> b` (returns its argument plus one) and `tock : b -> a`, and a
+    spawn at b that records each body it runs."""
+    cat = free_category(["a", "b"], [("tick", "a", "b"), ("tock", "b", "a")])
+    tick, tock, at_b = cat.path(["tick"]), cat.path(["tock"]), cat.identity(ObjectId("b"))
+    return InstanceBundle("ab", identity_instance(cat), prims={
+        "tick": PrimSpec(("int",), "int", tick,
+                         lambda a: GradedComputation(tick, vint(a[0].n + 1))),
+        "tock": PrimSpec((), "unit", tock, lambda _a: GradedComputation(tock, vunit)),
+    }, spawn=PrimSpec((), "unit", at_b,
+                      lambda body: spawned.append(body) or GradedComputation(at_b, vunit)))
+
+
+def test_declared_primitives_and_spawn_of_any_instance():
+    spawned = []
+    bundle = _ab_bundle(spawned)
+    a = ObjectId("a")
+    p = parse_program("instance ab\nstart a\n"
+                      "do { x <- tick(4); spawn do { pure (x, x) }; tock; pure x }")
+    gt = infer_program(bundle, p)
+    assert str(gt) == "tick;tock : a -> a [int]"
+    c = eval_term(bundle, p.body, {}, a, gt)
+    assert c == GradedComputation(gt.index, vint(5))
+    assert [str(b) for b in spawned] == ["[id_b : b -> b] (5, 5)"]
+    misplaced = parse_program("instance ab\ndo { spawn do { pure () }; pure () }")
+    with pytest.raises(GradeMismatch, match=r"^2:6: spawn used at a, only available at b$"):
+        infer_grade(bundle, a, misplaced.body)
+    leaving = parse_program("instance ab\ndo { tick(0); spawn do { tock; pure () }; tock }")
+    with pytest.raises(SpawnGradeError,
+                       match=r"^2:15: spawn body has grade \(tock : b -> a\), needs b -> b$"):
+        infer_grade(bundle, a, leaving.body)
+
+
+def test_metalang_names_no_instance_or_object():
+    """The metalanguage reads every primitive and the spawn off the bundle:
+    outside docstrings its source holds no instance name and no object name
+    of the lock category."""
+    tree = ast.parse(Path(metalang.__file__).read_text(encoding="utf-8"))
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    names = set(instance_names()) | {o.name for o in lock_category().object_ids()}
+    found = [(node.lineno, node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and id(node) not in docstrings and names & set(re.findall(r"[\w-]+", node.value))]
+    assert found == []
 
 
 def test_unknown_prim():

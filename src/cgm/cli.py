@@ -38,10 +38,8 @@ from .errors import (
 )
 from .instances import (
     AhlMonad,
-    InstanceBundle,
     build_instance,
     graded_list_graded_monad,
-    identity_instance,
     list_monad,
     typed_state_param,
 )
@@ -79,13 +77,9 @@ def cmd_laws(args) -> int:
     name = args.instance
     if args.samples < 1:
         raise ConfigError("--samples must be at least 1")
-    if args.category is not None:
-        cat = parse_cat_file(_read(args.category))
-        if name != "identity":
-            raise ConfigError("--category only applies to the identity instance")
-        bundle = InstanceBundle("identity", identity_instance(cat))
-    else:
-        bundle = build_instance(name)
+    # the .cat file is read and parsed before the instance name is checked
+    cat = None if args.category is None else parse_cat_file(_read(args.category))
+    bundle = build_instance(name, category=cat)
     _emit(f"instance: {name}")
     _emit(f"samples: {args.samples}")
     _emit(f"seed: {args.seed}")
@@ -132,7 +126,7 @@ def cmd_roundtrip(args) -> int:
         raise ConfigError(f"--states must be between 1 and 3, got {n}")
     if args.samples < 1:
         raise ConfigError("--samples must be at least 1")
-    P = typed_state_param({"A": n, "B": max(1, n - 1) if n > 1 else 1})
+    P = typed_state_param({"A": n, "B": max(1, n - 1)})
     report = roundtrip_param(P, samples=args.samples, seed=args.seed)
     _emit(f"states: {n}")
     return _report_exit(report, args.format)

@@ -612,9 +612,9 @@ class InstanceBundle:
 
     def __init__(self, name: str,
                  subject: CatGradedMonad | TwoCatGradedMonad,  # the structure the laws run on
-                 genunit: GeneralisedUnit | None = None, ahl=None,  # ahl: its AhlMonad, if any
+                 genunit: GeneralisedUnit | None = None,
                  prims: dict[str, PrimSpec] | None = None, spawn: PrimSpec | None = None):
-        self.name, self.subject, self.genunit, self.ahl = name, subject, genunit, ahl
+        self.name, self.subject, self.genunit = name, subject, genunit
         self.prims, self.spawn = prims or {}, spawn
 
     @property

@@ -13,8 +13,9 @@ their generator sequences are equal.
 
 A category trusts the morphisms it owns, those its own operations built
 or its `contains` verified: `compose` passes them on an `is` test, so a
-bind does not re-walk the path composed so far.  Any other morphism, one
-owned by an equal but distinct category too, goes through `contains`.
+bind does not re-walk the path composed so far.  Any other morphism,
+one owned by another category included, goes through `contains`.
+Categories compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -141,22 +142,7 @@ def morphism_key(m: Morphism):
     return (m.src.name, m.tgt.name, word_str(m.word))
 
 
-class ByValue:
-    """Equal to an instance of its own class with equal `_compared`
-    attributes; hashed by its `_hashed` ones (default: the compared)."""
-
-    _compared: tuple[str, ...] = ()
-    _hashed: tuple[str, ...] = ()
-
-    def __eq__(self, other):
-        return type(other) is type(self) and all(
-            getattr(self, n) == getattr(other, n) for n in self._compared)
-
-    def __hash__(self):
-        return hash(tuple(getattr(self, n) for n in self._hashed or self._compared))
-
-
-class IndexCategory(ByValue):
+class IndexCategory:
     """Abstract interface; concrete kinds below."""
 
     kind: str = "abstract"
@@ -229,8 +215,6 @@ class FiniteTableCategory(IndexCategory):
     """Explicitly tabulated finite category."""
 
     kind = "table"
-    _compared = ("objects", "arrows", "comp")
-    _hashed = ("objects", "arrows")
 
     def __init__(self, objects: tuple[ObjectId, ...], arrows: tuple[Morphism, ...],
                  comp: Mapping[tuple[Word, Word], Morphism]):
@@ -265,7 +249,6 @@ class FreeCategory(IndexCategory):
     """Free category on a labelled graph; morphisms are generator paths."""
 
     kind = "free"
-    _compared = ("objects", "edges")
 
     def __init__(self, objects: tuple[ObjectId, ...],
                  edges: tuple[tuple[str, ObjectId, ObjectId], ...]):  # (label, src, tgt)
@@ -336,7 +319,6 @@ class MonoidCategory(IndexCategory):
     """One-object category whose arrows are monoid elements."""
 
     kind = "monoid"
-    _compared = ("unit", "sample")
 
     def __init__(self, op: Callable[[Hashable, Hashable], Hashable], unit: Hashable,
                  sample: tuple[Hashable, ...]):
@@ -367,7 +349,6 @@ class MonoidCategory(IndexCategory):
 
 class DiscreteCategory(IndexCategory):
     kind = "discrete"
-    _compared = ("objects",)
 
     def __init__(self, objects: tuple[ObjectId, ...]):
         self.objects = objects
@@ -394,7 +375,6 @@ class IndiscreteCategory(IndexCategory):
     """
 
     kind = "indiscrete"
-    _compared = ("objects",)
 
     def __init__(self, objects: tuple[ObjectId, ...] | None):
         self.objects = objects
@@ -428,7 +408,6 @@ class PairCompletionCategory(IndexCategory):
     """Inner morphisms tagged in1 plus one formal in2 arrow per object pair."""
 
     kind = "pair_completion"
-    _compared = ("inner",)
 
     def __init__(self, inner: IndexCategory):
         self.inner = inner
@@ -488,7 +467,6 @@ def pair_object(a: ObjectId, b: ObjectId) -> ObjectId:
 
 class ProductCategory(IndexCategory):
     kind = "product"
-    _compared = ("left", "right")
 
     def __init__(self, left: IndexCategory, right: IndexCategory):
         self.left, self.right = left, right
@@ -546,7 +524,6 @@ class FuncCategory(IndexCategory):
     """Objects are named finite value sets; arrows are all functions."""
 
     kind = "func"
-    _compared = ("sets",)
 
     def __init__(self, sets: tuple[tuple[ObjectId, tuple[Value, ...]], ...]):
         self.sets = sets
@@ -607,10 +584,8 @@ class FuncCategory(IndexCategory):
         return self._sorted(out)
 
 
-class TwoCategory(ByValue):
+class TwoCategory:
     """An index category plus a decidable 2-cell preorder on parallel arrows."""
-
-    _compared = ("base",)
 
     def __init__(self, base: IndexCategory, cell: Callable[[Morphism, Morphism], bool]):
         self.base, self.cell = base, cell
@@ -619,9 +594,7 @@ class TwoCategory(ByValue):
         return f.src == g.src and f.tgt == g.tgt and (f == g or self.cell(f, g))
 
 
-class WideSubcategory(ByValue):
-    _compared = ("parent",)
-
+class WideSubcategory:
     def __init__(self, parent: IndexCategory, member: Callable[[Morphism], bool]):
         self.parent, self.member = parent, member
 

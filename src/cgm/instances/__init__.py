@@ -6,6 +6,7 @@ from collections.abc import Callable
 
 from ..core import InstanceBundle
 from ..errors import ConfigError
+from ..indexcat import IndexCategory
 from ..values import vint
 from .ahl import AhlMonad, ahl_instance, broken_ahl_instance, sat_add
 from .lockstate import LockPrims, concst_bundle, concst_instance, lock_category, run_table
@@ -56,12 +57,12 @@ def _build_tstate() -> InstanceBundle:
 
 def _build_ahl() -> InstanceBundle:
     inst = ahl_instance()
-    return InstanceBundle("ahl", inst.monad, genunit=inst.genunit, ahl=inst)
+    return InstanceBundle("ahl", inst.monad, genunit=inst.genunit)
 
 
 def _build_broken_ahl() -> InstanceBundle:
     inst = broken_ahl_instance()
-    return InstanceBundle("broken-ahl", inst.monad, genunit=inst.genunit, ahl=inst)
+    return InstanceBundle("broken-ahl", inst.monad, genunit=inst.genunit)
 
 
 _BUILDERS: dict[str, Callable[[], InstanceBundle]] = {
@@ -79,9 +80,15 @@ def instance_names() -> tuple[str, ...]:
     return tuple(_BUILDERS)
 
 
-def build_instance(name: str, store: tuple[int, int] | None = None) -> InstanceBundle:
+def build_instance(name: str, store: tuple[int, int] | None = None,
+                   category: IndexCategory | None = None) -> InstanceBundle:
     """The named instance; a `.gp` store header's range (lo, hi) sets concst's
-    store domain to the integers lo..hi, and no other instance takes one."""
+    store domain to the integers lo..hi, and no other instance takes one; a
+    category (from `laws --category`) indexes the identity instance only."""
+    if category is not None:
+        if name != "identity":
+            raise ConfigError("--category only applies to the identity instance")
+        return InstanceBundle("identity", identity_instance(category))
     if store is not None:
         if name != "concst":
             raise ConfigError(f"a store header applies only to instance concst, not {name}")

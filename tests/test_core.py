@@ -26,6 +26,7 @@ from cgm.errors import (
 )
 from cgm.indexcat import Morphism, ObjectId, STAR
 from cgm.instances import (
+    ahl_instance,
     broken_graded_list_instance,
     build_instance,
     graded_list_instance,
@@ -170,9 +171,8 @@ def test_gen_unit_identity_coincides(glist):
 
 
 def test_gen_unit_outside_subcategory():
-    bundle = build_instance("ahl")
-    G = bundle.genunit
-    inst = bundle.ahl
+    inst = ahl_instance()
+    G = inst.genunit
     from fractions import Fraction
     from cgm.formulas import TRUE
     m = inst.make_index(Fraction(1, 10), TRUE, TRUE)

@@ -28,6 +28,7 @@ from cgm.instances.typedstate import state_passing
 from cgm.instances import (
     LockPrims,
     ahl_instance,
+    broken_ahl_instance,
     build_instance,
     concst_instance,
     constructive_param,
@@ -405,10 +406,9 @@ def test_ahl_index_composition_associative_with_saturation():
 
 
 def test_ahl_two_cells_monotone_under_composition():
-    bundle = build_instance("ahl")
-    inst = bundle.ahl
+    inst = ahl_instance()
     two = inst.two
-    pool = bundle.monad.index_samples
+    pool = inst.monad.base.index_samples
     cells = [(f, g) for f in pool for g in pool if two.leq(f, g)]
     for f1, f2 in cells:
         for g1, g2 in cells:
@@ -482,10 +482,10 @@ def test_glist_validator_length_bound():
 
 
 def test_ahl_unit_subcategory_is_wide_and_closed():
-    bundle = build_instance("ahl")
-    inst, G = bundle.ahl, bundle.genunit
+    inst = ahl_instance()
+    G = inst.genunit
     cat = inst.cat
-    members = [m for m in bundle.monad.index_samples if G.sub.contains(m)]
+    members = [m for m in inst.monad.base.index_samples if G.sub.contains(m)]
     assert members
     for m in members:
         # identities at both endpoints stay inside
@@ -497,8 +497,7 @@ def test_ahl_unit_subcategory_is_wide_and_closed():
 
 
 def test_ahl_approximate_lifts_bound():
-    bundle = build_instance("ahl")
-    inst = bundle.ahl
+    inst = ahl_instance()
     from cgm.core import approximate
     nonzero = FCmp("!=", EVar("x"), EInt(0))
     lo = inst.make_index(Fraction(1, 10), TRUE, nonzero)
@@ -851,7 +850,7 @@ def _assert_same_as_reference(inst, f, p):
 
 @pytest.mark.parametrize("name", ["ahl", "broken-ahl"])
 def test_ahl_validity_matches_reference_over_drawn_payloads(name):
-    inst = build_instance(name).ahl
+    inst = {"ahl": ahl_instance, "broken-ahl": broken_ahl_instance}[name]()
     T = inst.monad.base
     pool = index_pool(T)
     payloads = [T.sampler(g, Rng(seed)) for g in pool for seed in range(4)]

@@ -5,7 +5,7 @@ built without generated code; bundles and categories are plain classes.
 """
 
 import copy
-import inspect
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,6 +13,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from cgm import ahlcheck as ah, core, formulas as fo, indexcat as ic, metalang as ml, values
+from cgm.cli import main
+from cgm.instances import instance_names
 from cgm.values import vbool, vint, vstr
 
 REPO = Path(__file__).resolve().parent.parent
@@ -164,7 +166,7 @@ def test_records_of_different_classes_or_values_never_equal():
                 assert tuple.__new__(shape, (shape._tag, *fields)) != r, (shape, r)
 
 
-# --- categories: plain classes compared by value ---
+# --- categories: plain classes compared by identity ---
 
 def _categories():
     free = ic.free_category(["a", "b"], [("f", "a", "b")])
@@ -183,24 +185,62 @@ def _categories():
     ]
 
 
-# (class, field): equality ignores the field; hash ignores it as well
-IGNORED = {(ic.MonoidCategory, "op"), (ic.TwoCategory, "cell"), (ic.WideSubcategory, "member")}
-UNHASHED = IGNORED | {(ic.FiniteTableCategory, "comp")}
-
-
-def test_categories_compare_by_exactly_their_compared_fields():
+def test_a_category_equals_only_itself():
     for cat in _categories():
-        cls = type(cat)
-        assert cat == copy.copy(cat) and hash(cat) == hash(copy.copy(cat))
-        for name in list(inspect.signature(cls.__init__).parameters)[1:]:
-            changed = copy.copy(cat)
-            setattr(changed, name, object())
-            if (cls, name) in IGNORED:
-                assert changed == cat, (cls, name)
-            else:
-                assert changed != cat, (cls, name)
-            if (cls, name) in UNHASHED:
-                assert hash(changed) == hash(cat), (cls, name)
+        twin = copy.copy(cat)
+        assert cat == cat and hash(cat) == hash(cat)
+        assert cat != twin, type(cat)
+    # same unit and sample, different operation: 1 and 2 compose to 3 and to 2
+    plus = ic.monoid_to_category(lambda a, b: a + b, 0, (0, 1, 2))
+    top = ic.monoid_to_category(max, 0, (0, 1, 2))
+    assert plus.compose(plus.elem(2), plus.elem(1)) != top.compose(top.elem(2), top.elem(1))
+    assert plus != top
+
+
+# (argv, exit code, sha256 of stdout) with category equality and hashing
+# made to raise: no command may compare or hash a category
+_WITHOUT_CATEGORY_EQUALITY = [
+    (("laws", "identity", "--samples", "3"), 0,
+     "d52e2dc636168ad058f0d5a0089ed5af3e368f15e59689496963a2422e7f1d6c"),
+    (("laws", "glist", "--samples", "3"), 0,
+     "dcab995bf9661c107f2d85a7c7827e025f579b303463da6b5ab7f32740c75178"),
+    (("laws", "broken-glist", "--samples", "3"), 1,
+     "ba10c2c9fdca2e3d44b809ec70229311bb193b2476be59d2ecfcd74b4ac8c844"),
+    (("laws", "concst", "--samples", "3"), 0,
+     "8dc2a0efa4f341f5d29766b1cccde42659304626977bafef3fc867c75cfbf0e2"),
+    (("laws", "tstate", "--samples", "3"), 0,
+     "69f76a25e7151cee0dc236de997d3e9a158bb4a794ba48924f81db00ef70fa9a"),
+    (("laws", "ahl", "--samples", "3"), 0,
+     "5daa650cac03886437897d56ed1ff71d8c4d1c13efab466ad92aaaddefd5bbb7"),
+    (("laws", "broken-ahl", "--samples", "3"), 1,
+     "8173f1ec33a81809bd13a2e96765fd30b82987272fde291033c2c217a901747c"),
+    (("laws", "identity", "--category", "programs/lock.cat", "--samples", "3"), 0,
+     "d52e2dc636168ad058f0d5a0089ed5af3e368f15e59689496963a2422e7f1d6c"),
+    (("roundtrip", "--states", "2", "--samples", "3"), 0,
+     "363f5f192fc70959037df5553c6e77c43d37b840bf7c000cbbdd8753ebc77fe5"),
+    (("translate", "discrete-param", "catgraded", "tstate"), 0,
+     "5c3de93feb007098056f187fc76954b75e69bac41e4b228709a652ae45ecb51b"),
+    (("run", "programs/lock.gp"), 0,
+     "8133901a75aab77dccfa16bf4ec79ad4d7644498a3f7dc9fb22456ea5f0bbeb6"),
+    (("ahl", "programs/two_samplers.ahl"), 0,
+     "ee23b7b2cef44e5744d0d42b1ede951b80879ee4b2f9b1f5b3d294ad0d81e9a4"),
+]
+
+
+def test_no_command_compares_or_hashes_a_category(capsys, monkeypatch):
+    def refuse(self, *_):
+        raise AssertionError(f"a {type(self).__name__} was compared or hashed")
+
+    for cls in (ic.IndexCategory, ic.TwoCategory, ic.WideSubcategory):
+        monkeypatch.setattr(cls, "__eq__", refuse)
+        monkeypatch.setattr(cls, "__hash__", refuse)
+    monkeypatch.chdir(REPO)
+    laws = {argv[1] for argv, _, _ in _WITHOUT_CATEGORY_EQUALITY if argv[0] == "laws"}
+    assert laws == set(instance_names())
+    for argv, exit_code, digest in _WITHOUT_CATEGORY_EQUALITY:
+        code = main(list(argv))
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest), argv
 
 
 # --- outputs do not depend on the string hash seed ---

@@ -92,7 +92,8 @@ def cmd_run(args) -> int:
     bundle = build_instance(program.instance, program.store)
     start, inferred = start_object(bundle, program), infer_program(bundle, program)
     _emit(f"grade: {inferred.index}")
-    payload = eval_term(bundle, program.body, {}, start, inferred).payload
+    states = None if args.store is None else {vint(args.store)}
+    payload = eval_term(bundle, program.body, {}, start, inferred, states).payload
     if args.store is None:
         _emit(f"result: {payload.show()}")
         return 0

@@ -608,14 +608,18 @@ class PrimSpec:
 
 class InstanceBundle:
     """Everything the harness and the metalanguage need for one instance,
-    its `.gp` primitives by name and its spawn (None without one) among them."""
+    its `.gp` primitives by name and its spawn (None without one) among them.
+    A state-passing one may declare `demand`, whose `unit(obj, a, states)` and
+    each primitive's `make(args, states)` build rows only at the given start
+    states, and whose `ends(payload)` maps each value to its rows' final states."""
 
     def __init__(self, name: str,
                  subject: CatGradedMonad | TwoCatGradedMonad,  # the structure the laws run on
                  genunit: GeneralisedUnit | None = None,
-                 prims: dict[str, PrimSpec] | None = None, spawn: PrimSpec | None = None):
+                 prims: dict[str, PrimSpec] | None = None, spawn: PrimSpec | None = None,
+                 demand: object = None):
         self.name, self.subject, self.genunit = name, subject, genunit
-        self.prims, self.spawn = prims or {}, spawn
+        self.prims, self.spawn, self.demand = prims or {}, spawn, demand
 
     @property
     def monad(self) -> CatGradedMonad:

@@ -13,7 +13,7 @@ from collections.abc import Iterable
 
 from ..core import CatGradedMonad, GradedComputation, InstanceBundle, PrimSpec
 from ..errors import MalformedPayload, SpawnGradeError
-from ..indexcat import DiscreteCategory, FreeCategory, ObjectId, free_category
+from ..indexcat import DiscreteCategory, FreeCategory, Morphism, ObjectId, free_category
 from ..translations import param_over
 from ..values import Value, ordered_table, sort_key
 from ..values import unit as vunit, vint, vpair
@@ -46,31 +46,42 @@ def concst_instance(stores: Iterable[Value] = DEFAULT_STORES) -> CatGradedMonad:
 
 
 class LockPrims:
-    """Primitive computations of the lock instance."""
+    """Primitive computations of the lock instance, and the bundle's `demand`."""
 
     def __init__(self, T: CatGradedMonad):
         self.T = T
         self.cat: FreeCategory = T.index_cat
-        self.domain = T.unit_fn(FREE, vunit).keys()
+        self.position = {s: n for n, s in enumerate(T.unit_fn(FREE, vunit).keys())}  # key order
         self.index = {name: self.cat.path([name]) for name, _, _ in self.cat.edges}
 
-    def _prim(self, name: str, entry) -> GradedComputation:
-        """The primitive at its one-generator path, its table built in key order."""
-        return GradedComputation(self.index[name], ordered_table((s, entry(s)) for s in self.domain))
+    def _table(self, index: Morphism, entry, states) -> GradedComputation:
+        """A leaf at `index`: a row per domain state in `states` (None: all), in key order."""
+        rows = self.position if states is None else sorted(
+            filter(self.position.__contains__, states), key=self.position.__getitem__)
+        return GradedComputation(index, ordered_table((s, entry(s)) for s in rows))
 
-    def lock(self) -> GradedComputation:
-        return self._prim("lock", lambda s: vpair(vunit, s))
+    def lock(self, states=None) -> GradedComputation:
+        return self._table(self.index["lock"], lambda s: vpair(vunit, s), states)
 
-    def unlock(self) -> GradedComputation:
-        return self._prim("unlock", lambda s: vpair(vunit, s))
+    def unlock(self, states=None) -> GradedComputation:
+        return self._table(self.index["unlock"], lambda s: vpair(vunit, s), states)
 
-    def get(self) -> GradedComputation:
-        return self._prim("get", lambda s: vpair(s, s))
+    def get(self, states=None) -> GradedComputation:
+        return self._table(self.index["get"], lambda s: vpair(s, s), states)
 
-    def put(self, v: Value) -> GradedComputation:
+    def put(self, v: Value, states=None) -> GradedComputation:
         # The written value may fall outside the domain; downstream
         # composition then drops the branch.
-        return self._prim("put", lambda s: vpair(vunit, v))
+        return self._table(self.index["put"], lambda s: vpair(vunit, v), states)
+
+    def unit(self, obj: ObjectId, a: Value, states) -> GradedComputation:
+        return self._table(self.cat.identity(obj), lambda s: vpair(a, s), states)
+
+    def ends(self, p: Value) -> dict[Value, set[Value]]:
+        ends: dict[Value, set[Value]] = {}
+        for _, step in p.entries:
+            ends.setdefault(step.fst, set()).add(step.snd)
+        return ends
 
     def spawn(self, body: GradedComputation) -> GradedComputation:
         if not (body.index.src == FREE and body.index.tgt == FREE):
@@ -81,14 +92,14 @@ class LockPrims:
 
 
 def concst_bundle(stores: Iterable[Value] = DEFAULT_STORES) -> InstanceBundle:
-    """The lock instance over `stores`, with its `.gp` primitives and its spawn at free."""
+    """The lock instance over `stores`, with its `.gp` primitives, spawn at free and demand."""
     lp = LockPrims(concst_instance(stores))
     return InstanceBundle("concst", lp.T, prims={
-        "lock": PrimSpec((), "unit", lp.index["lock"], lambda _a: lp.lock()),
-        "unlock": PrimSpec((), "unit", lp.index["unlock"], lambda _a: lp.unlock()),
-        "get": PrimSpec((), "int", lp.index["get"], lambda _a: lp.get()),
-        "put": PrimSpec(("int",), "unit", lp.index["put"], lambda a: lp.put(a[0])),
-    }, spawn=PrimSpec((), "unit", lp.cat.identity(FREE), lp.spawn))
+        "lock": PrimSpec((), "unit", lp.index["lock"], lambda _a, at=None: lp.lock(at)),
+        "unlock": PrimSpec((), "unit", lp.index["unlock"], lambda _a, at=None: lp.unlock(at)),
+        "get": PrimSpec((), "int", lp.index["get"], lambda _a, at=None: lp.get(at)),
+        "put": PrimSpec(("int",), "unit", lp.index["put"], lambda a, at=None: lp.put(a[0], at)),
+    }, spawn=PrimSpec((), "unit", lp.cat.identity(FREE), lp.spawn), demand=lp)
 
 
 def run_table(c: GradedComputation, store: Value) -> tuple[Value, Value]:

@@ -12,7 +12,9 @@ inferred index.  It keeps suspended binds on an explicit stack rather
 than the interpreter's: a bind's continuations run after its strength
 and before its functor map, in the order in which the instance's map_fn
 first reaches their carried values, and their payloads wait in one memo
-for the whole evaluation, keyed by (bind, object, live values).
+for the whole evaluation, keyed by (bind, object, live values), with the
+start states they were built at.  On a bundle that declares a demand,
+leaves build only the rows that a later multiplication reads.
 """
 
 from __future__ import annotations
@@ -173,16 +175,10 @@ def _pexpr_atom(t: Token) -> PExpr:
     raise ParseError(f"expected expression, found {t.text!r}", t.line, t.col)
 
 
-def _arith(t: Token, lhs: PExpr, rhs: PExpr) -> PExpr:
-    return PArith(t.text, lhs, rhs)
-
-
-def _tuple(*items: PExpr) -> PExpr:
-    return PPairE(*items) if items else PLit(vunit)
-
-
 def parse_pexpr(ts: TokenStream) -> PExpr:
-    return parse_infix(ts, _pexpr_atom, {"+": 1, "-": 1, "*": 2}, {}, _arith, _tuple)
+    return parse_infix(ts, _pexpr_atom, {"+": 1, "-": 1, "*": 2}, {},
+                       lambda t, lhs, rhs: PArith(t.text, lhs, rhs),
+                       lambda *items: PPairE(*items) if items else PLit(vunit))
 
 
 def _parse_term(ts: TokenStream, scope: set[str]) -> Term:
@@ -425,60 +421,66 @@ def eval_pexpr(e: PExpr, env: Mapping[str, Value]) -> Value:
         a, b = eval_pexpr(e.lhs, env), eval_pexpr(e.rhs, env)
         if not (isinstance(a, VInt) and isinstance(b, VInt)):
             raise MalformedPayload("arithmetic on non-integers")
-        if e.op == "+":
-            return vint(a.n + b.n)
-        if e.op == "-":
-            return vint(a.n - b.n)
-        return vint(a.n * b.n)
+        return vint(a.n + b.n if e.op == "+" else a.n - b.n if e.op == "-" else a.n * b.n)
     return vpair(eval_pexpr(e.fst, env), eval_pexpr(e.snd, env))
 
 
 def eval_term(bundle: InstanceBundle, term: Term, env: Mapping[str, Value],
-              start: ObjectId, inferred: GradedType | None = None) -> GradedComputation:
+              start: ObjectId, inferred: GradedType | None = None,
+              states: set[Value] | None = None) -> GradedComputation:
     """Evaluate; the resulting index always equals the inferred one.
 
     Grades come from one inference pass: `inferred` if it is `infer_grade`'s
     result for this term, start and env, else one run here.  A let's
     continuation is computed once per (let, object, values of the body's free
-    variables) for the whole evaluation, and kept in one memo under that key:
-    those values are all the body can read, so strength carries only them.
+    variables) for the whole evaluation, with the start states it was built
+    at: those values are all the body can read, so strength carries only them.
+
+    `states` holds the start states whose rows are wanted (None: all).  On a
+    bundle that declares a demand, leaves build only those rows; a continuation
+    keyed per value runs at the final states of the rows carrying its value,
+    one keyed per site at those of all its rows (at all states inside a
+    per-value one, as every value shares it), and a memo entry that misses a
+    later visit's states is rebuilt once, at all.
 
     Evaluation does not grow the Python stack with the program (the
     inference pass still does).  A let runs as a generator on an explicit
     stack: it evaluates its bound term, then strength, whose map_fn
     builds one pair per carried value.  Next it evaluates, in that order,
-    the continuations of the pairs whose keys the memo does not hold yet,
+    the continuations of the pairs that the memo does not cover yet,
     yielding each one that is not a leaf to the driver loop; this is the
     order in which map_fn would first reach them.  Last, one fmap reads
     the memo and mult flattens."""
-    T, prims, spawn = bundle.monad, bundle.prims, bundle.spawn
+    T, prims, spawn, demand = bundle.monad, bundle.prims, bundle.spawn, bundle.demand
     if not hasattr(inferred, "_lets"):
         inferred = _infer(bundle, start, term, {k: shape_of_value(v) for k, v in env.items()})
     lets, memo = inferred._lets, {}
 
-    def begin(t: Term, obj: ObjectId, env: Mapping[str, Value]) -> GradedComputation | Generator:
-        """A leaf's computation, or a generator that yields the generators
-        of the subterms it waits for and returns t's computation."""
+    def begin(t: Term, obj: ObjectId, env: Mapping[str, Value], want: set | None,
+              inside: bool) -> GradedComputation | Generator:
+        """A leaf's computation at the start states `want`, or a generator that
+        yields the generators of the subterms it waits for and returns t's computation."""
         if isinstance(t, TLet):
-            return let(t, obj, env)
-        if isinstance(t, TVar):
-            return unit(T, obj, env[t.name])
-        if isinstance(t, TPure):
-            return unit(T, obj, eval_pexpr(t.expr, env))
+            return let(t, obj, env, want, inside)
+        if isinstance(t, (TVar, TPure)):
+            v = env[t.name] if isinstance(t, TVar) else eval_pexpr(t.expr, env)
+            return unit(T, obj, v) if want is None else demand.unit(obj, v, want)
         if isinstance(t, TPrim):
             if t.name == "spawn":
-                return spawned(t, env)
-            return prims[t.name].make([eval_pexpr(a, env) for a in t.args])
+                return spawned(t, env, want, inside)
+            make, args = prims[t.name].make, [eval_pexpr(a, env) for a in t.args]
+            return make(args) if want is None else make(args, want)
         raise MalformedPayload(f"cannot evaluate {t!r}")
 
-    def spawned(t: TPrim, env: Mapping[str, Value]) -> Generator:
-        body = begin(t.body, spawn.index.src, env)
+    def spawned(t: TPrim, env: Mapping[str, Value], want: set | None, inside: bool) -> Generator:
+        body = begin(t.body, spawn.index.src, env, want, inside)
         if not isinstance(body, GradedComputation):
             body = yield body
         return spawn.make(body)
 
-    def let(t: TLet, obj: ObjectId, env: Mapping[str, Value]) -> Generator:
-        c1 = begin(t.bound, obj, env)
+    def let(t: TLet, obj: ObjectId, env: Mapping[str, Value], want: set | None,
+            inside: bool) -> Generator:
+        c1 = begin(t.bound, obj, env, want, inside)
         if not isinstance(c1, GradedComputation):
             c1 = yield c1
         f = c1.index
@@ -486,22 +488,27 @@ def eval_term(bundle: InstanceBundle, term: Term, env: Mapping[str, Value],
         info = lets[site]
         a = vseq(env[v] for v in info.carried)
         carried, pairs = strength(T, f, a, c1)
+        ends = None if demand is None else demand.ends(c1.payload)  # value -> final states
         for pr in pairs if info.reads_var else pairs[:1]:  # else one key, (site, a)
             key = (site, pr if info.reads_var else a)
-            if key not in memo:
+            need = (None if ends is None else ends[pr.snd] if info.reads_var
+                    else None if inside else set().union(*ends.values()))
+            held = memo.get(key)  # (payload, the start states it was built at)
+            if held is None or held[1] is not None and (need is None or not need <= held[1]):
+                need = need if held is None else None  # a rebuild is at every state
                 env2 = dict(zip(info.carried, a.items))
                 env2[t.var] = pr.snd
-                c = begin(t.body, f.tgt, env2)
+                c = begin(t.body, f.tgt, env2, need, inside or info.reads_var)
                 if not isinstance(c, GradedComputation):
                     c = yield c
                 if c.index != info.cont:
                     raise InconsistentContinuationIndex(
                         f"{t.pos}: continuation at ({c.index}), inferred ({info.cont})")
-                memo[key] = c.payload
-        cont = lambda pr: memo[site, pr if info.reads_var else a]
+                memo[key] = c.payload, need
+        cont = lambda pr: memo[site, pr if info.reads_var else a][0]
         return mult(T, f, info.cont, fmap(T, f, cont, carried.payload))
 
-    result = begin(term, start, env)
+    result = begin(term, start, env, None if demand is None else states, False)
     if not isinstance(result, GradedComputation):
         stack, result = [result], None  # the suspended lets and spawns, innermost last
         while stack:

@@ -89,6 +89,16 @@ def test_run_lock_program(tmp_path, capsys):
     assert "final 6" in out
 
 
+def test_run_over_5000_stores(tmp_path, capsys):
+    """Linear in the store domain: 5000 stores answer in a fraction of a second."""
+    gp = tmp_path / "lock.gp"
+    gp.write_text(LOCK_GP.replace("int[0..7]", "int[0..4999]"))
+    code, out = run_cli(capsys, "run", str(gp))
+    assert code == 0
+    table = "; ".join(f"{s} -> ((), {s + 1})" for s in range(4999))
+    assert out == f"grade: lock;get;put;unlock : free -> free\nresult: {{{table}}}\n"
+
+
 def test_run_infers_grades_once(capsys, monkeypatch):
     calls = []
     infer = metalang._infer
@@ -525,6 +535,16 @@ _GOLDEN = [
      "00cdcfecb5de64457b31abd50a99278fa6584ed9ad1220210a493e80c733cf49"),
     (("laws", "identity", "--category", "programs/nat_plus.cat", "--samples", "30", "--seed", "9"), 0,
      "00cdcfecb5de64457b31abd50a99278fa6584ed9ad1220210a493e80c733cf49"),
+    (("run", "programs/lock.gp"), 0,
+     "8133901a75aab77dccfa16bf4ec79ad4d7644498a3f7dc9fb22456ea5f0bbeb6"),
+    (("run", "programs/lock.gp", "--store", "0"), 0,
+     "6935a2f6d1120621b943001a72a368bd66c24e1c3a41696c71f07f36d8d925fd"),
+    (("run", "programs/lock.gp", "--store", "3"), 0,
+     "e23c0ee653879f8ae57eec423ba78dd26897b984310dc7fb7328f732c79ef1f9"),
+    (("run", "programs/lock.gp", "--store", "7"), 2,
+     "dd94a403073d1316ba8c54ee22b61c078328366c75cec846490e235d2ed6aa95"),
+    (("run", "programs/lock.gp", "--store", "9"), 2,
+     "f310cc030d05aaf427b90c658d72828c9a2d252d7784c7204087ea7709fc0f2a"),
 ]
 
 

@@ -450,9 +450,9 @@ def test_eval_runs_continuations_in_first_occurrence_order(monkeypatch):
     written = []
     put = LockPrims.put
 
-    def logging_put(self, v):
+    def logging_put(self, v, states=None):
         written.append(v.n)
-        return put(self, v)
+        return put(self, v, states)
 
     monkeypatch.setattr(LockPrims, "put", logging_put)
     p = parse_program("instance concst\nstart free\ndo { lock; x <- get; put(x + 1); "
@@ -461,6 +461,61 @@ def test_eval_runs_continuations_in_first_occurrence_order(monkeypatch):
     assert c.payload.show() == "{0 -> ((), 2)}"
     assert written == [1, 0, 0, 1, 2, 3, 2, 4, 6, 2, 0, -1, 0, 1, 2, 2, 4, 6, 3, 0, -2,
                        -1, 0, 1, 2, 4, 6, 4, 0, -3, -2, -1, 0, 2, 4, 6]
+
+
+_SHAPES = {
+    "lock": "lock; x <- get; put(x + 1); unlock",
+    "pure": "lock; x <- get; y <- pure (x + 1); put(y); unlock",
+}
+
+
+def _leaf_rows(monkeypatch, shape, n):
+    """The rows that the leaves build to evaluate a shape over int[0..n-1]."""
+    bundle = lock_bundle(n)
+    built = [0]
+
+    def counted(make):
+        def leaf(*args):
+            c = make(*args)
+            built[0] += len(c.payload.entries)
+            return c
+        return leaf
+
+    for spec in bundle.prims.values():
+        spec.make = counted(spec.make)
+    bundle.demand.unit = counted(bundle.demand.unit)
+    monkeypatch.setattr(metalang, "unit", counted(metalang.unit))
+    p = parse_program(f"instance concst\ndo {{ {_SHAPES[shape]} }}")
+    c = eval_term(bundle, p.body, {}, FREE)
+    assert c.payload.show() == "{" + "; ".join(f"{s} -> ((), {s + 1})" for s in range(n - 1)) + "}"
+    return built[0]
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_eval_leaf_rows_grow_linearly_with_the_store_domain(monkeypatch, shape):
+    """Each continuation builds rows only at the stores its multiplication
+    reads, so doubling the domain at most about doubles the rows; built over
+    the whole domain, they would quadruple."""
+    assert _leaf_rows(monkeypatch, shape, 128) <= 2.1 * _leaf_rows(monkeypatch, shape, 64)
+
+
+def test_eval_rebuilds_a_memo_entry_once_at_every_state(monkeypatch):
+    """The continuation of `y <- pure (x * 0)` is shared by every x: first
+    built at x's one store, it is built once more, at every store, when the
+    next x reads another store, and then serves every later x."""
+    from cgm.instances import LockPrims
+    stores = []
+    put = LockPrims.put
+
+    def logging_put(self, v, states=None):
+        stores.append(None if states is None else sorted(s.n for s in states))
+        return put(self, v, states)
+
+    monkeypatch.setattr(LockPrims, "put", logging_put)
+    p = parse_program("instance concst\ndo { lock; x <- get; y <- pure (x * 0); put(y + 1); unlock }")
+    c = eval_term(lock_bundle(4), p.body, {}, FREE)
+    assert c.payload.show() == "{0 -> ((), 1); 1 -> ((), 1); 2 -> ((), 1); 3 -> ((), 1)}"
+    assert stores == [[0], None]
 
 
 def test_eval_let_node_shared_between_objects():
@@ -574,16 +629,25 @@ def _direct_run(t, env, store, domain):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(term=_lock_chain(), lo=st.integers(-2, 4), size=st.integers(1, 6))
 def test_eval_matches_store_passing_interpreter(term, lo, size):
+    """Both over the whole domain and, as `cgm run --store` does, at one
+    start store: inside the domain, and once below it, where no row is built."""
     domain = range(lo, lo + size)
     bundle = lock_bundle_over(domain)
+    inferred = infer_grade(bundle, FREE, term)
     comp = eval_term(bundle, term, {}, FREE)
-    assert comp.index == infer_grade(bundle, FREE, term).index
+    assert comp.index == inferred.index
     for s0 in domain:
         expected = _direct_run(term, {}, s0, domain)
+        one = eval_term(bundle, term, {}, FREE, inferred, {vint(s0)})
+        assert one.index == inferred.index
         if expected is None:
             assert not comp.payload.has(vint(s0))
+            assert one.payload.entries == ()
         else:
-            assert comp.payload.get(vint(s0)) == vpair(expected[0], vint(expected[1]))
+            step = vpair(expected[0], vint(expected[1]))
+            assert comp.payload.get(vint(s0)) == step
+            assert one.payload.entries == ((vint(s0), step),)
+    assert eval_term(bundle, term, {}, FREE, inferred, {vint(lo - 1)}).payload.entries == ()
 
 
 # --- strength ---

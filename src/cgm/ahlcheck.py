@@ -6,7 +6,9 @@ rule schema (seq adds bounds with saturation and requires the middle
 formulas to match; weak needs both implications valid and a
 non-decreasing bound), and each node's exact failure probability, the max
 of a violation vector pulled back through each seq's first part (Kozen
-1985), must stay within its bound; composites are built only as first parts.
+1985), must stay within its bound.  A leaf pulls a vector back by index
+arithmetic on the states' ranks; composites, and the leaf payloads in them,
+are built only as seq first parts.
 """
 
 from __future__ import annotations
@@ -175,6 +177,15 @@ def interpret(inst: AhlMonad, d: Derivation, _memo: dict | None = None) -> Value
     return out
 
 
+def pull(inst: AhlMonad, leaf: DSkip | DAssign | DRand,
+         vec: tuple[list[int], int]) -> tuple[list[int], int]:
+    """`inst.expectation(interpret(inst, leaf), vec)` for vec in lowest terms, by the leaf's
+    step: no payload is built."""
+    if isinstance(leaf, DRand):
+        return inst.uniform_step(vec, leaf.var, leaf.lo, leaf.hi)
+    return inst.assign_step(vec, leaf.var, leaf.expr) if isinstance(leaf, DAssign) else vec
+
+
 def _postorder(d: Derivation) -> list[tuple[Derivation, bool]]:
     """(node, on the root's spine) for each node, after its children, left to right."""
     out, todo = [], [(d, True)]
@@ -190,26 +201,38 @@ def _postorder(d: Derivation) -> list[tuple[Derivation, bool]]:
 
 def check_ahl(inst: AhlMonad, d: Derivation,
               claimed: Judgement | None = None) -> AhlVerdict:
-    """Structural and semantic verification of one derivation tree."""
+    """Structural and semantic verification of one derivation tree.  The cyclic collector is
+    paused meanwhile: a check over many states builds many objects, and no cycle among them."""
+    import gc  # loaded by a check only
+
     nodes: list[NodeReport] = []
     jmemo, pmemo, vmemo = {}, {}, {}
-    for node, spine in _postorder(d):
-        root = conclusion(inst, node, jmemo)
-        if not spine:  # some seq's first part: its composite is needed
-            interpret(inst, node, pmemo)
-        path, n, post = [], node, root.post  # down to a leaf or a memoised (node, post)
-        while (id(n), post) not in vmemo:
-            path.append(n)
-            if not isinstance(n, (DSeq, DWeak)):
-                break
-            n = n.second if isinstance(n, DSeq) else n.child
-        vec = vmemo.get((id(n), post)) or (inst.violated(post), 1)
-        for n in reversed(path):
-            if not isinstance(n, DWeak):  # a leaf applies its payload, a seq its first part's
-                part = n.first if isinstance(n, DSeq) else n
-                vec = inst.expectation(interpret(inst, part, pmemo), vec)
-            vmemo[id(n), post] = vec
-        nodes.append(NodeReport(_rule_name(node), root, inst.worst(vec, root.pre)))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for node, spine in _postorder(d):
+            root = conclusion(inst, node, jmemo)
+            if not spine and isinstance(node, DSeq):  # a seq's first part: its composite is needed
+                interpret(inst, node, pmemo)
+            path, n, post = [], node, root.post  # down to a leaf or a memoised (node, post)
+            while (id(n), post) not in vmemo:
+                path.append(n)
+                if not isinstance(n, (DSeq, DWeak)):
+                    break
+                n = n.second if isinstance(n, DSeq) else n.child
+            vec = vmemo.get((id(n), post)) or (inst.violated(post), 1)
+            for n in reversed(path):
+                if not isinstance(n, DWeak):  # a leaf applies its step, a seq its first part's
+                    part = n.first if isinstance(n, DSeq) else n
+                    while isinstance(part, DWeak):
+                        part = part.child
+                    vec = (inst.expectation(interpret(inst, part, pmemo), vec)
+                           if isinstance(part, DSeq) else pull(inst, part, vec))
+                vmemo[id(n), post] = vec
+            nodes.append(NodeReport(_rule_name(node), root, inst.worst(vec, root.pre)))
+    finally:
+        if collecting:
+            gc.enable()
     if claimed is not None and claimed != root:
         raise RuleMismatch(f"derivation concludes {root}, file claims {claimed}")
     for n in nodes:

@@ -175,7 +175,18 @@ def states(decls: Iterable[VarDecl]) -> list[dict[str, int]]:
 
 def valid_implication(holds: Callable, pre: Formula, post: Formula) -> bool:
     """Whether post holds wherever pre does; `holds(phi)` is phi's truth per state."""
-    return all(q for p, q in zip(holds(pre), holds(post)) if p)
+    return all(itertools.compress(holds(post), holds(pre)))
+
+
+def mentioned(node: Expr | Formula) -> set[str]:
+    """The variables that an expression or formula reads, walked with an explicit stack."""
+    names, todo = set(), [node]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, EVar):
+            names.add(n.name)
+        todo += [f for f in n[1:] if isinstance(f, Record)]  # its operands
+    return names
 
 
 # --- parsing ---

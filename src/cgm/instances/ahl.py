@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import copy
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain, compress, count, product
+from operator import add
 
 from ..core import DIGITS, CatGradedMonad, GeneralisedUnit, TwoCatGradedMonad
 from ..errors import InvalidImplication, InvalidValue, MalformedPayload, RangeError
@@ -30,6 +33,7 @@ from ..formulas import (
     eval_expr,
     eval_formula,
     formula_text,
+    mentioned,
     states,
     valid_implication,
 )
@@ -77,18 +81,14 @@ class AhlMonad:
 
     def __init__(self, decls: Iterable[VarDecl], over_allocate: bool = False):
         self.decls = tuple(decls)  # declaration order: `range_of`, default samples, errors
-        by_name = sorted(self.decls, key=lambda d: d.name)
+        self._by_name = sorted(self.decls, key=lambda d: d.name)
+        sizes = [len(d.values()) for d in self._by_name]
+        # no variable; an empty range, so no state; a repeated name
+        if not sizes or 0 in sizes or len({d.name for d in self.decls}) < len(sizes):
+            raise InvalidValue("declare one or more variables, each once, over a non-empty range")
         # states vary the last sorted name fastest, and tables compare values by sorted name, so
         # a state's index is its rank; state i with var moved to v is i + (v - s[var]) * stride[var]
-        self.states = states(by_name)
-        cells = {d.name: {v: (vstr(d.name), vint(v)) for v in d.values()} for d in by_name}
-        # no variable; an empty range, so no state; a repeated name, so fewer cells than decls
-        if not self.decls or not self.states or len(cells) < len(by_name):
-            raise InvalidValue("declare one or more variables, each once, over a non-empty range")
-        self.svalues = tuple(ordered_table(cells[k][v] for k, v in s.items()) for s in self.states)
-        sizes = [len(d.values()) for d in by_name]
-        self._stride = {d.name: math.prod(sizes[i + 1:]) for i, d in enumerate(by_name)}
-        self._rank = {sv: i for i, sv in enumerate(self.svalues)}
+        self._stride = {d.name: math.prod(sizes[i + 1:]) for i, d in enumerate(self._by_name)}
         self._formulas: dict[str, Formula] = {}
         self._truth: dict[Formula, tuple[bool, ...]] = {}
         self._split: dict[Formula, tuple[list[int], list[int]]] = {}  # `_sample`'s, by post
@@ -118,6 +118,30 @@ class AhlMonad:
             WideSubcategory(self.cat, lambda m: own.beta_of(m) == 0),
             own._geneta,
         )
+
+    @cached_property
+    def svalues(self) -> tuple[VTable, ...]:
+        """The states as tables, by rank; built on first use, as are their ranks below."""
+        cells = [[(vstr(d.name), vint(v)) for v in d.values()] for d in self._by_name]
+        return tuple(map(ordered_table, product(*cells)))
+
+    @cached_property
+    def _rank(self) -> dict[Value, int]:
+        return {sv: i for i, sv in enumerate(self.svalues)}
+
+    @cached_property
+    def _ids(self) -> dict[int, int]:  # the ranks of `svalues`' own tables, by id
+        return {id(sv): i for i, sv in enumerate(self.svalues)}
+
+    def _over(self, names: set[str], fn: Callable[[dict[str, int]], object]) -> list:
+        """By rank, fn of each state, where fn reads only the variables in `names`: fn runs once
+        per assignment of them, and the results are spread over the states by strides."""
+        parts = [[fn(s)] for s in states(d for d in self._by_name if d.name in names)]
+        for d in reversed(self._by_name):  # from the fastest: each part is by rank over the
+            n = len(d.values())  # variables passed; a read one joins runs of n, others repeat
+            parts = ([list(chain.from_iterable(parts[i:i + n])) for i in range(0, len(parts), n)]
+                     if d.name in names else [p * n for p in parts])
+        return parts[0]
 
     # --- index plumbing ---
 
@@ -161,20 +185,23 @@ class AhlMonad:
     def _unit(self, _obj: ObjectId, a: Value) -> Value:
         return ordered_table([(sv, point(vpair(sv, a))) for sv in self.svalues])
 
-    def _row(self, d: VDist) -> tuple[VDist, list[tuple[tuple[int, Value], Value, int]]]:
-        """d, each atom keyed once by (final state's rank, result): the native order."""
-        return d, [((self._rank[pr.fst], pr.snd), pr, n) for pr, n in d.atoms]
+    def _rank_of(self, state: Value) -> int:
+        """An own state's rank by its id, an equal foreign one's by its hash (a KeyError if
+        there is none)."""
+        r = self._ids.get(id(state))
+        return self._rank[state] if r is None else r
 
-    def _mix(self, d: VDist, rows: list) -> VDist:
-        """`rows`, one per atom of d, mixed by d's numerators: added by key, sorted, reduced once."""
+    def _mix(self, d: VDist, rows: list[VDist]) -> VDist:
+        """`rows`, one per atom of d, mixed by d's numerators: added by (final state's rank,
+        result), the native order, sorted and reduced once."""
         if len(rows) == 1:  # a point: the row's dist as it is
-            return rows[0][0]
-        den = math.lcm(*(e.den for e, _ in rows))
+            return rows[0]
+        den = math.lcm(*map(_den, rows))
         acc: dict[tuple[int, Value], list] = {}  # key -> [pair, numerator]
-        for (_, n), (e, keyed) in zip(d.atoms, rows):
+        for (_, n), e in zip(d.atoms, rows):
             s = n * (den // e.den)
-            for k, pr, m in keyed:
-                acc.setdefault(k, [pr, 0])[1] += s * m
+            for pr, m in e.atoms:
+                acc.setdefault((self._rank_of(pr.fst), pr.snd), [pr, 0])[1] += s * m
         return _lowest([(pr, m) for _, (pr, m) in sorted(acc.items())], d.den * den)
 
     def _mult(self, _f: Morphism, _g: Morphism, nested: Value) -> Value:
@@ -210,10 +237,12 @@ class AhlMonad:
         return table_map_snd(fn, p)
 
     def holds(self, phi: Formula) -> tuple[bool, ...]:
-        """By rank, whether phi holds in each state, evaluated once per formula."""
+        """By rank, whether phi holds in each state: once per formula, by evaluating phi once
+        per assignment of the variables it mentions."""
         truth = self._truth.get(phi)
         if truth is None:
-            truth = self._truth[phi] = tuple(eval_formula(phi, s) for s in self.states)
+            truth = self._truth[phi] = tuple(self._over(mentioned(phi),
+                                                        lambda s: eval_formula(phi, s)))
         return truth
 
     def violated(self, phi: Formula) -> list[bool]:
@@ -222,28 +251,32 @@ class AhlMonad:
 
     def _expect(self, d: VDist, v: list[int]) -> int:
         """Σ n · v[rank of the final state] over d's atoms; a non-(state, result) atom raises."""
-        rank, m = self._rank, 0
+        m = 0
         try:  # only a pair has .fst; only a declared state has a rank
             for pr, n in d.atoms:
-                m += n * v[rank[pr.fst]]
+                m += n * v[self._rank_of(pr.fst)]
         except (AttributeError, KeyError):
             raise MalformedPayload("an atom is not a (declared state, result) pair") from None
         return m
 
     def expectation(self, payload: Value, vec: tuple[list[int], int]) -> tuple[list[int], int]:
         """Each start's expectation of `vec` under payload, both as numerators by rank over
-        one denominator (in lowest terms); starts are read through `payload.get`."""
+        one denominator (in lowest terms); starts are read in order where payload's keys are
+        the states, else through `payload.get`."""
         v, den = vec
-        ds = [_checked(payload.get(sv)) for sv in self.svalues]
-        lcm = math.lcm(*map(_den, ds))
-        w = [self._expect(d, v) * (lcm // d.den) for d in ds]
-        g = math.gcd(den * lcm, *w)
-        return [m // g for m in w], den * lcm // g
+        svs = self.svalues
+        if isinstance(payload, VTable) and payload.keys() == svs:  # keyed by rank, as built
+            ds = [_checked(d) for _, d in payload.entries]
+        else:
+            ds = [_checked(payload.get(sv)) for sv in svs]
+        lcm, uniq = math.lcm(*map(_den, ds)), {id(d): d for d in ds}  # a row many starts share
+        e = {k: self._expect(d, v) * (lcm // d.den) for k, d in uniq.items()}  # is read once
+        return _reduced([e[id(d)] for d in ds], den * lcm)
 
     def worst(self, vec: tuple[list[int], int], pre: Formula) -> Fraction:
         """The max of `vec` over the states satisfying pre (0 if none)."""
         v, den = vec
-        return Fraction(max((m for m, ok in zip(v, self.holds(pre)) if ok), default=0), den)
+        return Fraction(max(compress(v, self.holds(pre)), default=0), den)
 
     def failure_prob(self, payload: Value, pre: Formula, post: Formula) -> Fraction:
         """Exact max over states satisfying pre of Pr[final state violates post], by one
@@ -327,45 +360,78 @@ class AhlMonad:
                 return d
         raise RangeError(f"undeclared variable {var!r}")
 
-    def skip(self) -> Value:
-        return self._unit(None, vunit)
-
-    def assign(self, var: str, expr: Expr) -> Value:
-        decl, st, svs = self.range_of(var), self._stride[var], self.svalues
-        out = []
-        for i, s in enumerate(self.states):
-            v = eval_expr(expr, s)
-            if not decl.lo <= v <= decl.hi:  # first: an out-of-range v could index another state
-                v = next(w for t in states(self.decls)  # the first out of range by declaration
-                         if not decl.lo <= (w := eval_expr(expr, t)) <= decl.hi)
-                raise RangeError(
-                    f"{var} := {v} leaves the declared range [{decl.lo}..{decl.hi}]")
-            out.append(point(vpair(svs[i + (v - s[var]) * st], vunit)))
-        return ordered_table(zip(svs, out))
-
-    def sample_uniform(self, var: str, lo: int, hi: int) -> Value:
+    def _rand_range(self, var: str, lo: int, hi: int) -> VarDecl:
+        """var's declaration, checked to hold `rand var lo hi`'s range."""
         decl = self.range_of(var)
         if lo > hi or lo < decl.lo or hi > decl.hi:
             raise RangeError(
                 f"uniform({lo},{hi}) is not within [{decl.lo}..{decl.hi}] for {var}")
-        st, svs, rows = self._stride[var], self.svalues, {}
+        return decl
 
-        def row(k: int) -> VDist:
-            """The states k + v * st, which differ only in var, share one successor dist."""
-            d = rows.get(k)
-            if d is None:
-                d = rows[k] = uniform([vpair(svs[k + v * st], vunit) for v in range(lo, hi + 1)])
-            return d
+    def skip(self) -> Value:
+        return self._unit(None, vunit)
 
-        return ordered_table((svs[i], row(i - s[var] * st)) for i, s in enumerate(self.states))
+    def _moves(self, var: str, expr: Expr) -> list[int]:
+        """By rank, how far `var := expr` moves each state's rank: (e(s) - s[var]) * stride."""
+        decl, st, names = self.range_of(var), self._stride[var], mentioned(expr) | {var}
+
+        def move(s: dict[str, int]) -> int:
+            v = eval_expr(expr, s)
+            if not decl.lo <= v <= decl.hi:  # first: an out-of-range v could index another state
+                v = next(w for t in states(d for d in self.decls if d.name in names)  # the first
+                         if not decl.lo <= (w := eval_expr(expr, t)) <= decl.hi)  # by declaration
+                raise RangeError(
+                    f"{var} := {v} leaves the declared range [{decl.lo}..{decl.hi}]")
+            return (v - s[var]) * st
+
+        return self._over(names, move)
+
+    def assign(self, var: str, expr: Expr) -> Value:
+        moves, svs = self._moves(var, expr), self.svalues
+        return ordered_table((sv, point(vpair(svs[i + m], vunit)))
+                             for i, (sv, m) in enumerate(zip(svs, moves)))
+
+    def sample_uniform(self, var: str, lo: int, hi: int) -> Value:
+        self._rand_range(var, lo, hi)
+        st, svs = self._stride[var], self.svalues
+        # the class of state i: the states k + v * st, which differ from it only in var
+        ks = [i - a for i, a in enumerate(self._over({var}, lambda s: s[var] * st))]
+        rows = {k: uniform([vpair(svs[k + v * st], vunit) for v in range(lo, hi + 1)])
+                for k in dict.fromkeys(ks)}  # one successor dist per class
+        return ordered_table(zip(svs, map(rows.__getitem__, ks)))
+
+    # --- backward steps: a leaf payload's `expectation` of a vector in lowest terms, by
+    # index arithmetic on the ranks (`skip`'s is the vector itself) ---
+
+    def assign_step(self, vec: tuple[list[int], int], var: str, expr: Expr):
+        v, den = vec
+        return _reduced(list(map(v.__getitem__, map(add, count(), self._moves(var, expr)))), den)
+
+    def uniform_step(self, vec: tuple[list[int], int], var: str, lo: int, hi: int):
+        """Each class of states that differ only in var gets the sum of v over its members
+        with var in lo..hi.  A block of n * st ranks holds st classes, a run of st per value."""
+        decl, (v, den) = self._rand_range(var, lo, hi), vec
+        n, st, w = len(decl.values()), self._stride[var], []
+        runs = range((lo - decl.lo) * st, (hi - decl.lo + 1) * st, st)
+        for b in range(0, len(v), n * st):
+            w += list(map(sum, zip(*(v[b + r:b + r + st] for r in runs)))) * n
+        return _reduced(w, den * (hi - lo + 1))
 
     def seq(self, first: Value, second: Value) -> Value:
-        """Sequential composition of two program payloads: one row per middle
-        state of `second`, mixed by `first`.  It equals
+        """Sequential composition of two program payloads (keyed by the states, by rank): one
+        row per middle state of `second`, mixed by each distinct row of `first`.  It equals
         `_mult(None, None, _map(None, lambda _: second, first))`."""
-        rows = {sv: self._row(d) for sv, d in second.entries}
-        return ordered_table((sv, self._mix(d, [rows[pr.fst] for pr, _ in d.atoms]))
-                             for sv, d in first.entries)
+        rows = second.entries
+        uniq = {id(d): d for _, d in first.entries}  # a row many starts share is mixed once
+        mixed = {k: self._mix(d, [rows[self._rank_of(pr.fst)][1] for pr, _ in d.atoms])
+                 for k, d in uniq.items()}
+        return ordered_table((sv, mixed[id(d)]) for sv, d in first.entries)
+
+
+def _reduced(w: list[int], den: int) -> tuple[list[int], int]:
+    """The numerators w over den, in lowest terms."""
+    g = math.gcd(den, *w) if den > 1 else 1
+    return ([m // g for m in w], den // g) if g > 1 else (w, den)
 
 
 _DEFAULT_DECLS = (VarDecl("x", 0, 2),)

@@ -7,11 +7,15 @@ it to the definition it replaced: every node's program interpreted as one
 table, and its failure read off that table.
 """
 
+import collections
+import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cgm.instances.ahl as ahl_module
 from cgm import cli
 from cgm.ahlcheck import (
     AhlVerdict,
@@ -24,10 +28,12 @@ from cgm.ahlcheck import (
     check_ahl,
     conclusion,
     interpret,
+    pull,
 )
-from cgm.errors import CgmError
+from cgm.errors import CgmError, RangeError
 from cgm.formulas import EBin, EInt, EVar, FAnd, FCmp, FNot, FOr, TRUE, VarDecl
 from cgm.instances import AhlMonad, ahl_instance
+from test_instances import _ahl_decls
 
 _RULE = {DSkip: "skip", DAssign: "assign", DRand: "rand", DSeq: "seq", DWeak: "weak"}
 _BETAS = (Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(1))
@@ -262,3 +268,92 @@ def test_deeply_nested_seqs_check(tmp_path, capsys, depth):
     node = "node {}: beta 0, pre true, post true, failure 0\n"
     assert capsys.readouterr().out == (node.format("skip") * (depth + 1) + node.format("seq") * depth
                                        + "conclusion: |-0 : true => true\nverdict: valid\n")
+
+
+# --- leaf steps: index arithmetic against the payloads ---
+
+@st.composite
+def _any_leaf(draw, decls):
+    """A skip, an assign whose value may leave the range, or a rand over a sub-range that may
+    leave it, of a declared variable or of an undeclared one."""
+    decl = draw(st.sampled_from(decls))
+    x, other = draw(st.sampled_from([decl.name, decl.name, "w"])), draw(st.sampled_from(decls)).name
+    kind = draw(st.sampled_from(["skip", "assign", "rand"]))
+    if kind == "skip":
+        return DSkip(TRUE)
+    if kind == "assign":
+        return DAssign(x, draw(st.sampled_from([
+            EInt(draw(st.integers(decl.lo - 1, decl.hi + 1))), EVar(other),
+            EBin("+", EVar(decl.name), EInt(1)),
+            EBin("-", EBin("*", EInt(2), EVar(other)), EVar(decl.name))])), TRUE)
+    lo = draw(st.integers(decl.lo - 1, decl.hi))
+    return DRand(x, lo, draw(st.integers(lo - 1, decl.hi + 1)), Fraction(0), TRUE, TRUE)
+
+
+def _range_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except RangeError as e:
+        return str(e)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_ahl_decls(), st.data())
+def test_each_leaf_step_equals_the_expectation_of_its_payload(decls, data):
+    inst = ahl_instance(decls)
+    leaf = data.draw(_any_leaf(decls))
+    n, den = math.prod(len(d.values()) for d in decls), data.draw(st.integers(1, 12))
+    v = data.draw(st.lists(st.integers(0, den), min_size=n, max_size=n))
+    g = math.gcd(den, *v)  # in lowest terms, as every vector `check_ahl` pulls
+    vec = ([m // g for m in v], den // g)
+    want = _range_outcome(lambda: inst.expectation(interpret(inst, leaf), vec))
+    assert _range_outcome(pull, inst, leaf, vec) == want
+
+
+def test_checks_over_a_hundred_thousand_states_build_no_state_and_no_leaf_payload(
+        tmp_path, capsys, monkeypatch):
+    # five variables of ten values; each formula mentions one of them
+    built, evaluated = [], collections.Counter()
+    for name in ("skip", "assign", "sample_uniform", "_unit"):
+        fn = getattr(AhlMonad, name)
+        monkeypatch.setattr(AhlMonad, name,
+                            lambda self, *a, fn=fn, name=name: built.append(name) or fn(self, *a))
+    svalues = AhlMonad.svalues  # a cached property
+    monkeypatch.setattr(AhlMonad, "svalues", property(
+        lambda self: built.append("svalues") or svalues.__get__(self)))
+    ev = ahl_module.eval_formula
+    monkeypatch.setattr(ahl_module, "eval_formula",
+                        lambda phi, s: evaluated.update([phi]) or ev(phi, s))
+    decls = "".join(f"var x{i} : int[0..9]\n" for i in range(5))
+    for text, last, concl in [
+        ("conclude 0 : (x4 != 5) => (x4 != 5)\nskip : (x4 != 5)\n",
+         "node skip: beta 0, pre (x4 != 5), post (x4 != 5), failure 0",
+         "|-0 : (x4 != 5) => (x4 != 5)"),
+        ("conclude 1/10 : true => (x0 != 3)\nrand x0 0 9 : 1/10 : true => (x0 != 3)\n",
+         "node rand: beta 1/10, pre true, post (x0 != 3), failure 1/10",
+         "|-1/10 : true => (x0 != 3)"),
+        ("conclude 1/5 : true => (x1 != 7)\nseq { rand x2 0 9 : 1/10 : true => (x2 != 3);\n"
+         "rand x1 0 9 : 1/10 : (x2 != 3) => (x1 != 7) }\n",
+         "node seq: beta 1/5, pre true, post (x1 != 7), failure 1/10",
+         "|-1/5 : true => (x1 != 7)"),
+    ]:
+        path = tmp_path / "big.ahl"
+        path.write_text(decls + text)
+        evaluated.clear()
+        assert cli.main(["ahl", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-3:] == [
+            last, f"conclusion: {concl}", "verdict: valid"]
+        assert built == []
+        assert evaluated and max(evaluated.values()) <= 10
+
+
+def test_a_million_state_mismatch_answers_at_once(tmp_path, capsys):
+    path = tmp_path / "million.ahl"
+    path.write_text("var x : int[0..99]\nvar y : int[0..99]\nvar z : int[0..99]\n"
+                    "conclude 0 : true => true\nskip : (x == 0)\n")
+    start = time.perf_counter()
+    assert cli.main(["ahl", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == (
+        "RuleMismatch: derivation concludes |-0 : (x == 0) => (x == 0), "
+        "file claims |-0 : true => true\nverdict: invalid\n")

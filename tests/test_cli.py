@@ -456,6 +456,25 @@ def test_ahl_assign_range_error_names_the_first_state_in_declaration_order(tmp_p
                    "verdict: invalid\n")
 
 
+# A leaf's RangeError surfaces at that node's turn, before the conclusion is
+# compared with the claimed one; outputs recorded before leaves were checked by
+# index arithmetic.
+@pytest.mark.parametrize("content", [
+    "var x : int[0..2]\nvar y : int[0..1]\nconclude 1/2 : true => (x == 0)\n"
+    "assign x := x + y + 1 : true\n",
+    "var x : int[0..2]\nconclude 1/2 : true => (x == 0)\n"
+    "seq { skip : true; assign x := x + 1 : true }\n",
+    "var x : int[0..2]\nconclude 1/2 : true => (x == 0)\n"
+    "seq { assign x := x + 1 : true; skip : true }\n",
+], ids=["leaf", "second-part", "first-part"])
+def test_ahl_range_error_comes_before_a_wrong_conclusion(tmp_path, capsys, content):
+    f = tmp_path / "claim.ahl"
+    f.write_text(content)
+    code, out = run_cli(capsys, "ahl", str(f))
+    assert code == 1
+    assert out == "RangeError: x := 3 leaves the declared range [0..2]\nverdict: invalid\n"
+
+
 CHAIN216 = """
 var x0 : int[0..5]
 var x1 : int[0..5]

@@ -734,6 +734,11 @@ def test_ahl_mult_reports_the_first_malformed_atom_in_bind_order():
 
 # --- primitive payloads against their definitions ---
 
+def _states(inst):
+    """The states as dicts, in rank order: the last name varies fastest."""
+    return states(sorted(inst.decls, key=lambda d: d.name))
+
+
 def _leaf_reference(inst, var, values, build):
     """A payload by the definition: each state's row is `build` over its
     successors with var set to each of `values(s)`, every successor found by
@@ -742,7 +747,7 @@ def _leaf_reference(inst, var, values, build):
         return inst.svalues[inst.svalues.index(table({vstr(k): vint(v) for k, v in s.items()}))]
 
     return table({sv: build([vpair(find({**s, var: v}), vunit) for v in values(s)])
-                  for s, sv in zip(inst.states, inst.svalues)})
+                  for s, sv in zip(_states(inst), inst.svalues)})
 
 
 def _error_text(fn, *args):
@@ -801,9 +806,9 @@ def test_ahl_sample_uniform_builds_one_row_per_class(monkeypatch):
     for var, k in (("y", 3), ("x", 4), ("z", 2)):
         built.clear()
         p = inst.sample_uniform(var, inst.range_of(var).lo, inst.range_of(var).hi)
-        assert len(built) == len(inst.states) // k  # one per class of k states
+        assert len(built) == len(_states(inst)) // k  # one per class of k states
         rows = {}
-        for s, sv in zip(inst.states, inst.svalues):
+        for s, sv in zip(_states(inst), inst.svalues):
             d = rows.setdefault(tuple(v for n, v in s.items() if n != var), p.get(sv))
             assert d is p.get(sv)  # every member holds the class's one dist
 
@@ -879,11 +884,11 @@ def test_ahl_validity_matches_reference_on_the_216_state_chain():
 
 def _assert_index_is_rank(inst):
     """`svalues` strictly ascends, each state's index is its rank, and
-    `states[i]` is the state `svalues[i]` tables."""
+    `_states(inst)[i]` is the state `svalues[i]` tables."""
     svs = inst.svalues
     assert all(a < b for a, b in zip(svs, svs[1:]))
     assert all(inst._rank[sv] == i for i, sv in enumerate(svs))
-    assert [{k.s: v.n for k, v in sv.entries} for sv in svs] == inst.states
+    assert [{k.s: v.n for k, v in sv.entries} for sv in svs] == _states(inst)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -898,7 +903,7 @@ def test_ahl_validity_matches_reference_when_rank_and_state_order_differ():
     inst = ahl_instance([VarDecl("y", 0, 2), VarDecl("x", 0, 1)])
     # y is declared first, yet x, the first name, varies slowest
     _assert_index_is_rank(inst)
-    assert [(s["x"], s["y"]) for s in inst.states] == [
+    assert [(s["x"], s["y"]) for s in _states(inst)] == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
     T = inst.monad.base
     x0, y2 = FCmp("==", EVar("x"), EInt(0)), FCmp("==", EVar("y"), EInt(2))
@@ -1056,7 +1061,7 @@ def _kernel_calls(decls, stores):
         "VTable.keys": _calls(p.keys),
         "_lowest": _calls(lambda: _lowest(atoms, 4 * len(stores))),
     }
-    assert P.validator(o, o, p) and len(sampled.entries) == len(inst.states)
+    assert P.validator(o, o, p) and len(sampled.entries) == len(_states(inst))
     return calls
 
 

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-    cgm laws <instance> [--samples N] [--seed S] [--category file.cat]
+    cgm laws <instance> [--samples N] [--seed S] [--format text|machine] [--category file.cat]
     cgm run <file.gp> [--store N]
     cgm ahl <file.ahl>
-    cgm roundtrip --states N
-    cgm translate <from> <to> <instance>
+    cgm roundtrip --states N [--samples N] [--seed S] [--format text|machine]
+    cgm translate <from> <to> <instance> [--format text|machine]
 
 Exit codes: 0 success/valid, 1 law-or-verification failure,
 2 type/grade/config error, 3 parse error.  Identical inputs and seeds

@@ -193,15 +193,18 @@ class AhlMonad:
 
     def _mix(self, d: VDist, rows: list[VDist]) -> VDist:
         """`rows`, one per atom of d, mixed by d's numerators: added by (final state's rank,
-        result), the native order, sorted and reduced once."""
+        result), the native order, sorted and reduced once.  A row that is not a dist raises
+        AttributeError, even alone."""
+        den = math.lcm(*map(_den, rows))  # each row is scaled to it
         if len(rows) == 1:  # a point: the row's dist as it is
             return rows[0]
-        den = math.lcm(*map(_den, rows))
-        acc: dict[tuple[int, Value], list] = {}  # key -> [pair, numerator]
+        ids, acc = self._ids, {}  # (final rank, result) -> [pair, numerator]
         for (_, n), e in zip(d.atoms, rows):
             s = n * (den // e.den)
-            for pr, m in e.atoms:
-                acc.setdefault((self._rank_of(pr.fst), pr.snd), [pr, 0])[1] += s * m
+            for pr, m in e.atoms:  # an own state's rank by its id, an equal one's by its hash
+                r = ids.get(id(pr.fst))
+                r = self._rank[pr.fst] if r is None else r
+                acc.setdefault((r, pr.snd), [pr, 0])[1] += s * m
         return _lowest([(pr, m) for _, (pr, m) in sorted(acc.items())], d.den * den)
 
     def _mult(self, _f: Morphism, _g: Morphism, nested: Value) -> Value:
@@ -217,17 +220,7 @@ class AhlMonad:
                 for pr, _ in d.atoms:
                     k, e = pr.snd.entries[rank[pr.fst]]
                     es.append(e if k is pr.fst else step(pr))
-                den = math.lcm(*map(_den, es))  # each row is scaled to it
-                if len(es) == 1:  # a point: the row's dist as it is
-                    rows.append((sv, es[0]))
-                    continue
-                acc: dict[tuple[int, Value], list] = {}  # (final rank, result) -> [pair, numerator]
-                for (_, n), e in zip(d.atoms, es):
-                    sc = n * (den // e.den)
-                    for pr, m in e.atoms:
-                        acc.setdefault((rank[pr.fst], pr.snd), [pr, 0])[1] += sc * m
-                rows.append((sv, _lowest([(pr, m) for _, (pr, m) in sorted(acc.items())],
-                                         d.den * den)))
+                rows.append((sv, self._mix(d, es)))
         except (AttributeError, IndexError, KeyError, MalformedPayload):  # a malformed atom:
             # dist_bind, in the same order, raises the same error or keeps an undeclared pair
             return ordered_table((sv, dist_bind(d, step)) for sv, d in nested.entries)

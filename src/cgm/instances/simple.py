@@ -23,18 +23,20 @@ def identity_instance(cat: IndexCategory) -> CatGradedMonad:
     )
 
 
+def _concat(nested: Value, kind: str = "sequence") -> list[Value]:
+    """The items of a sequence of sequences, in order; any other payload raises."""
+    if not isinstance(nested, VSeq):
+        raise MalformedPayload(f"{kind} payload expected")
+    out: list[Value] = []
+    for inner in nested.items:
+        if not isinstance(inner, VSeq):
+            raise MalformedPayload(f"nested {kind} payload expected")
+        out.extend(inner.items)
+    return out
+
+
 def list_monad() -> PlainMonad:
     """The ordinary list monad on the value universe."""
-
-    def join(nested: Value) -> Value:
-        if not isinstance(nested, VSeq):
-            raise MalformedPayload("list payload expected")
-        out: list[Value] = []
-        for inner in nested.items:
-            if not isinstance(inner, VSeq):
-                raise MalformedPayload("nested list payload expected")
-            out.extend(inner.items)
-        return vseq(out)
 
     def sample(rng: Rng) -> Value:
         return vseq(vint(rng.randint(0, 9)) for _ in range(rng.randint(0, 3)))
@@ -42,7 +44,7 @@ def list_monad() -> PlainMonad:
     return PlainMonad(
         name="list",
         unit_fn=lambda a: vseq([a]),
-        join_fn=join,
+        join_fn=lambda nested: vseq(_concat(nested, "list")),
         map_fn=lambda fn, p: vseq(fn(v) for v in p.items),
         validator=lambda p: isinstance(p, VSeq),
         sampler=sample,
@@ -61,16 +63,8 @@ def graded_list_graded_monad(drop_last: bool = False) -> GradedMonad:
     """
 
     def mult(m: int, n: int, nested: Value) -> Value:
-        if not isinstance(nested, VSeq):
-            raise MalformedPayload("sequence payload expected")
-        out: list[Value] = []
-        for inner in nested.items:
-            if not isinstance(inner, VSeq):
-                raise MalformedPayload("nested sequence payload expected")
-            out.extend(inner.items)
-        if drop_last and out:
-            out.pop()
-        return vseq(out)
+        out = _concat(nested)
+        return vseq(out[:-1] if drop_last else out)
 
     def valid(m: int, p: Value) -> bool:
         return isinstance(p, VSeq) and len(p.items) <= m
@@ -107,14 +101,6 @@ def sorted_list_instance() -> TwoCatGradedMonad:
     def resort(items) -> Value:
         return vseq(sorted(items, key=sort_key))
 
-    def mult(m: int, n: int, nested: Value) -> Value:
-        out: list[Value] = []
-        for inner in nested.items:
-            if not isinstance(inner, VSeq):
-                raise MalformedPayload("nested sequence payload expected")
-            out.extend(inner.items)
-        return resort(out)
-
     def valid(m: int, p: Value) -> bool:
         if not (isinstance(p, VSeq) and len(p.items) <= m):
             return False
@@ -130,7 +116,7 @@ def sorted_list_instance() -> TwoCatGradedMonad:
         unit_elem=1,
         sample=_GRADES,
         unit_fn=lambda a: vseq([a]),
-        mult_fn=mult,
+        mult_fn=lambda m, n, nested: resort(_concat(nested)),
         map_fn=lambda m, fn, p: resort(fn(v) for v in p.items),
         validator=valid,
         sampler=sample,

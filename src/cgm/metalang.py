@@ -30,6 +30,7 @@ from .errors import (
     SpawnGradeError,
     UnknownPrim,
 )
+from .formulas import EBin, EVar, mentioned
 from .formulas import Token, TokenStream, parse_infix, parse_int_range, tokenize
 from .indexcat import Morphism, ObjectId
 from .values import (
@@ -60,23 +61,11 @@ class Pos(Record):
 NOPOS = Pos(0, 0)
 
 
-# --- pure expressions ---
+# --- pure expressions: variables and arithmetic are `.ahl`'s records ---
 
 class PLit(Record):
     __slots__ = ()
     value: Value
-
-
-class PVar(Record):
-    __slots__ = ()
-    name: str
-
-
-class PArith(Record):
-    __slots__ = ()
-    op: str
-    lhs: "PExpr"
-    rhs: "PExpr"
 
 
 class PPairE(Record):
@@ -85,7 +74,7 @@ class PPairE(Record):
     snd: "PExpr"
 
 
-PExpr = PLit | PVar | PArith | PPairE
+PExpr = PLit | EVar | EBin | PPairE
 
 
 # --- terms (each keeps its pos outside its tuple: equality and hash ignore it) ---
@@ -171,13 +160,13 @@ def _pexpr_atom(t: Token) -> PExpr:
     if t.kind == "name":
         if t.text in _KEYWORDS:
             raise ParseError(f"keyword {t.text!r} is not an expression", t.line, t.col)
-        return PVar(t.text)
+        return EVar(t.text)
     raise ParseError(f"expected expression, found {t.text!r}", t.line, t.col)
 
 
 def parse_pexpr(ts: TokenStream) -> PExpr:
     return parse_infix(ts, _pexpr_atom, {"+": 1, "-": 1, "*": 2}, {},
-                       lambda t, lhs, rhs: PArith(t.text, lhs, rhs),
+                       lambda t, lhs, rhs: EBin(t.text, lhs, rhs),
                        lambda *items: PPairE(*items) if items else PLit(vunit))
 
 
@@ -284,29 +273,26 @@ def parse_program(text: str) -> Program:
 # --- grade inference ---
 
 def shape_of_pexpr(e: PExpr, env: Mapping[str, Shape]) -> Shape:
-    if isinstance(e, PLit):
-        return shape_of_value(e.value)
-    if isinstance(e, PVar):
-        if e.name not in env:
-            raise GradeMismatch(f"unbound variable {e.name!r}")
-        return env[e.name]
-    if isinstance(e, PArith):
-        for side in (e.lhs, e.rhs):
-            s = shape_of_pexpr(side, env)
-            if not _shape_ok(s, "int"):
-                raise GradeMismatch(f"arithmetic on non-integer ({shape_text(s)})")
-        return "int"
-    return ("pair", shape_of_pexpr(e.fst, env), shape_of_pexpr(e.snd, env))
-
-
-def _pexpr_vars(e: PExpr) -> frozenset[str]:
-    if isinstance(e, PVar):
-        return frozenset((e.name,))
-    if isinstance(e, PArith):
-        return _pexpr_vars(e.lhs) | _pexpr_vars(e.rhs)
-    if isinstance(e, PPairE):
-        return _pexpr_vars(e.fst) | _pexpr_vars(e.snd)
-    return frozenset()
+    """e's shape, on an explicit stack; an operand of arithmetic is checked once it is walked."""
+    todo, out = [e], []
+    while todo:
+        n = todo.pop()
+        if isinstance(n, PLit):
+            out.append(shape_of_value(n.value))
+        elif isinstance(n, EVar):
+            if n.name not in env:
+                raise GradeMismatch(f"unbound variable {n.name!r}")
+            out.append(env[n.name])
+        elif isinstance(n, EBin):  # an int, once both operands pass
+            out.append("int")
+            todo += ("operand", n.rhs, "operand", n.lhs)
+        elif isinstance(n, PPairE):
+            todo += (",", n.snd, n.fst)
+        elif n == ",":  # after a pair's sides
+            out[-2:] = [("pair", *out[-2:])]
+        elif not _shape_ok(s := out.pop(), "int"):  # after an operand of arithmetic
+            raise GradeMismatch(f"arithmetic on non-integer ({shape_text(s)})")
+    return out[0]
 
 
 class _LetInfo(Record):
@@ -334,15 +320,14 @@ def _infer(bundle: InstanceBundle, start: ObjectId, term: Term,
     cat = bundle.monad.index_cat
     lets: LetTable = {}
 
-    def go(t: Term, obj: ObjectId, env: dict) -> tuple[GradedType, frozenset[str]]:
+    def go(t: Term, obj: ObjectId, env: dict) -> tuple[GradedType, set[str]]:
         """The graded type of t at obj, and the free variables of t."""
         if isinstance(t, TVar):
             if t.name not in env:
                 raise GradeMismatch(f"{t.pos}: unbound variable {t.name!r}")
-            return GradedType(cat.identity(obj), env[t.name]), frozenset((t.name,))
+            return GradedType(cat.identity(obj), env[t.name]), {t.name}
         if isinstance(t, TPure):
-            return (GradedType(cat.identity(obj), shape_of_pexpr(t.expr, env)),
-                    _pexpr_vars(t.expr))
+            return GradedType(cat.identity(obj), shape_of_pexpr(t.expr, env)), mentioned(t.expr)
         if isinstance(t, TPrim):
             if t.name == "spawn":
                 if spawn is None:
@@ -373,8 +358,7 @@ def _infer(bundle: InstanceBundle, start: ObjectId, term: Term,
                 raise GradeMismatch(
                     f"{t.pos}: primitive {t.name} starts at {spec.index.src.name}, "
                     f"but the program is at {obj.name}")
-            return (GradedType(spec.index, spec.result_shape),
-                    frozenset().union(*map(_pexpr_vars, t.args)))
+            return GradedType(spec.index, spec.result_shape), set().union(*map(mentioned, t.args))
         if isinstance(t, TLet):
             first, fv1 = go(t.bound, obj, env)
             env2 = dict(env)
@@ -413,16 +397,26 @@ def strength(T: CatGradedMonad, f: Morphism, a: Value,
 
 
 def eval_pexpr(e: PExpr, env: Mapping[str, Value]) -> Value:
-    if isinstance(e, PLit):
-        return e.value
-    if isinstance(e, PVar):
-        return env[e.name]
-    if isinstance(e, PArith):
-        a, b = eval_pexpr(e.lhs, env), eval_pexpr(e.rhs, env)
-        if not (isinstance(a, VInt) and isinstance(b, VInt)):
-            raise MalformedPayload("arithmetic on non-integers")
-        return vint(a.n + b.n if e.op == "+" else a.n - b.n if e.op == "-" else a.n * b.n)
-    return vpair(eval_pexpr(e.fst, env), eval_pexpr(e.snd, env))
+    """e's value, on an explicit stack: operands left to right, then their operator."""
+    todo, out = [e], []
+    while todo:
+        n = todo.pop()
+        if isinstance(n, PLit):
+            out.append(n.value)
+        elif isinstance(n, EVar):
+            out.append(env[n.name])
+        elif isinstance(n, EBin):
+            todo += (n.op, n.rhs, n.lhs)
+        elif isinstance(n, PPairE):
+            todo += (",", n.snd, n.fst)
+        elif n == ",":
+            out[-2:] = [vpair(*out[-2:])]
+        else:  # an operator of arithmetic, over the last two values
+            a, b = out[-2:]
+            if not (isinstance(a, VInt) and isinstance(b, VInt)):
+                raise MalformedPayload("arithmetic on non-integers")
+            out[-2:] = [vint(a.n + b.n if n == "+" else a.n - b.n if n == "-" else a.n * b.n)]
+    return out[0]
 
 
 def eval_term(bundle: InstanceBundle, term: Term, env: Mapping[str, Value],

@@ -321,6 +321,18 @@ def test_repeated_runs_byte_identical(capsys, argv):
     assert out1 == out2
 
 
+def test_synopses_list_every_flag():
+    """The module docstring and README's CLI block name each option of each subcommand."""
+    readme = (REPO / "README.md").read_text()
+    block = readme[readme.index("## CLI"):readme.index("Exit codes:", readme.index("## CLI"))]
+    subs = next(a for a in cli.make_parser()._actions if a.choices)
+    for name, parser in subs.choices.items():
+        flags = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+        for text in (cli.__doc__, block):
+            lines = " ".join(l for l in text.splitlines() if l.split()[:2] == ["cgm", name])
+            assert lines and all(f"[{f} " in lines or f"{f} N" in lines for f in flags), name
+
+
 def test_main_reuses_one_parser_as_a_fresh_one_would_parse(tmp_path, capsys, monkeypatch):
     gp = tmp_path / "lock.gp"
     gp.write_text(LOCK_GP)
@@ -849,6 +861,31 @@ def test_run_300_statements(tmp_path, capsys):
                   + "lock; put(1); unlock;\n" * 100 + "pure ()\n}\n")
     code, out = run_cli(capsys, "run", str(gp))
     assert code == 0 and out.startswith("grade: ")
+
+
+# A pure expression's shape, free variables and value are walked on explicit
+# stacks, so its depth costs no interpreter stack.  An operand of arithmetic is
+# checked before the next one is visited, so the left one's error comes first.
+
+@pytest.mark.parametrize("arg, expected", [
+    ("true + y", "grade error: arithmetic on non-integer (bool)\n"),
+    ("y + true", "grade error: unbound variable 'y'\n"),
+])
+def test_run_arithmetic_errors_surface_from_the_left(tmp_path, capsys, arg, expected):
+    gp = tmp_path / "arith.gp"
+    gp.write_text(f"instance concst\nstart free\ndo {{\nlock; put({arg}); unlock\n}}\n")
+    assert run_cli(capsys, "run", str(gp)) == (2, expected)
+
+
+def test_run_ten_thousand_deep_arithmetic(tmp_path, capsys):
+    depth = 10_000  # x - (x - (... x)) is 0 at an even depth
+    arg = "x - (" * (depth - 1) + "x" + ")" * (depth - 1)
+    gp = tmp_path / "deep.gp"
+    gp.write_text("instance concst\nstart free\nstore int[0..3]\n"
+                  f"do {{\nlock; x <- get; put({arg}); unlock\n}}\n")
+    assert run_cli(capsys, "run", str(gp)) == (0, (
+        "grade: lock;get;put;unlock : free -> free\n"
+        "result: {0 -> ((), 0); 1 -> ((), 0); 2 -> ((), 0); 3 -> ((), 0)}\n"))
 
 
 def test_run_never_nests_fmap(tmp_path, capsys, monkeypatch):

@@ -40,8 +40,8 @@ from cgm.instances import (
 from cgm.rng import Rng
 from cgm.values import (
     VDist, VPair, VTable, _lowest,
-    dist, dist_bind, ordered_table, point, table, uniform, unit as vunit, vint, vpair, vstr,
-    vtag,
+    dist, dist_bind, ordered_table, point, table, uniform, unit as vunit, vint, vpair, vseq,
+    vstr, vtag,
 )
 
 
@@ -479,6 +479,18 @@ def test_glist_validator_length_bound():
     two = T.index_cat.elem(2)
     assert not T.validator(two, vseq([vint(1), vint(2), vint(3)]))
     assert T.validator(two, vseq([vint(1), vint(2)]))
+
+
+@pytest.mark.parametrize("nested", [
+    vint(3), vseq([vint(3)]), vseq([vseq([vint(1)]), vint(2)])])
+def test_list_mults_refuse_what_is_not_a_sequence_of_sequences(nested):
+    from cgm.instances import graded_list_instance, list_monad, sorted_list_instance
+    glist, slist = graded_list_instance().base, sorted_list_instance().base
+    one = glist.index_cat.elem(1)
+    for mult in (list_monad().join_fn, lambda p: glist.mult_fn(one, one, p),
+                 lambda p: slist.mult_fn(one, one, p)):
+        with pytest.raises(MalformedPayload, match="payload expected"):
+            mult(nested)
 
 
 def test_ahl_unit_subcategory_is_wide_and_closed():

@@ -37,13 +37,12 @@ from cgm.instances import (
     lock_category,
 )
 from cgm import metalang
+from cgm.formulas import EBin as PArith, EVar as PVar
 from cgm.metalang import (
     TLet,
     TPrim,
     TPure,
     TVar,
-    PVar,
-    PArith,
     PLit,
     PPairE,
     eval_term,
@@ -175,6 +174,15 @@ def test_parse_error_unbalanced():
 def test_parse_error_missing_instance():
     with pytest.raises(ParseError):
         parse_program("do { pure 1 }")
+
+
+def test_gp_and_ahl_parse_arithmetic_to_the_same_records():
+    from cgm.formulas import EBin, EVar, TokenStream, parse_arith, tokenize
+    text = "x + y * (z - w) - x"
+    gp = metalang.parse_pexpr(TokenStream(tokenize(text)))
+    ahl = parse_arith(TokenStream(tokenize(text)), ("w", "x", "y", "z"))
+    x, y, z, w = map(EVar, "xyzw")
+    assert gp == ahl == EBin("-", EBin("+", x, EBin("*", y, EBin("-", z, w))), x)
 
 
 def test_pretty_roundtrip_lock():

@@ -69,14 +69,11 @@ SAMPLES = [
     (core.LawReport((("assoc", 3),), ()), "LawReport(counts=(('assoc', 3),), failures=())"),
     (POS, "Pos(line=3, col=4)"),
     (ml.PLit(vint(1)), "PLit(value=VInt(n=1))"),
-    (ml.PVar("v"), "PVar(name='v')"),
-    (ml.PArith("+", ml.PVar("v"), ml.PLit(vint(1))),
-     "PArith(op='+', lhs=PVar(name='v'), rhs=PLit(value=VInt(n=1)))"),
-    (ml.PPairE(ml.PVar("v"), ml.PVar("w")), "PPairE(fst=PVar(name='v'), snd=PVar(name='w'))"),
+    (ml.PPairE(fo.EVar("v"), fo.EVar("w")), "PPairE(fst=EVar(name='v'), snd=EVar(name='w'))"),
     (ml.TVar("v", POS), "TVar(name='v', pos=Pos(line=3, col=4))"),
-    (ml.TPure(ml.PVar("v"), POS), "TPure(expr=PVar(name='v'), pos=Pos(line=3, col=4))"),
-    (ml.TPrim("put", (ml.PVar("v"),), None, POS),
-     "TPrim(name='put', args=(PVar(name='v'),), body=None, pos=Pos(line=3, col=4))"),
+    (ml.TPure(fo.EVar("v"), POS), "TPure(expr=EVar(name='v'), pos=Pos(line=3, col=4))"),
+    (ml.TPrim("put", (fo.EVar("v"),), None, POS),
+     "TPrim(name='put', args=(EVar(name='v'),), body=None, pos=Pos(line=3, col=4))"),
     (ml.TLet("v", ml.TPrim("get"), ml.TVar("v"), POS),
      f"TLet(var='v', bound=TPrim(name='get', args=(), body=None, {_NOPOS}), "
      f"body=TVar(name='v', {_NOPOS}), pos=Pos(line=3, col=4))"),
@@ -153,8 +150,8 @@ def test_equality_and_hash_ignore_exactly_the_outside_fields():
 def test_records_of_different_classes_or_values_never_equal():
     assert fo.FAnd(PHI, fo.TRUE) != fo.FOr(PHI, fo.TRUE)
     assert ic.WPair(A, B) != ic.WInj2(A, B)
-    assert fo.EVar("x") != ml.PVar("x")
-    assert fo.EInt(1) != vint(1) and fo.TRUE != vbool(True) and ml.PVar("x") != vstr("x")
+    assert fo.EVar("x") != ml.TVar("x")
+    assert fo.EInt(1) != vint(1) and fo.TRUE != vbool(True) and ml.TVar("x") != vstr("x")
     shapes = (values.VInt, values.VPair, values.VTag, values.VDist)
     for r, _ in SAMPLES:
         fields = tuple(r)[1:]

@@ -431,11 +431,9 @@ def eval_term(bundle: InstanceBundle, term: Term, env: Mapping[str, Value],
     at: those values are all the body can read, so strength carries only them.
 
     `states` holds the start states whose rows are wanted (None: all).  On a
-    bundle that declares a demand, leaves build only those rows; a continuation
-    keyed per value runs at the final states of the rows carrying its value,
-    one keyed per site at those of all its rows (at all states inside a
-    per-value one, as every value shares it), and a memo entry that misses a
-    later visit's states is rebuilt once, at all.
+    bundle that declares a demand, leaves build only those rows, and every
+    continuation runs at the final states of the rows that carry it; a memo
+    entry that misses a later visit's states is rebuilt once, at all.
 
     Evaluation does not grow the Python stack with the program (the
     inference pass still does).  A let runs as a generator on an explicit
@@ -450,31 +448,30 @@ def eval_term(bundle: InstanceBundle, term: Term, env: Mapping[str, Value],
         inferred = _infer(bundle, start, term, {k: shape_of_value(v) for k, v in env.items()})
     lets, memo = inferred._lets, {}
 
-    def begin(t: Term, obj: ObjectId, env: Mapping[str, Value], want: set | None,
-              inside: bool) -> GradedComputation | Generator:
+    def begin(t: Term, obj: ObjectId, env: Mapping[str, Value],
+              want: set | None) -> GradedComputation | Generator:
         """A leaf's computation at the start states `want`, or a generator that
         yields the generators of the subterms it waits for and returns t's computation."""
         if isinstance(t, TLet):
-            return let(t, obj, env, want, inside)
+            return let(t, obj, env, want)
         if isinstance(t, (TVar, TPure)):
             v = env[t.name] if isinstance(t, TVar) else eval_pexpr(t.expr, env)
             return unit(T, obj, v) if want is None else demand.unit(obj, v, want)
         if isinstance(t, TPrim):
             if t.name == "spawn":
-                return spawned(t, env, want, inside)
+                return spawned(t, env, want)
             make, args = prims[t.name].make, [eval_pexpr(a, env) for a in t.args]
             return make(args) if want is None else make(args, want)
         raise MalformedPayload(f"cannot evaluate {t!r}")
 
-    def spawned(t: TPrim, env: Mapping[str, Value], want: set | None, inside: bool) -> Generator:
-        body = begin(t.body, spawn.index.src, env, want, inside)
+    def spawned(t: TPrim, env: Mapping[str, Value], want: set | None) -> Generator:
+        body = begin(t.body, spawn.index.src, env, want)
         if not isinstance(body, GradedComputation):
             body = yield body
         return spawn.make(body)
 
-    def let(t: TLet, obj: ObjectId, env: Mapping[str, Value], want: set | None,
-            inside: bool) -> Generator:
-        c1 = begin(t.bound, obj, env, want, inside)
+    def let(t: TLet, obj: ObjectId, env: Mapping[str, Value], want: set | None) -> Generator:
+        c1 = begin(t.bound, obj, env, want)
         if not isinstance(c1, GradedComputation):
             c1 = yield c1
         f = c1.index
@@ -486,13 +483,13 @@ def eval_term(bundle: InstanceBundle, term: Term, env: Mapping[str, Value],
         for pr in pairs if info.reads_var else pairs[:1]:  # else one key, (site, a)
             key = (site, pr if info.reads_var else a)
             need = (None if ends is None else ends[pr.snd] if info.reads_var
-                    else None if inside else set().union(*ends.values()))
+                    else set().union(*ends.values()))
             held = memo.get(key)  # (payload, the start states it was built at)
-            if held is None or held[1] is not None and (need is None or not need <= held[1]):
+            if held is None or held[1] is not None and not need <= held[1]:
                 need = need if held is None else None  # a rebuild is at every state
                 env2 = dict(zip(info.carried, a.items))
                 env2[t.var] = pr.snd
-                c = begin(t.body, f.tgt, env2, need, inside or info.reads_var)
+                c = begin(t.body, f.tgt, env2, need)
                 if not isinstance(c, GradedComputation):
                     c = yield c
                 if c.index != info.cont:
@@ -502,7 +499,7 @@ def eval_term(bundle: InstanceBundle, term: Term, env: Mapping[str, Value],
         cont = lambda pr: memo[site, pr if info.reads_var else a][0]
         return mult(T, f, info.cont, fmap(T, f, cont, carried.payload))
 
-    result = begin(term, start, env, None if demand is None else states, False)
+    result = begin(term, start, env, None if demand is None else states)
     if not isinstance(result, GradedComputation):
         stack, result = [result], None  # the suspended lets and spawns, innermost last
         while stack:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cgm.ahlcheck import (
     DRand,
@@ -453,7 +453,11 @@ def test_eval_work_is_linear_in_binds(monkeypatch):
 
 def test_eval_runs_continuations_in_first_occurrence_order(monkeypatch):
     """Continuations run depth first, each bind's in the order its map_fn
-    first reaches the carried values; `put` logs each value it writes."""
+    first reaches the carried values, and each only at the stores where the
+    rows that carry it end; `put` logs each value it writes.  Over int[0..3],
+    x's continuation runs at store x and writes x + 1, y's at x + 1 and
+    writes 2y, z's at 2y and writes 2y - x, and nothing runs outside 0..3:
+    x = 0 writes 1, 2, 2; x = 1 writes 2, 4; x = 2 writes 3, 6; x = 3 writes 4."""
     from cgm.instances import LockPrims
     written = []
     put = LockPrims.put
@@ -467,18 +471,19 @@ def test_eval_runs_continuations_in_first_occurrence_order(monkeypatch):
                       "y <- get; put(y * 2); z <- get; put(z - x); unlock }")
     c = eval_term(lock_bundle(4), p.body, {}, FREE)
     assert c.payload.show() == "{0 -> ((), 2)}"
-    assert written == [1, 0, 0, 1, 2, 3, 2, 4, 6, 2, 0, -1, 0, 1, 2, 2, 4, 6, 3, 0, -2,
-                       -1, 0, 1, 2, 4, 6, 4, 0, -3, -2, -1, 0, 2, 4, 6]
+    assert written == [1, 2, 2, 2, 4, 3, 6, 4]
 
 
-_SHAPES = {
-    "lock": "lock; x <- get; put(x + 1); unlock",
-    "pure": "lock; x <- get; y <- pure (x + 1); put(y); unlock",
+_SHAPES = {  # program, how far past its start store each row ends
+    "lock": ("lock; x <- get; put(x + 1); unlock", 1),
+    "pure": ("lock; x <- get; y <- pure (x + 1); put(y); unlock", 1),
+    "reput": ("lock; x <- get; put(1); put(x); unlock", 0),
 }
 
 
 def _leaf_rows(monkeypatch, shape, n):
     """The rows that the leaves build to evaluate a shape over int[0..n-1]."""
+    program, shift = _SHAPES[shape]
     bundle = lock_bundle(n)
     built = [0]
 
@@ -493,9 +498,10 @@ def _leaf_rows(monkeypatch, shape, n):
         spec.make = counted(spec.make)
     bundle.demand.unit = counted(bundle.demand.unit)
     monkeypatch.setattr(metalang, "unit", counted(metalang.unit))
-    p = parse_program(f"instance concst\ndo {{ {_SHAPES[shape]} }}")
+    p = parse_program(f"instance concst\ndo {{ {program} }}")
     c = eval_term(bundle, p.body, {}, FREE)
-    assert c.payload.show() == "{" + "; ".join(f"{s} -> ((), {s + 1})" for s in range(n - 1)) + "}"
+    rows = (f"{s} -> ((), {s + shift})" for s in range(n - shift))
+    assert c.payload.show() == "{" + "; ".join(rows) + "}"
     return built[0]
 
 
@@ -634,11 +640,19 @@ def _direct_run(t, env, store, domain):
     return vunit, store  # lock, unlock
 
 
+def _chain(text):
+    return parse_program(f"instance concst\nstart free\ndo {{ {text} }}").body
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(term=_lock_chain(), lo=st.integers(-2, 4), size=st.integers(1, 6))
+@example(term=_chain("lock; x <- get; put(1); put(x); unlock"), lo=0, size=4)
+@example(term=_chain("spawn do { lock; x <- get; put(1); put(x); unlock }; pure ()"),
+         lo=-1, size=3)
 def test_eval_matches_store_passing_interpreter(term, lo, size):
     """Both over the whole domain and, as `cgm run --store` does, at one
-    start store: inside the domain, and once below it, where no row is built."""
+    start store: inside the domain, and once below it, where no row is built.
+    The examples run a continuation keyed per site inside one keyed per value."""
     domain = range(lo, lo + size)
     bundle = lock_bundle_over(domain)
     inferred = infer_grade(bundle, FREE, term)

@@ -2,14 +2,18 @@
 
 States are total assignments of in-range integers to declared variables.
 Validity of an implication is decided by brute-force enumeration of the
-(finite) state space.
+(finite) state space.  Every walk over a formula or an expression is one
+post-order walk on an explicit stack (`fold`), so depth costs no
+interpreter stack; a formula is evaluated once over columns of values,
+not once per state.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from collections.abc import Callable, Collection, Iterable, Mapping
+from collections.abc import Callable, Collection, Mapping
+from operator import add, and_, eq, ge, gt, le, lt, mul, ne, not_, or_, sub
 
 from .errors import ParseError
 from .values import Record, Value, _new
@@ -53,18 +57,21 @@ class FCmp(Record):
 
 class FAnd(Record):
     __slots__ = ()
+    op = "&&"  # a class constant, as in FOr and FNot: not a field
     lhs: "Formula"
     rhs: "Formula"
 
 
 class FOr(Record):
     __slots__ = ()
+    op = "||"
     lhs: "Formula"
     rhs: "Formula"
 
 
 class FNot(Record):
     __slots__ = ()
+    op = "!"
     body: "Formula"
 
 
@@ -74,84 +81,67 @@ TRUE = FBool(True)
 FALSE = FBool(False)
 
 
-def eval_expr(e: Expr, state: Mapping[str, int]) -> int:
-    if isinstance(e, EInt):
-        return e.n
-    if isinstance(e, EVar):
-        return state[e.name]
-    a, b = eval_expr(e.lhs, state), eval_expr(e.rhs, state)
-    if e.op == "+":
-        return a + b
-    if e.op == "-":
-        return a - b
-    if e.op == "*":
-        return a * b
-    raise ValueError(f"unknown operator {e.op}")
+_LOGIC = {c.op: c for c in (FAnd, FOr, FNot)}
+_CMP = {"==": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
+_OPS = {"+": add, "-": sub, "*": mul, **_CMP, "&&": and_, "||": or_, "!": not_}
 
 
-_CMP = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+def _postorder(node: Record) -> list[tuple[Record, int]]:
+    """The nodes under `node`, each after its operands, with its number of operands: its
+    fields that are records but not values.  In a formula or an expression they are its last
+    fields.  The walk keeps an explicit stack, so depth costs no interpreter stack."""
+    order, todo = [], [node]  # each node before its operands, right to left
+    while todo:
+        n = todo.pop()
+        k = len(todo)
+        for f in n[1:]:
+            if isinstance(f, Record) and not isinstance(f, Value):
+                todo.append(f)
+        order.append((n, len(todo) - k))
+    order.reverse()
+    return order
 
 
-def eval_formula(phi: Formula, state: Mapping[str, int]) -> bool:
-    if isinstance(phi, FBool):
-        return phi.b
-    if isinstance(phi, FCmp):
-        return _CMP[phi.op](eval_expr(phi.lhs, state), eval_expr(phi.rhs, state))
-    if isinstance(phi, FAnd):
-        return eval_formula(phi.lhs, state) and eval_formula(phi.rhs, state)
-    if isinstance(phi, FOr):
-        return eval_formula(phi.lhs, state) or eval_formula(phi.rhs, state)
-    if isinstance(phi, FNot):
-        return not eval_formula(phi.body, state)
-    raise ValueError(f"unknown formula {phi!r}")
+def fold(node: Record, fn: Callable) -> object:
+    """fn(n, *the values of n's operands, left to right) at each node n under `node`, bottom up."""
+    out = []
+    for n, k in _postorder(node):
+        k = len(out) - k
+        out[k:] = [fn(n, *out[k:])]
+    return out[0]
 
 
-def subst_expr(e: Expr, var: str, repl: Expr) -> Expr:
-    if isinstance(e, EInt):
-        return e
-    if isinstance(e, EVar):
-        return repl if e.name == var else e
-    return EBin(e.op, subst_expr(e.lhs, var, repl), subst_expr(e.rhs, var, repl))
+def eval_formula(phi: Expr | Formula, columns: Mapping[str, int | list[int]]) -> object:
+    """phi's value, an expression's int or a formula's truth, at each row of `columns`: each
+    variable phi reads maps to its value in every row, or to a list of its value per row.
+    phi is evaluated once, each node's operator mapped over its operands' lists with a scalar
+    operand repeated; a node that reads no list is a scalar, so over ints phi is one row."""
+    def at(n, *args):
+        if not args:
+            return columns[n.name] if isinstance(n, EVar) else n[1]  # EInt's n, FBool's b
+        op = _OPS[n.op]
+        if list not in map(type, args):
+            return op(*args)
+        return list(map(op, *(a if type(a) is list else itertools.repeat(a) for a in args)))
+    return fold(phi, at)
 
 
-def subst_formula(phi: Formula, var: str, repl: Expr) -> Formula:
-    if isinstance(phi, FBool):
-        return phi
-    if isinstance(phi, FCmp):
-        return FCmp(phi.op, subst_expr(phi.lhs, var, repl), subst_expr(phi.rhs, var, repl))
-    if isinstance(phi, FAnd):
-        return FAnd(subst_formula(phi.lhs, var, repl), subst_formula(phi.rhs, var, repl))
-    if isinstance(phi, FOr):
-        return FOr(subst_formula(phi.lhs, var, repl), subst_formula(phi.rhs, var, repl))
-    return FNot(subst_formula(phi.body, var, repl))
+def subst_formula(phi: Formula | Expr, var: str, repl: Expr) -> Formula | Expr:
+    """phi with `repl` for each occurrence of the variable `var`."""
+    old = EVar(var)
+    return fold(phi, lambda n, *ops: type(n)(*n[1:-len(ops)], *ops) if ops
+                else repl if n == old else n)
 
 
-def expr_text(e: Expr) -> str:
-    if isinstance(e, EInt):
-        return str(e.n)
-    if isinstance(e, EVar):
-        return e.name
-    return f"({expr_text(e.lhs)} {e.op} {expr_text(e.rhs)})"
-
-
-def formula_text(phi: Formula) -> str:
+def formula_text(phi: Formula | Expr) -> str:
     """Canonical fully parenthesized rendering; injective on ASTs."""
-    if isinstance(phi, FBool):
-        return "true" if phi.b else "false"
-    if isinstance(phi, FCmp):
-        return f"({expr_text(phi.lhs)} {phi.op} {expr_text(phi.rhs)})"
-    if isinstance(phi, FAnd):
-        return f"({formula_text(phi.lhs)} && {formula_text(phi.rhs)})"
-    if isinstance(phi, FOr):
-        return f"({formula_text(phi.lhs)} || {formula_text(phi.rhs)})"
-    return f"(!{formula_text(phi.body)})"
+    def at(n, *ops):
+        if ops:
+            return f"({ops[0]} {n.op} {ops[1]})" if len(ops) == 2 else f"({n.op}{ops[0]})"
+        if isinstance(n, FBool):
+            return "true" if n.b else "false"
+        return n.name if isinstance(n, EVar) else str(n.n)
+    return fold(phi, at)
 
 
 # --- variable declarations and state spaces ---
@@ -166,27 +156,14 @@ class VarDecl(Record):
         return range(self.lo, self.hi + 1)
 
 
-def states(decls: Iterable[VarDecl]) -> list[dict[str, int]]:
-    decls = list(decls)
-    names = [d.name for d in decls]
-    return [dict(zip(names, combo))
-            for combo in itertools.product(*[d.values() for d in decls])]
-
-
 def valid_implication(holds: Callable, pre: Formula, post: Formula) -> bool:
     """Whether post holds wherever pre does; `holds(phi)` is phi's truth per state."""
     return all(itertools.compress(holds(post), holds(pre)))
 
 
 def mentioned(node: Expr | Formula) -> set[str]:
-    """The variables that an expression or formula reads, walked with an explicit stack."""
-    names, todo = set(), [node]
-    while todo:
-        n = todo.pop()
-        if isinstance(n, EVar):
-            names.add(n.name)
-        todo += [f for f in n[1:] if isinstance(f, Record)]  # its operands
-    return names
+    """The variables that an expression or formula reads."""
+    return {n.name for n, _ in _postorder(node) if isinstance(n, EVar)}
 
 
 # --- parsing ---
@@ -335,12 +312,12 @@ def _reduce(vals: list, ops: list, prec: int, build: Callable) -> None:
 def _node(t: Token, *operands):
     """Operator `t`'s node: `&& || !` take formulas, the others expressions."""
     op = t.text
-    logic = op in ("&&", "||", "!")
+    logic = op in _LOGIC
     if not all(isinstance(x, Formula if logic else Expr) for x in operands):
         want, other = ("formula", "expression") if logic else ("expression", "formula")
         raise ParseError(f"{op!r} applies to {want}s, not {other}s", t.line, t.col)
     if logic:
-        return FNot(*operands) if op == "!" else FAnd(*operands) if op == "&&" else FOr(*operands)
+        return _LOGIC[op](*operands)
     if len(operands) == 1:
         return EBin("-", EInt(0), *operands)
     return FCmp(op, *operands) if op in _CMP else EBin(op, *operands)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import copy
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Collection, Iterable
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, count, product
@@ -30,11 +30,9 @@ from ..formulas import (
     Formula,
     TRUE,
     VarDecl,
-    eval_expr,
     eval_formula,
     formula_text,
     mentioned,
-    states,
     valid_implication,
 )
 from ..indexcat import (
@@ -98,26 +96,27 @@ class AhlMonad:
                                        sample=BETA_SAMPLE)
         self.prop_cat = IndiscreteCategory(None)
         self.cat = ProductCategory(self.beta_cat, self.prop_cat)
-        # The monad's functions are bound to a shallow copy taken before
-        # the monad exists, so the instance is in no reference cycle.
-        own = copy.copy(self)
-        self.two = TwoCategory(self.cat, own._cell)
-        monad = CatGradedMonad(
-            name="broken-ahl" if over_allocate else "ahl",
-            index_cat=self.cat,
-            unit_fn=own._unit,
-            mult_fn=own._mult,
-            map_fn=own._map,
-            validator=own._validate,
-            sampler=own._sample,
-            index_samples=self._default_samples(),
-        )
-        self.monad = TwoCatGradedMonad(monad, self.two, lambda _f, _g, p: p)
-        self.genunit = GeneralisedUnit(
-            monad,
-            WideSubcategory(self.cat, lambda m: own.beta_of(m) == 0),
-            own._geneta,
-        )
+
+    # --- the law harness's structures, built on first use (`cgm ahl` reads none) ---
+
+    @cached_property
+    def _own(self) -> AhlMonad:
+        """A shallow copy, taken before the structures below exist, that their functions are
+        bound to, so the instance is in no reference cycle."""
+        return copy.copy(self)
+
+    @cached_property
+    def monad(self) -> TwoCatGradedMonad:
+        own = self._own
+        base = CatGradedMonad("broken-ahl" if self._over_allocate else "ahl", self.cat,
+                              own._unit, own._mult, own._map, own._validate, own._sample,
+                              self._default_samples())
+        return TwoCatGradedMonad(base, TwoCategory(self.cat, own._cell), lambda _f, _g, p: p)
+
+    @cached_property
+    def genunit(self) -> GeneralisedUnit:
+        return GeneralisedUnit(self.monad.base, WideSubcategory(
+            self.cat, lambda m: AhlMonad.beta_of(m) == 0), self._own._geneta)
 
     @cached_property
     def svalues(self) -> tuple[VTable, ...]:
@@ -133,15 +132,13 @@ class AhlMonad:
     def _ids(self) -> dict[int, int]:  # the ranks of `svalues`' own tables, by id
         return {id(sv): i for i, sv in enumerate(self.svalues)}
 
-    def _over(self, names: set[str], fn: Callable[[dict[str, int]], object]) -> list:
-        """By rank, fn of each state, where fn reads only the variables in `names`: fn runs once
-        per assignment of them, and the results are spread over the states by strides."""
-        parts = [[fn(s)] for s in states(d for d in self._by_name if d.name in names)]
-        for d in reversed(self._by_name):  # from the fastest: each part is by rank over the
-            n = len(d.values())  # variables passed; a read one joins runs of n, others repeat
-            parts = ([list(chain.from_iterable(parts[i:i + n])) for i in range(0, len(parts), n)]
-                     if d.name in names else [p * n for p in parts])
-        return parts[0]
+    def _over(self, names: set[str], fn: Callable[[dict[str, list[int]]], object]) -> list:
+        """By rank, fn's vector over the assignments of the variables in `names`, spread over
+        the states.  fn runs once, on the column of each of those variables: its value at each
+        assignment, by rank among them.  With no variable, fn may give the one value bare."""
+        ds = [d for d in self._by_name if d.name in names]
+        vec = fn({d.name: _spread(list(d.values()), {d.name}, ds) for d in ds})
+        return _spread(vec if isinstance(vec, list) else [vec], names, self._by_name)
 
     # --- index plumbing ---
 
@@ -231,11 +228,11 @@ class AhlMonad:
 
     def holds(self, phi: Formula) -> tuple[bool, ...]:
         """By rank, whether phi holds in each state: once per formula, by evaluating phi once
-        per assignment of the variables it mentions."""
+        over the columns of the variables it mentions."""
         truth = self._truth.get(phi)
         if truth is None:
             truth = self._truth[phi] = tuple(self._over(mentioned(phi),
-                                                        lambda s: eval_formula(phi, s)))
+                                                        lambda cols: eval_formula(phi, cols)))
         return truth
 
     def violated(self, phi: Formula) -> list[bool]:
@@ -331,19 +328,12 @@ class AhlMonad:
         return ordered_table(zip(svs, out))
 
     def _default_samples(self) -> tuple[Morphism, ...]:
-        x = self.decls[0].name
-        tt = TRUE
-        a = FCmp("!=", EVar(x), EInt(0))
-        b = FCmp("<=", EVar(x), EInt(1))
-        d = FCmp("==", EVar(x), EInt(1))
-        mk = self.make_index
-        return (
-            mk(0, tt, tt), mk(0, a, a), mk(0, b, b),
-            mk(0, d, a), mk(0, a, tt),
-            mk(Fraction(1, 10), tt, a), mk(Fraction(1, 2), tt, a),
-            mk(Fraction(1, 2), a, b), mk(Fraction(3, 10), b, tt),
-            mk(Fraction(1, 10), tt, b),
-        )
+        x = EVar(self.decls[0].name)
+        a, b, d = FCmp("!=", x, EInt(0)), FCmp("<=", x, EInt(1)), FCmp("==", x, EInt(1))
+        rows = [(0, TRUE, TRUE), (0, a, a), (0, b, b), (0, d, a), (0, a, TRUE),
+                (Fraction(1, 10), TRUE, a), (Fraction(1, 2), TRUE, a), (Fraction(1, 2), a, b),
+                (Fraction(3, 10), b, TRUE), (Fraction(1, 10), TRUE, b)]  # (beta, pre, post)
+        return tuple(self.make_index(*r) for r in rows)
 
     # --- primitive payloads (indices come from judgements) ---
 
@@ -368,16 +358,19 @@ class AhlMonad:
         """By rank, how far `var := expr` moves each state's rank: (e(s) - s[var]) * stride."""
         decl, st, names = self.range_of(var), self._stride[var], mentioned(expr) | {var}
 
-        def move(s: dict[str, int]) -> int:
-            v = eval_expr(expr, s)
-            if not decl.lo <= v <= decl.hi:  # first: an out-of-range v could index another state
-                v = next(w for t in states(d for d in self.decls if d.name in names)  # the first
-                         if not decl.lo <= (w := eval_expr(expr, t)) <= decl.hi)  # by declaration
+        def moves(cols: dict[str, list[int]]) -> list[int]:
+            vs = eval_formula(expr, cols)
+            vs = vs if isinstance(vs, list) else [vs] * len(cols[var])  # a constant, broadcast
+            if min(vs) < decl.lo or max(vs) > decl.hi:  # first: it could index another state
+                # the row out of range that comes first by declaration: its values are least
+                order = [cols[d.name] for d in self.decls if d.name in names]
+                i = min((i for i, v in enumerate(vs) if not decl.lo <= v <= decl.hi),
+                        key=lambda i: [c[i] for c in order])
                 raise RangeError(
-                    f"{var} := {v} leaves the declared range [{decl.lo}..{decl.hi}]")
-            return (v - s[var]) * st
+                    f"{var} := {vs[i]} leaves the declared range [{decl.lo}..{decl.hi}]")
+            return [(v - s) * st for v, s in zip(vs, cols[var])]
 
-        return self._over(names, move)
+        return self._over(names, moves)
 
     def assign(self, var: str, expr: Expr) -> Value:
         moves, svs = self._moves(var, expr), self.svalues
@@ -388,7 +381,7 @@ class AhlMonad:
         self._rand_range(var, lo, hi)
         st, svs = self._stride[var], self.svalues
         # the class of state i: the states k + v * st, which differ from it only in var
-        ks = [i - a for i, a in enumerate(self._over({var}, lambda s: s[var] * st))]
+        ks = [i - a for i, a in enumerate(self._over({var}, lambda c: [v * st for v in c[var]]))]
         rows = {k: uniform([vpair(svs[k + v * st], vunit) for v in range(lo, hi + 1)])
                 for k in dict.fromkeys(ks)}  # one successor dist per class
         return ordered_table(zip(svs, map(rows.__getitem__, ks)))
@@ -419,6 +412,19 @@ class AhlMonad:
         mixed = {k: self._mix(d, [rows[self._rank_of(pr.fst)][1] for pr, _ in d.atoms])
                  for k, d in uniq.items()}
         return ordered_table((sv, mixed[id(d)]) for sv, d in first.entries)
+
+
+def _spread(vec: list, read: Collection[str], decls: list[VarDecl]) -> list:
+    """vec, by rank over the variables of `decls` that are `read`, by rank over all of them:
+    by strides, each run over the faster variables read repeats once per value of one not."""
+    run = 1
+    for d in reversed(decls):  # from the fastest
+        n = len(d.values())
+        if d.name not in read:  # one run (no slower variable is read) repeats as a whole
+            vec = vec * n if run == len(vec) else list(chain.from_iterable(
+                vec[i:i + run] * n for i in range(0, len(vec), run)))
+        run *= n
+    return vec
 
 
 def _reduced(w: list[int], den: int) -> tuple[list[int], int]:

@@ -11,6 +11,7 @@ import collections
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +36,7 @@ from cgm.formulas import EBin, EInt, EVar, FAnd, FCmp, FNot, FOr, TRUE, VarDecl
 from cgm.instances import AhlMonad, ahl_instance
 from test_instances import _ahl_decls
 
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 _RULE = {DSkip: "skip", DAssign: "assign", DRand: "rand", DSeq: "seq", DWeak: "weak"}
 _BETAS = (Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(1))
 
@@ -344,7 +346,18 @@ def test_checks_over_a_hundred_thousand_states_build_no_state_and_no_leaf_payloa
         assert capsys.readouterr().out.splitlines()[-3:] == [
             last, f"conclusion: {concl}", "verdict: valid"]
         assert built == []
-        assert evaluated and max(evaluated.values()) <= 10
+        assert evaluated and max(evaluated.values()) == 1  # each formula exactly once
+
+
+def test_checking_builds_no_law_harness_structure(monkeypatch, capsys):
+    """`cgm ahl` reads no monad, 2-category or generalised unit, so it builds none, nor the
+    default sample indices they carry."""
+    made, make_index = [], AhlMonad.make_index
+    monkeypatch.setattr(AhlMonad, "make_index",
+                        lambda self, *a: made.append(a) or make_index(self, *a))
+    assert cli.main(["ahl", str(PROGRAMS / "two_samplers.ahl")]) == 0
+    assert capsys.readouterr().out.endswith("verdict: valid\n")
+    assert made == []
 
 
 def test_a_million_state_mismatch_answers_at_once(tmp_path, capsys):

@@ -22,7 +22,7 @@ from cgm.errors import (
     RangeError,
     SpawnGradeError,
 )
-from cgm.formulas import EBin, EInt, EVar, FAnd, FCmp, FNot, TRUE, VarDecl, eval_expr, states
+from cgm.formulas import EBin, EInt, EVar, FAnd, FCmp, FNot, TRUE, VarDecl, eval_formula
 from cgm.indexcat import DiscreteCategory, ObjectId
 from cgm.instances.typedstate import state_passing
 from cgm.instances import (
@@ -407,7 +407,7 @@ def test_ahl_index_composition_associative_with_saturation():
 
 def test_ahl_two_cells_monotone_under_composition():
     inst = ahl_instance()
-    two = inst.two
+    two = inst.monad.index_cat2
     pool = inst.monad.base.index_samples
     cells = [(f, g) for f in pool for g in pool if two.leq(f, g)]
     for f1, f2 in cells:
@@ -746,6 +746,12 @@ def test_ahl_mult_reports_the_first_malformed_atom_in_bind_order():
 
 # --- primitive payloads against their definitions ---
 
+def states(decls):
+    """Each state over `decls` as a dict, the last declaration varying fastest."""
+    names = [d.name for d in decls]
+    return [dict(zip(names, combo)) for combo in itertools.product(*[d.values() for d in decls])]
+
+
 def _states(inst):
     """The states as dicts, in rank order: the last name varies fastest."""
     return states(sorted(inst.decls, key=lambda d: d.name))
@@ -786,14 +792,14 @@ def test_ahl_leaf_payloads_equal_their_definitions(decls, data):
     expr = data.draw(st.sampled_from([EInt(lo), EVar(other), EBin("+", EVar(x), EInt(1)),
                                       EBin("-", EVar(other), EInt(1)),
                                       EBin("-", EBin("*", EInt(2), EVar(other)), EVar(x))]))
-    values = [eval_expr(expr, s) for s in states(decls)]
+    values = [eval_formula(expr, s) for s in states(decls)]
     out = [v for v in values if not decl.lo <= v <= decl.hi]
     if out:  # the first state, in declaration order, that leaves the range
         assert _error_text(inst.assign, x, expr) == (
             f"{x} := {out[0]} leaves the declared range [{decl.lo}..{decl.hi}]")
     else:
         assert inst.assign(x, expr) == _leaf_reference(
-            inst, x, lambda s: [eval_expr(expr, s)], lambda prs: point(*prs))
+            inst, x, lambda s: [eval_formula(expr, s)], lambda prs: point(*prs))
     assert _error_text(inst.assign, "w", EInt(0)) == "undeclared variable 'w'"
 
 
@@ -1023,6 +1029,7 @@ def test_dropped_ahl_instance_is_freed_without_a_collection():
         inst = ahl_instance()
         idx = inst.make_index(0, TRUE, TRUE)
         fmap(inst.monad.base, idx, lambda v: v, unit(inst.monad.base, idx.src, vint(1)).payload)
+        gen_unit(inst.genunit, idx, vint(1))
         ref = weakref.ref(inst)
         del inst
         assert ref() is None

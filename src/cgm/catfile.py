@@ -5,16 +5,17 @@
     gen f : a -> b
     monoid nat-plus|nat-times|prob-sat
 
-`table` builds the free category on the graph and materializes it as an
-explicit finite table (the graph must be acyclic).
+`table` is the free category on an acyclic graph: the same category as
+`free`, once a linear-time walk finds no cycle in the declared edges.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 
-from .errors import ParseError
-from .indexcat import IndexCategory, free_category, monoid_to_category, tabulate_free
+from .errors import ParseError, SymbolicObjects
+from .indexcat import IndexCategory, free_category, monoid_to_category
 from .instances.ahl import sat_add
 
 _MONOIDS = {
@@ -70,5 +71,11 @@ def parse_cat_file(text: str) -> IndexCategory:
         raise ParseError("no objects declared", 1, 1)
     free = free_category(objects, edges)
     if kind == "table":
-        return tabulate_free(free)
+        order = TopologicalSorter()
+        for _, s, t in free.edges:
+            order.add(t, s)
+        try:
+            order.prepare()  # a depth-first walk on an explicit stack: linear in the graph
+        except CycleError:
+            raise SymbolicObjects("graph has unbounded paths; cannot tabulate") from None
     return free

@@ -1,11 +1,11 @@
 """Index categories and 2-categories.
 
 Effectful computations are indexed by morphisms of a category.  The
-kinds supported here are the ones the built-in structures need: finite
-tables, free path categories over a graph, one-object categories from a
-(pre-ordered) monoid, discrete and indiscrete categories, pair
-completions, products, and finite function categories (objects are
-finite value sets, morphisms are all functions between them).
+kinds supported here are the ones the built-in structures need: free
+path categories over a graph, one-object categories from a (pre-ordered)
+monoid, discrete and indiscrete categories, pair completions, products,
+and finite function categories (objects are finite value sets, morphisms
+are all functions between them).
 
 Morphisms are plain data: a source, a target, and a word describing the
 arrow.  Equality is structural on the word, so free paths are equal iff
@@ -209,40 +209,6 @@ class IndexCategory:
 def _require_object(cat: IndexCategory, obj: ObjectId) -> None:
     if not cat.has_object(obj):
         raise UnknownObject(f"no object named {obj.name}")
-
-
-class FiniteTableCategory(IndexCategory):
-    """Explicitly tabulated finite category."""
-
-    kind = "table"
-
-    def __init__(self, objects: tuple[ObjectId, ...], arrows: tuple[Morphism, ...],
-                 comp: Mapping[tuple[Word, Word], Morphism]):
-        self.objects = objects
-        self.arrows = arrows  # non-identity morphisms
-        self.comp = comp  # (g.word, f.word) -> g o f
-
-    def object_ids(self):
-        return self.objects
-
-    def contains(self, m):
-        if isinstance(m.word, WIdentity):
-            return self._is_identity(m)
-        return m in self.arrows
-
-    def compose(self, g, f):
-        self._check_endpoints(g, f)
-        if isinstance(f.word, WIdentity):
-            return g
-        if isinstance(g.word, WIdentity):
-            return f
-        try:
-            return self.comp[(g.word, f.word)]
-        except KeyError:
-            raise CompositionMismatch(f"composition table has no entry for ({g}) o ({f})")
-
-    def morphisms(self, max_path_len: int = 4):
-        return self._sorted([*self.arrows, *map(self.identity, self.objects)])
 
 
 class FreeCategory(IndexCategory):
@@ -663,24 +629,3 @@ def free_category(objects: Iterable[str | ObjectId],
 def func_category(sets: Mapping[str, Iterable[Value]]) -> FuncCategory:
     norm = tuple((ObjectId(name), tuple(vs)) for name, vs in sets.items())
     return FuncCategory(norm)
-
-
-_TABLE_PATH_CAP = 8
-
-
-def tabulate_free(free: FreeCategory) -> FiniteTableCategory:
-    """Materialize a free category as an explicit table.
-
-    Only works when the path set is finite (acyclic graphs); a cycle makes
-    the enumeration reach _TABLE_PATH_CAP generators and is rejected.
-    """
-    arrows = [m for m in free.morphisms(_TABLE_PATH_CAP) if not isinstance(m.word, WIdentity)]
-    longest = max((len(m.word.gens) for m in arrows), default=0)
-    if longest >= _TABLE_PATH_CAP:
-        raise SymbolicObjects("graph has unbounded paths; cannot tabulate")
-    comp = {}
-    for f in arrows:
-        for g in arrows:
-            if f.tgt == g.src:
-                comp[(g.word, f.word)] = Morphism(f.src, g.tgt, WPath(f.word.gens + g.word.gens))
-    return FiniteTableCategory(free.objects, tuple(arrows), comp)

@@ -359,14 +359,20 @@ def _infer(bundle: InstanceBundle, start: ObjectId, term: Term,
                     f"{t.pos}: primitive {t.name} starts at {spec.index.src.name}, "
                     f"but the program is at {obj.name}")
             return GradedType(spec.index, spec.result_shape), set().union(*map(mentioned, t.args))
-        if isinstance(t, TLet):
-            first, fv1 = go(t.bound, obj, env)
-            env2 = dict(env)
-            env2[t.var] = first.shape
-            rest, fv2 = go(t.body, first.index.tgt, env2)
-            carried = fv2 - {t.var}
-            lets[(id(t), obj)] = _LetInfo(rest.index, tuple(sorted(carried)), t.var in fv2)
-            return GradedType(cat.compose(rest.index, first.index), rest.shape), fv1 | carried
+        if isinstance(t, TLet):  # a chain of binds: each bound in order, then back from the last
+            binds = []
+            while isinstance(t, TLet):
+                first, fv1 = go(t.bound, obj, env)
+                binds.append((t, obj, first, fv1))
+                env = {**env, t.var: first.shape}
+                t, obj = t.body, first.index.tgt
+            rest, fv = go(t, obj, env)
+            for bind, at, first, fv1 in reversed(binds):
+                carried = fv - {bind.var}
+                lets[(id(bind), at)] = _LetInfo(rest.index, tuple(sorted(carried)), bind.var in fv)
+                rest = GradedType(cat.compose(rest.index, first.index), rest.shape)
+                fv = fv1 | carried
+            return rest, fv
         raise GradeMismatch(f"cannot infer a grade for {t!r}")
 
     result, _ = go(term, start, dict(env))
@@ -435,14 +441,14 @@ def eval_term(bundle: InstanceBundle, term: Term, env: Mapping[str, Value],
     continuation runs at the final states of the rows that carry it; a memo
     entry that misses a later visit's states is rebuilt once, at all.
 
-    Evaluation does not grow the Python stack with the program (the
-    inference pass still does).  A let runs as a generator on an explicit
-    stack: it evaluates its bound term, then strength, whose map_fn
-    builds one pair per carried value.  Next it evaluates, in that order,
-    the continuations of the pairs that the memo does not cover yet,
-    yielding each one that is not a leaf to the driver loop; this is the
-    order in which map_fn would first reach them.  Last, one fmap reads
-    the memo and mult flattens."""
+    Evaluation does not grow the Python stack with the program (inference
+    grows it with `do` and `spawn` nesting only).  A let runs as a
+    generator on an explicit stack: it evaluates its bound term, then
+    strength, whose map_fn builds one pair per carried value.  Next it
+    evaluates, in that order, the continuations of the pairs that the
+    memo does not cover yet, yielding each one that is not a leaf to the
+    driver loop; this is the order in which map_fn would first reach
+    them.  Last, one fmap reads the memo and mult flattens."""
     T, prims, spawn, demand = bundle.monad, bundle.prims, bundle.spawn, bundle.demand
     if not hasattr(inferred, "_lets"):
         inferred = _infer(bundle, start, term, {k: shape_of_value(v) for k, v in env.items()})

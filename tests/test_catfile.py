@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cgm.catfile import parse_cat_file
-from cgm.errors import DanglingEdge, ParseError
+from cgm.errors import DanglingEdge, ParseError, SymbolicObjects
 from cgm.indexcat import STAR, ObjectId, WPath
 
 
@@ -23,16 +23,31 @@ gen unlock : critical -> free
 
 
 def test_parse_table_category():
-    cat = parse_cat_file("""
-kind table
-objects a b c
-gen f : a -> b
-gen g : b -> c
-""")
-    assert cat.kind == "table"
-    pool = cat.morphisms()
-    comp = [m for m in pool if m.word == WPath(("f", "g"))]
-    assert len(comp) == 1
+    graph = "objects a b c\ngen f : a -> b\ngen g : b -> c\n"
+    cat = parse_cat_file("kind table\n" + graph)
+    # the free category on the graph, once the graph has no cycle
+    assert cat.kind == "free"
+    assert cat.morphisms() == parse_cat_file("kind free\n" + graph).morphisms()
+    assert [m for m in cat.morphisms() if m.word == WPath(("f", "g"))] == [cat.path(["f", "g"])]
+
+
+@pytest.mark.parametrize("edges", [
+    "gen l : a -> a\n",
+    "gen f : a -> b\ngen g : b -> a\n",
+    "gen f : a -> b\ngen g : b -> c\ngen h : c -> b\n",  # a cycle after a chain
+])
+def test_parse_table_refuses_a_cycle(edges):
+    with pytest.raises(SymbolicObjects, match="^graph has unbounded paths; cannot tabulate$"):
+        parse_cat_file("kind table\nobjects a b c\n" + edges)
+    assert parse_cat_file("kind free\nobjects a b c\n" + edges).kind == "free"
+
+
+def test_parse_table_takes_a_long_chain():
+    n = 2000
+    cat = parse_cat_file(f"kind table\nobjects {' '.join(f'o{i}' for i in range(n))}\n"
+                         + "".join(f"gen g{i} : o{i} -> o{i + 1}\n" for i in range(n - 1)))
+    whole = cat.path([f"g{i}" for i in range(n - 1)])
+    assert (whole.src, whole.tgt) == (ObjectId("o0"), ObjectId(f"o{n - 1}"))
 
 
 def test_parse_monoid_categories():

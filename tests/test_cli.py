@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -278,6 +279,41 @@ def test_laws_category_config_error_exit_2(tmp_path, capsys, text, message):
     assert code == 2
     assert captured.out == f"error: {message}\n"
     assert "Traceback" not in captured.err
+
+
+# `kind table` is the free category on an acyclic graph.  Whether the graph
+# has a cycle is found without enumerating paths, so a long chain answers
+# and a dense cyclic graph is refused at once.
+
+def test_laws_over_a_10_object_table_chain(tmp_path, capsys):
+    cat = tmp_path / "chain.cat"
+    cat.write_text(f"kind table\nobjects {' '.join(f'o{i}' for i in range(10))}\n"
+                   + "".join(f"gen g{i} : o{i} -> o{i + 1}\n" for i in range(9)))
+    code, out = run_cli(capsys, "laws", "identity", "--category", str(cat), "--samples", "5")
+    assert code == 0 and out.endswith("failures: 0\n")
+
+
+def test_laws_refuse_a_complete_table_graph_within_a_second(tmp_path, capsys):
+    cat = tmp_path / "complete.cat"
+    cat.write_text("kind table\nobjects a b c d e f\n" + "".join(
+        f"gen {s}{t} : {s} -> {t}\n" for s in "abcdef" for t in "abcdef"))
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "laws", "identity", "--category", str(cat))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "error: graph has unbounded paths; cannot tabulate\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_table_and_free_diamond_print_the_same_laws(tmp_path, capsys, fmt):
+    text = (REPO / "programs" / "diamond.cat").read_text()
+    assert "kind table\n" in text
+    outs = []
+    for kind in ("table", "free"):
+        cat = tmp_path / f"{kind}.cat"
+        cat.write_text(text.replace("kind table\n", f"kind {kind}\n"))
+        outs.append(run_cli(capsys, "laws", "identity", "--category", str(cat),
+                            "--samples", "30", "--format", fmt))
+    assert outs[0] == outs[1] and outs[0][0] == 0
 
 
 def test_roundtrip_exit_codes(capsys):
@@ -913,17 +949,21 @@ def test_run_never_nests_fmap(tmp_path, capsys, monkeypatch):
         assert depth[1] == 1, (rounds, depth[1])
 
 
-# Grade inference still recurses once per statement (`metalang._infer`'s
-# `go`), so longer programs overflow the interpreter stack there.  This
-# marks the defect until that walker is iterative; then it passes, and
-# strict makes the suite say so.
-
-@pytest.mark.xfail(strict=True, raises=RecursionError,
-                   reason="grade inference (metalang._infer) recurses once per statement")
 def test_run_1200_statements(tmp_path, capsys):
     gp = tmp_path / "long.gp"
     gp.write_text("instance concst\nstart free\ndo {\n"
                   + "lock; put(1); unlock;\n" * 400 + "pure ()\n}\n")
+    code, out = run_cli(capsys, "run", str(gp))
+    assert code == 0 and out.startswith("grade: ")
+
+
+# Grade inference walks a block's binds in a loop, so its stack grows with
+# `do` and `spawn` nesting, not with program length.
+
+def test_run_3000_statements(tmp_path, capsys):
+    gp = tmp_path / "long.gp"
+    gp.write_text("instance concst\nstart free\ndo {\n"
+                  + "lock; put(1); unlock;\n" * 1000 + "pure ()\n}\n")
     code, out = run_cli(capsys, "run", str(gp))
     assert code == 0 and out.startswith("grade: ")
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from cgm.catfile import parse_cat_file
 from cgm.errors import (
     CompositionMismatch,
     DanglingEdge,
@@ -35,7 +34,6 @@ from cgm.indexcat import (
     pair_completion,
     pair_object,
     pomonoid_to_2category,
-    tabulate_free,
 )
 from cgm.instances import lock_category, sat_add
 from cgm.values import vint
@@ -234,19 +232,6 @@ def test_func_category():
     assert_category_laws(cat, cap=2)
 
 
-def test_tabulate_free():
-    base = free_category(["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c")])
-    tab = tabulate_free(base)
-    f = base.path(["f"])
-    g = base.path(["g"])
-    assert compose(tab, g, f).word == WPath(("f", "g"))
-    assert_category_laws(tab)
-    # cyclic graphs cannot be tabulated
-    loop = free_category(["a"], [("l", "a", "a")])
-    with pytest.raises(SymbolicObjects):
-        tabulate_free(loop)
-
-
 def test_pair_object_name_and_pair():
     a, b, c = ObjectId("x || y"), ObjectId("<wei|rd>"), ObjectId(r"back\slash")
     ab = pair_object(a, b)
@@ -293,7 +278,7 @@ def test_free_category_law_suite():
 def _foreign_cases():
     """Per kind: a category, one of its morphisms, and a forged morphism."""
     free, critical = ObjectId("free"), ObjectId("critical")
-    a, c = ObjectId("a"), ObjectId("c")
+    a = ObjectId("a")
     A, B = ObjectId("A"), ObjectId("B")
     lock = lock_category()
     func = func_category({"A": [vint(0), vint(1)], "B": [vint(0)]})
@@ -301,7 +286,6 @@ def _foreign_cases():
     pc = pair_completion(inner)
     nat = monoid_to_category(lambda x, y: x + y, 0, range(3))
     prod = ProductCategory(nat, DiscreteCategory((a,)))
-    table = parse_cat_file("kind table\nobjects a b c\ngen f : a -> b\ngen g : b -> c\n")
     return {
         # a path whose chain breaks
         "free": (lock, lock.path(["lock", "put"]),
@@ -316,12 +300,10 @@ def _foreign_cases():
         "product": (prod, prod.tuple_morphism(nat.elem(2), prod.right.identity(a)),
                     prod.tuple_morphism(Morphism(STAR, STAR, WPath(("x",))),
                                         prod.right.identity(a))),
-        # an arrow the table does not list
-        "table": (table, table.arrows[0], Morphism(a, c, WPath(("f", "f")))),
     }
 
 
-@pytest.mark.parametrize("kind", ["free", "func", "pair_completion", "product", "table"])
+@pytest.mark.parametrize("kind", ["free", "func", "pair_completion", "product"])
 def test_compose_rejects_a_foreign_morphism(kind):
     cat, valid, forged = _foreign_cases()[kind]
     assert cat.kind == kind and cat.contains(valid) and not cat.contains(forged)
@@ -361,7 +343,7 @@ def test_composing_owned_morphisms_calls_contains_zero_times(monkeypatch):
     nat = monoid_to_category(lambda x, y: x + y, 0, range(3))
     disc = DiscreteCategory((ObjectId("a"),))
     cats = [lock, func_category({"A": [vint(0), vint(1)]}), pair_completion(lock), nat,
-            ProductCategory(nat, disc), tabulate_free(free_category(["a", "b"], [("f", "a", "b")]))]
+            ProductCategory(nat, disc)]
     for cat in cats + [disc]:
         monkeypatch.setattr(cat, "contains", lambda m: pytest.fail(f"contains({m})"))
     for cat in cats:

@@ -166,11 +166,9 @@ def test_records_of_different_classes_or_values_never_equal():
 # --- categories: plain classes compared by identity ---
 
 def _categories():
-    free = ic.free_category(["a", "b"], [("f", "a", "b")])
     disc = ic.DiscreteCategory((A, B))
     return [
-        ic.tabulate_free(free),
-        free,
+        ic.free_category(["a", "b"], [("f", "a", "b")]),
         ic.MonoidCategory(op=lambda x, y: x + y, unit=0, sample=(1, 2)),
         disc,
         ic.IndiscreteCategory((A, B)),
